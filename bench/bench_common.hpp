@@ -129,14 +129,6 @@ class JsonReporter
      */
     void setWorkerThreads(unsigned n) { workerThreads = n; }
 
-    /**
-     * Record the peak fill-pool width the harness drove alongside
-     * its workers. Fill threads burn cores exactly like workers do,
-     * so host_info reports them separately and the oversubscription
-     * warning below counts both.
-     */
-    void setFillThreads(unsigned n) { fillThreads = n; }
-
     /** Where the document will be (or was) written. */
     std::string
     path() const
@@ -154,12 +146,12 @@ class JsonReporter
             return;
         written = true;
         // The 1-core-container caveat, in-band: when the harness's
-        // thread set (workers + fill pool) exceeds the machine,
+        // worker threads exceed the machine,
         // wall-clock figures measure the scheduler's time-slicing,
         // so the document carries an explicit warning cell instead
         // of leaving the caveat to the docs.
         unsigned hostCores = std::thread::hardware_concurrency();
-        if (hostCores > 0 && workerThreads + fillThreads > hostCores) {
+        if (hostCores > 0 && workerThreads > hostCores) {
             Point warn;
             warn.labels = {{"scenario", "host"},
                            {"mode", "oversubscribed_warning"}};
@@ -167,7 +159,6 @@ class JsonReporter
                 {"cores", static_cast<double>(hostCores)},
                 {"worker_threads",
                  static_cast<double>(workerThreads)},
-                {"fill_threads", static_cast<double>(fillThreads)},
                 {"oversubscribed", 1.0}};
             points.push_back(std::move(warn));
         }
@@ -193,8 +184,6 @@ class JsonReporter
                     std::thread::hardware_concurrency()));
         w.field("worker_threads",
                 static_cast<std::uint64_t>(workerThreads));
-        w.field("fill_threads",
-                static_cast<std::uint64_t>(fillThreads));
 #ifdef NDEBUG
         w.field("build_type", "optimized");
 #else
@@ -235,7 +224,6 @@ class JsonReporter
     std::chrono::steady_clock::time_point start;
     std::vector<Point> points;
     unsigned workerThreads = 1;
-    unsigned fillThreads = 0;
     bool written = false;
 };
 

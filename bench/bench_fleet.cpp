@@ -10,7 +10,8 @@
  * its own deterministic sim::TenantFleet op stream against the one
  * shared NIC stack: Translate ops run translateRange over the named
  * buffer, Detach ops tear the tenant down through the driver
- * (stat-tree disown, SRAM release, unpin-everything), Attach ops
+ * (stat-tree disown, SRAM release, unpin-everything, address-space
+ * frames returned under the driver mutex), Attach ops
  * re-register it. Per-tenant modeled latency samples feed
  * p50/p99/p999 cells; cross-tenant pollution (evictions whose victim
  * belonged to another pid) and quota throttles come from the new
@@ -72,7 +73,6 @@ struct FleetOptions {
     bool offsetting = true;
     std::size_t entries = 4096;
     unsigned assoc = 1;
-    unsigned driverShards = 4;
     std::uint64_t seed = 42;
     bool perTenantPoints = true;
 };
@@ -114,9 +114,6 @@ parseArgs(int argc, char **argv)
             o.entries = std::stoul(need(i++));
         else if (a == "--assoc")
             o.assoc = static_cast<unsigned>(std::stoul(need(i++)));
-        else if (a == "--driver-shards")
-            o.driverShards =
-                static_cast<unsigned>(std::stoul(need(i++)));
         else if (a == "--seed")
             o.seed = std::stoull(need(i++));
         else if (a == "--no-tenant-points")
@@ -163,7 +160,7 @@ struct FleetStack {
           costs(core::HostProfile::PentiumIINT),
           cache(core::CacheConfig{o.entries, o.assoc, o.offsetting},
                 timings, &sram),
-          driver(phys, pins, sram, cache, costs, o.driverShards)
+          driver(phys, pins, sram, cache, costs)
     {
         if (o.budgetMode == "hard") {
             budget = std::make_unique<core::PinBudget>(

@@ -22,33 +22,23 @@
  *   mt_warm_assoc4   the warm disjoint sweep at 4-way associativity:
  *                    page-at-a-time lookupMT through the per-set
  *                    seqlock way search;
- *   mt_miss_overlap  capacity-miss streams with the asynchronous fill
- *                    pipeline: misses post to the fill thread and
- *                    workers keep serving hits while the DMAs are in
- *                    flight. Timed with fills on and off, so the
- *                    async_speedup metric is the overlap win;
+ *   mt_miss_overlap  capacity-miss streams with asynchronous fills:
+ *                    misses post modeled outstanding fills and the
+ *                    walk keeps serving the window while their DMAs
+ *                    run on the modeled fill engines. Timed with
+ *                    fills on and off; async_speedup is the wall-clock
+ *                    ratio, modeled_us_per_page the modeled overlap;
  *   mt_zipf_mix      Zipf(1.1) window choice over a working set
  *                    larger than the cache: hot all-hit windows mixed
  *                    with a cold miss tail, fills overlapping hits.
- *   mt_miss_shard    the pin-churn shape with four worker processes
- *                    and one driver shard per worker, timed against
- *                    the identical shape at shards=1. shard_speedup
- *                    (sharded over monolithic pages/sec) is the
- *                    lock-splitting win; shard_gate_skipped=1 marks
- *                    hosts with fewer than 4 cores, where the ratio
- *                    only measures time-slicing and CI must not gate
- *                    on it.
- *
- * The mt_miss_overlap shape additionally runs a fill-pool sweep
- * (mode mt_pool, fill_threads 1 and 2) so CI can check that growing
- * the pool never regresses the modeled cost per page.
  *
  * Before timing anything, a fixed-iteration golden check replays an
  * identical workload through a sequential-mode and a concurrent-mode
  * single-worker stack and dies unless every per-call field and the
  * full stats tree match bit-for-bit. Async scenarios additionally
- * gate on mtAsyncConsistency: the fill pipeline may reorder miss
- * service but must return identical translations.
+ * gate on mtAsyncReplay: asynchronous fills may reorder miss service
+ * but must return identical translations, and the replay's modeled
+ * cost per page must repeat exactly on fresh stacks.
  *
  * UTLB_MT_MS bounds the per-cell budget (default 300 ms);
  * UTLB_MT_THREADS caps the sweep (default 4). BENCH_mt.json records
@@ -60,7 +50,6 @@
  * readers why).
  */
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -113,18 +102,15 @@ hostCores()
  * Emit one timed MT cell. scaling_efficiency is only meaningful when
  * every worker thread can run on its own core: oversubscribed cells
  * (threads > cores) omit it and set the flag instead, so downstream
- * readers never mistake time-slicing arithmetic for scaling. Fill
- * threads burn cores too, so async cells pass them as @p extraThreads
- * and the oversubscription test covers the whole thread set.
+ * readers never mistake time-slicing arithmetic for scaling.
  */
 void
 emitCell(bench::JsonReporter &json, sim::TextTable &table,
          const std::string &scenario, const char *mode, unsigned t,
          const MtCell &cell, double base, unsigned cores,
-         unsigned extraThreads = 0,
          const std::vector<std::pair<const char *, double>> &extra = {})
 {
-    bool oversub = t + extraThreads > cores;
+    bool oversub = t > cores;
     double pps = cell.pagesPerSec();
     double eff = (!oversub && base > 0)
         ? pps / (static_cast<double>(t) * base)
@@ -143,9 +129,6 @@ emitCell(bench::JsonReporter &json, sim::TextTable &table,
         {"modeled_us_per_page", cell.modeledUsPerPage()},
         {"host_cores", static_cast<double>(cores)},
         {"oversubscribed", oversub ? 1.0 : 0.0}};
-    // No 1-thread baseline (base == 0, e.g. the sharded-vs-mono
-    // cells that only run at full width) means no efficiency figure
-    // either, rather than a meaningless 0.
     if (!oversub && base > 0)
         metrics.emplace_back("scaling_efficiency", eff);
     for (const auto &m : extra)
@@ -173,14 +156,6 @@ main()
 
     bench::JsonReporter json("mt");
     json.setWorkerThreads(nmax);
-    // The fill-pool sweep peaks at two drain threads; the async
-    // scenarios run their configured pool width. host_info records
-    // the max so the oversubscription warning counts every thread
-    // the harness can have runnable at once.
-    std::size_t maxFill = 2;
-    for (const MtScenario &sc : asyncScenarios)
-        maxFill = std::max(maxFill, sc.fillThreads);
-    json.setFillThreads(static_cast<unsigned>(maxFill));
     sim::TextTable table("multi-thread wall clock ("
                          + sim::TextTable::num(ms, 0) + " ms/cell, "
                          + std::to_string(nmax) + " threads max, "
@@ -216,12 +191,23 @@ main()
         json.add({{"scenario", sc.name}, {"mode", "golden"}},
                  {{"golden_equivalence", 1.0}});
 
-        // Gate 2: fills change miss timing, never translations.
-        divergence = bench::mtAsyncConsistency(sc);
-        if (!divergence.empty())
-            sim::fatal("%s", divergence.c_str());
+        // Gate 2: fills change miss timing, never translations, and
+        // the async modeled cost is a pure function of the window
+        // sequence (it repeats exactly on fresh stacks).
+        bench::MtAsyncReplay replay = bench::mtAsyncReplay(sc);
+        if (!replay.divergence.empty())
+            sim::fatal("%s", replay.divergence.c_str());
+        bench::MtAsyncReplay repeat = bench::mtAsyncReplay(sc);
+        if (repeat.modeledUsPerPage != replay.modeledUsPerPage)
+            sim::fatal("%s: async modeled us/page did not repeat "
+                       "(%.17g vs %.17g)",
+                       sc.name, replay.modeledUsPerPage,
+                       repeat.modeledUsPerPage);
         json.add({{"scenario", sc.name}, {"mode", "async_golden"}},
-                 {{"async_consistency", 1.0}});
+                 {{"async_consistency", 1.0},
+                  {"modeled_us_per_page", replay.modeledUsPerPage},
+                  {"modeled_us_per_page_repeat",
+                   repeat.modeledUsPerPage}});
 
         // Scaling efficiency is measured within each mode (sync
         // cells against the sync 1-thread rate, async against async):
@@ -229,8 +215,8 @@ main()
         double baseSync = 0.0;
         double baseAsync = 0.0;
         for (unsigned t = 1; t <= nmax; t *= 2) {
-            // Serialized baseline: same shape, misses serviced in the
-            // worker (the pre-pipeline behaviour).
+            // Serialized baseline: same shape, every miss serviced
+            // in place by the walk.
             MtStack syncStack(syncShape, t, true);
             MtCell syncCell = runMtCell(syncShape, syncStack, t, ms);
             if (t == 1)
@@ -240,85 +226,23 @@ main()
 
             MtStack stack(sc, t, true, true);
             MtCell cell = runMtCell(sc, stack, t, ms);
-            stack.stopFill();
             if (t == 1)
                 baseAsync = cell.pagesPerSec();
             double speedup = syncCell.pagesPerSec() > 0
                 ? cell.pagesPerSec() / syncCell.pagesPerSec()
                 : 0.0;
-            double overlappedUs =
-                sim::ticksToUs(stack.fill->overlappedTicks());
+            double hiddenUs = sim::ticksToUs(static_cast<sim::Tick>(
+                stack.viewCounter("async_hidden_ticks")));
             emitCell(json, table, sc.name, "mt", t, cell, baseAsync,
                      cores,
-                     static_cast<unsigned>(sc.fillThreads),
                      {{"async_speedup", speedup},
-                      {"overlapped_modeled_us", overlappedUs},
-                      {"fill_threads",
-                       static_cast<double>(sc.fillThreads)},
-                      {"fills_completed",
+                      {"hidden_modeled_us", hiddenUs},
+                      {"async_fills",
                        static_cast<double>(
-                           stack.fill->fillsCompleted())}});
+                           stack.viewCounter("async_fills"))}});
         }
     }
 
-    // Fill-pool sweep: the overlap shape drained by one and by two
-    // fill threads, one worker each so the comparison isolates the
-    // drain side. Consistency is re-gated per pool size (routing by
-    // stripe residue must not change translations); CI checks that
-    // pool=2's modeled us/page stays within tolerance of pool=1's.
-    for (std::size_t pool : {std::size_t{1}, std::size_t{2}}) {
-        MtScenario sc = bench::kMtMissOverlap;
-        sc.fillThreads = pool;
-        std::string divergence = bench::mtAsyncConsistency(sc);
-        if (!divergence.empty())
-            sim::fatal("%s", divergence.c_str());
-        MtStack stack(sc, 1, true, true);
-        MtCell cell = runMtCell(sc, stack, 1, ms);
-        stack.stopFill();
-        emitCell(json, table,
-                 std::string(sc.name) + "(pool"
-                     + std::to_string(pool) + ")",
-                 "mt_pool", 1, cell, 0.0, cores,
-                 static_cast<unsigned>(pool),
-                 {{"fill_threads", static_cast<double>(pool)},
-                  {"fills_completed",
-                   static_cast<double>(stack.fill->fillsCompleted())}});
-    }
-
-    // Driver sharding: the 4-process churn shape, monolithic then
-    // one shard per worker. Sharding must be invisible to a single
-    // thread (golden gate); the timed ratio is CI-gated only on
-    // hosts with at least 4 cores (shard_gate_skipped says why).
-    {
-        const MtScenario &sharded = bench::kMtMissShard;
-        MtScenario mono = sharded;
-        mono.driverShards = 1;
-        unsigned t = 4;
-
-        std::string divergence = bench::mtGoldenDivergence(sharded);
-        if (!divergence.empty())
-            sim::fatal("%s", divergence.c_str());
-        json.add({{"scenario", sharded.name}, {"mode", "golden"}},
-                 {{"golden_equivalence", 1.0}});
-
-        MtStack monoStack(mono, t, true);
-        MtCell monoCell = runMtCell(mono, monoStack, t, ms);
-        emitCell(json, table, std::string(sharded.name) + "(mono)",
-                 "mt_mono", t, monoCell, 0.0, cores, 0,
-                 {{"driver_shards", 1.0}});
-
-        MtStack shardStack(sharded, t, true);
-        MtCell shardCell = runMtCell(sharded, shardStack, t, ms);
-        double speedup = monoCell.pagesPerSec() > 0
-            ? shardCell.pagesPerSec() / monoCell.pagesPerSec()
-            : 0.0;
-        emitCell(json, table, sharded.name, "mt", t, shardCell, 0.0,
-                 cores, 0,
-                 {{"driver_shards",
-                   static_cast<double>(sharded.driverShards)},
-                  {"shard_speedup", speedup},
-                  {"shard_gate_skipped", cores < 4 ? 1.0 : 0.0}});
-    }
     table.print(std::cout);
     return 0;
 }

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/fill_pipeline.hpp"
 #include "core/utlb.hpp"
 #include "mem/address_space.hpp"
 #include "mem/phys_memory.hpp"
@@ -65,10 +64,8 @@ struct MtScenario {
     bool sharedRange;            //!< all workers sweep the same vpns
     unsigned assoc = 1;          //!< cache ways (1 = direct-mapped)
     std::size_t memLimitPages = 0;  //!< per-process pin cap (0 = off)
-    bool asyncFill = false;      //!< attach the fill pipeline
+    bool asyncFill = false;      //!< UtlbConfig::asyncFills views
     double zipfAlpha = 0.0;      //!< >0: Zipf(alpha) window choice
-    unsigned driverShards = 1;   //!< UtlbDriver shard count
-    std::size_t fillThreads = 1; //!< fill-pipeline pool size
 };
 
 /** Warm, all-hits scaling cell (the acceptance scenario). */
@@ -99,10 +96,10 @@ inline constexpr MtScenario kMtWarmAssoc4{"mt_warm_assoc4", 512, 64,
 /**
  * Miss-overlap cell: each worker streams 8x the cache's capacity, so
  * every window is a stretch of capacity misses. With asyncFill the
- * misses post to the fill pipeline and the worker keeps serving the
- * window's hits while the fill thread DMAs — the outstanding-DMA
- * overlap the tentpole models. Run with asyncFill both on and off to
- * measure the overlap win.
+ * misses post modeled outstanding fills and the walk keeps serving
+ * the window while their DMAs run on the modeled fill engines — the
+ * outstanding-DMA overlap. Run with asyncFill both on and off to
+ * measure the modeled overlap win.
  */
 inline constexpr MtScenario kMtMissOverlap{"mt_miss_overlap", 8192, 64,
                                            1024, 8, false, 1, 0, true};
@@ -116,19 +113,6 @@ inline constexpr MtScenario kMtMissOverlap{"mt_miss_overlap", 8192, 64,
 inline constexpr MtScenario kMtZipfMix{"mt_zipf_mix", 4096, 64, 1024,
                                        8, false, 1, 0, true, 1.1};
 
-/**
- * Driver-shard cell: the pin-churn shape (every window sheds and
- * repins through driver ioctls) with one driver shard per worker, so
- * four processes' pin/unpin traffic lands on four independent shard
- * mutexes instead of one. Timed against the same shape at shards=1;
- * the sharded/monolithic pages-per-sec ratio is the lock-splitting
- * win. Meaningful only when the host can actually run the workers in
- * parallel — the harness skips the ratio gate below 4 cores.
- */
-inline constexpr MtScenario kMtMissShard{"mt_miss_shard", 512, 64,
-                                         8192, 8,  false, 1, 256,
-                                         false, 0.0, 4};
-
 /** One NIC, N worker processes, each with a concurrent UserUtlb. */
 struct MtStack {
     mem::PhysMemory phys;
@@ -141,13 +125,6 @@ struct MtStack {
     std::vector<std::unique_ptr<mem::AddressSpace>> spaces;
     std::vector<std::unique_ptr<core::UserUtlb>> views;
 
-    /**
-     * The NIC's fill thread (asyncFill scenarios only). Declared
-     * after views so it is destroyed — thread stopped and joined —
-     * first.
-     */
-    std::unique_ptr<core::FillPipeline> fill;
-
     MtStack(const MtScenario &sc, unsigned nworkers, bool concurrent,
             bool async = false)
         : phys(sc.perWorkerPages * nworkers + 2048),
@@ -158,7 +135,7 @@ struct MtStack {
           // control set overlap directly.
           cache(core::CacheConfig{sc.entries, sc.assoc, false},
                 timings, &sram),
-          driver(phys, pins, sram, cache, costs, sc.driverShards)
+          driver(phys, pins, sram, cache, costs)
     {
         for (unsigned w = 0; w < nworkers; ++w) {
             auto pid = static_cast<mem::ProcId>(w + 1);
@@ -168,34 +145,26 @@ struct MtStack {
             core::UtlbConfig ucfg;
             ucfg.prefetchEntries = sc.prefetch;
             ucfg.concurrent = concurrent;
+            ucfg.asyncFills = async;
             ucfg.pin.memLimitPages = sc.memLimitPages;
             views.push_back(std::make_unique<core::UserUtlb>(
                 driver, cache, timings, pid, ucfg));
         }
-        if (async) {
-            if (!concurrent)
-                utlb::sim::fatal(
-                    "%s: asyncFill requires concurrent mode", sc.name);
-            fill = std::make_unique<core::FillPipeline>(
-                driver, cache, timings, 64, sc.fillThreads);
-            for (auto &v : views)
-                v->attachFillPipeline(fill.get());
-        }
     }
 
-    /**
-     * Quiesce the fill pipeline (joins the fill thread and folds its
-     * stat shard); detaches it from every view so later windows run
-     * synchronously. No-op without asyncFill.
-     */
-    void
-    stopFill()
+    /** Sum of a counter over every view's stats subtree. */
+    std::uint64_t
+    viewCounter(const char *name) const
     {
-        if (!fill)
-            return;
-        fill->stop();
-        for (auto &v : views)
-            v->attachFillPipeline(nullptr);
+        std::uint64_t sum = 0;
+        for (const auto &v : views) {
+            const auto *stat = v->stats().find(name);
+            if (!stat)
+                utlb::sim::fatal("no view stat named %s", name);
+            sum += static_cast<const utlb::sim::Counter *>(stat)
+                       ->value();
+        }
+        return sum;
     }
 
     /** The vpn a worker's buffer starts at. */
@@ -292,19 +261,26 @@ mtGoldenDivergence(const MtScenario &sc)
     return "";
 }
 
+/** Outcome of mtAsyncReplay: a divergence, or the async cost. */
+struct MtAsyncReplay {
+    std::string divergence;        //!< "" when results matched
+    double modeledUsPerPage = 0.0; //!< async stack, second pass
+};
+
 /**
- * Async-fill consistency: the fill pipeline must change *when* a miss
- * is serviced, never *what* a translation returns. Replays the same
- * (possibly Zipf-shuffled) window sequence through a synchronous and
- * an async-fill concurrent stack and compares every call's results.
- * Stats and modeled-cost interleavings legitimately differ (the fill
- * thread owns its own shard and batches fills; a window's misses may
- * resolve each other), so — unlike mtGoldenDivergence — only ok and
- * the translated addresses are compared. Returns a description of the
- * first divergence, or "".
+ * Async-fill consistency: asynchronous fills must change *when* a
+ * miss is serviced, never *what* a translation returns. Replays the
+ * same (possibly Zipf-shuffled) window sequence through a synchronous
+ * and an async-fill concurrent stack and compares every call's
+ * results. Modeled costs legitimately differ (the fill engines hide
+ * DMA time), so — unlike mtGoldenDivergence — only ok and the
+ * translated addresses are compared. The async stack's modeled cost
+ * per page over the second (steady-state) pass is reported
+ * alongside: posted fills are serviced by the walking thread, so it
+ * is a pure function of the sequence and repeats exactly run to run.
  */
-inline std::string
-mtAsyncConsistency(const MtScenario &sc)
+inline MtAsyncReplay
+mtAsyncReplay(const MtScenario &sc)
 {
     MtStack sync(sc, 1, true, false);
     MtStack async(sc, 1, true, true);
@@ -323,19 +299,29 @@ mtAsyncConsistency(const MtScenario &sc)
             order[w] = zipf.next();
     }
 
+    MtAsyncReplay out;
+    std::uint64_t pages = 0;
+    utlb::sim::Tick modeled = 0;
     for (std::size_t w = 0; w < order.size(); ++w) {
         mem::VirtAddr va =
             (order[w] * sc.windowPages) * mem::kPageSize;
         core::Translation a = sync.views[0]->translateRange(va, nbytes);
         core::Translation b =
             async.views[0]->translateRange(va, nbytes);
-        if (a.ok != b.ok || a.pageAddrs != b.pageAddrs)
-            return std::string(sc.name)
+        if (a.ok != b.ok || a.pageAddrs != b.pageAddrs) {
+            out.divergence = std::string(sc.name)
                 + ": async fill changed translation results at window "
                 + std::to_string(w);
+            return out;
+        }
+        if (w >= nwindows) {
+            modeled += b.hostCost + b.nicCost;
+            pages += b.pageAddrs.size();
+        }
     }
-    async.stopFill();
-    return "";
+    out.modeledUsPerPage =
+        utlb::sim::ticksToUs(modeled) / static_cast<double>(pages);
+    return out;
 }
 
 /**

@@ -43,27 +43,15 @@ annotations cannot express:
                          order explicitly (the seq_cst default is a
                          silent pessimization).
 
-  fill-stripe-ownership  A fill-pool drain loop (a function carrying
-                         a `// utlb-lint: fill-worker` marker, inside
-                         the body or immediately above the
-                         definition) may only service tickets whose
-                         stripe it owns: every serviceMiss()/
-                         insertMT() call in the marked function must
-                         be preceded by an ownsStripe() check. The
-                         stripe residue class is the pool's whole
-                         concurrency argument -- a foreign-stripe
-                         ticket would let two fill threads race on
-                         one stripe lock's FIFO order.
-
   scoped-guard           Every lock acquisition is scoped: no naked
                          .lock()/.unlock() outside the guard
                          implementations (sim/spinlock.hpp,
                          sim/mutex.hpp), no bare std::mutex or
                          std::condition_variable in src/ (sim::Mutex
-                         / sim::CondVar keep the acquisition and the
-                         sleep's lock handoff visible to the
-                         thread-safety analysis), and no discarded
-                         try_lock().
+                         keeps the acquisition visible to the
+                         thread-safety analysis; a condvar's lock
+                         handoff is invisible to it), and no
+                         discarded try_lock().
 
 The analysis is a comment/string-aware token scan, not a full
 parse: rules are written so the real tree is clean and every
@@ -104,7 +92,6 @@ CONTROL_KEYWORDS = {
 
 ALLOW_RE = re.compile(r"utlb-lint:\s*allow\(([\w\-, ]+)\)")
 HELPER_RE = re.compile(r"utlb-lint:\s*seqlock-read-helper\b")
-FILLWORKER_RE = re.compile(r"utlb-lint:\s*fill-worker\b")
 EXPECT_RE = re.compile(r"utlb-lint-expect:\s*([\w\-]+)")
 
 
@@ -127,7 +114,6 @@ def strip_comments_and_strings(text):
     allows = {}   # line (1-based) -> set of allowed rules
     expects = []  # rules named by utlb-lint-expect comments
     helpers = []  # lines carrying the seqlock-read-helper marker
-    fillworkers = []  # lines carrying the fill-worker marker
     i, n = 0, len(text)
     line = 1
     state = "code"  # code | line_comment | block_comment | dq | sq
@@ -173,8 +159,6 @@ def strip_comments_and_strings(text):
                 expects.extend(EXPECT_RE.findall(comment))
                 if HELPER_RE.search(comment):
                     helpers.append(line)
-                if FILLWORKER_RE.search(comment):
-                    fillworkers.append(line)
                 comment_buf = []
             if ended:
                 state = "code"
@@ -215,9 +199,7 @@ def strip_comments_and_strings(text):
         expects.extend(EXPECT_RE.findall(comment))
         if HELPER_RE.search(comment):
             helpers.append(line)
-        if FILLWORKER_RE.search(comment):
-            fillworkers.append(line)
-    return "".join(out), allows, expects, helpers, fillworkers
+    return "".join(out), allows, expects, helpers
 
 
 FUNC_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\($")
@@ -314,9 +296,6 @@ DIRECT_PROBE_RE = re.compile(
 READBEGIN_RE = re.compile(r"=\s*[\w\.\->\[\]]*[\w\]]\s*\.readBegin\s*\(")
 READRETRY_RE = re.compile(r"(?:\.|->)readRetry\s*\(")
 
-FILL_SERVICE_RE = re.compile(r"\b(serviceMiss|insertMT)\s*\(")
-OWNS_STRIPE_RE = re.compile(r"\bownsStripe\s*\(")
-
 STAT_MEMBER_RE = re.compile(r"\b(?:stat[A-Z]\w*|statsGrp|statsPolicy)\b")
 USECLOCK_RE = re.compile(r"\buseClock\b")
 LASTUSE_WRITE_RE = re.compile(r"(?:\.|->)lastUse\s*=(?![=])([^;]*)")
@@ -334,8 +313,7 @@ DISCARDED_TRYLOCK_RE = re.compile(
 
 
 def lint_file(path, rel, text, force_src=False):
-    code, allows, _, helper_lines, fillworker_lines = \
-        strip_comments_and_strings(text)
+    code, allows, _, helper_lines = strip_comments_and_strings(text)
     lines = code.split("\n")
     func_of = function_of_lines(code)
     # A seqlock-read-helper marker subjects the whole enclosing
@@ -441,43 +419,6 @@ def lint_file(path, rel, text, force_src=False):
                    "recency stamp written outside the shard stamp "
                    "block; use nextStamp(sh) under the stripe lock")
 
-    # --- fill-stripe-ownership -----------------------------------
-    # A `// utlb-lint: fill-worker` marker names a fill-pool drain
-    # loop. The marker may sit inside the body or on a line above
-    # the definition (the scanner forward-skips to the first line
-    # mapped to a function). Within that function's contiguous span,
-    # every serviceMiss()/insertMT() call must come after an
-    # ownsStripe() check: a fill thread may only touch the cache on
-    # behalf of tickets in its own stripe residue class.
-    for l in fillworker_lines:
-        anchor = l
-        f = func_of.get(anchor)
-        while f is None and anchor < nlines:
-            anchor += 1
-            f = func_of.get(anchor)
-        if f is None:
-            continue  # marker precedes no recognizable function
-        lo = anchor
-        while lo > 1 and func_of.get(lo - 1) == f:
-            lo -= 1
-        hi = anchor
-        while hi < nlines and func_of.get(hi + 1) == f:
-            hi += 1
-        checked = False
-        for lineno in range(lo, hi + 1):
-            text_line = lines[lineno - 1]
-            own = OWNS_STRIPE_RE.search(text_line)
-            for m in FILL_SERVICE_RE.finditer(text_line):
-                if checked or (own and own.start() < m.start()):
-                    continue
-                report(lineno, "fill-stripe-ownership",
-                       "%s() in a fill-worker drain loop without a "
-                       "prior ownsStripe() check; a foreign-stripe "
-                       "ticket would race two fill threads on one "
-                       "stripe lock's FIFO order" % m.group(1))
-            if own:
-                checked = True
-
     # --- memory-order (src/ only) --------------------------------
     for idx, text_line in enumerate(lines):
         lineno = idx + 1
@@ -515,9 +456,10 @@ def lint_file(path, rel, text, force_src=False):
         if in_src and not is_guard_impl \
                 and STD_CONDVAR_RE.search(text_line):
             report(lineno, "scoped-guard",
-                   "bare std::condition_variable in src/; use "
-                   "sim::CondVar::waitOn so the sleep is tied to a "
-                   "UniqueLock the thread-safety analysis can see")
+                   "bare std::condition_variable in src/; its lock "
+                   "handoff is invisible to the thread-safety "
+                   "analysis (nothing in src/ sleeps on a condition: "
+                   "model the wait in modeled time instead)")
         if DISCARDED_TRYLOCK_RE.match(text_line):
             report(lineno, "scoped-guard",
                    "try_lock() result discarded; the caller cannot "
@@ -581,7 +523,7 @@ def run_self_test(fixture_dir):
     for path in fixtures:
         with open(path) as f:
             text = f.read()
-        _, _, expects, _, _ = strip_comments_and_strings(text)
+        _, _, expects, _ = strip_comments_and_strings(text)
         rel = os.path.basename(path)
         if not expects:
             print("FAIL %s: fixture declares no utlb-lint-expect "

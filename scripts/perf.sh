@@ -29,15 +29,15 @@ UTLB_MT_THREADS=${UTLB_MT_THREADS:-4})"
 UTLB_BENCH_JSON_DIR="$OUT" "$BUILD"/bench/bench_mt
 
 # Oversubscription is recorded in-band (host_info.cores vs
-# worker_threads + fill_threads, a warning cell, and per-cell
+# worker_threads, a warning cell, and per-cell
 # oversubscribed flags); repeat it on the console so a 1-core
 # container run is never mistaken for a scaling measurement.
 python3 - "$OUT/BENCH_mt.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 hi = doc["host_info"]
-print("host: %d core(s), %d worker thread(s) + %d fill thread(s)"
-      % (hi["cores"], hi["worker_threads"], hi["fill_threads"]))
+print("host: %d core(s), %d worker thread(s)"
+      % (hi["cores"], hi["worker_threads"]))
 warn = [p for p in doc["points"]
         if p["labels"].get("mode") == "oversubscribed_warning"]
 over = [p["labels"] for p in doc["points"]

@@ -1,7 +1,6 @@
 #include "core/driver.hpp"
 
 #include "check/audit.hpp"
-#include "check/check.hpp"
 #include "sim/log.hpp"
 
 namespace utlb::core {
@@ -14,17 +13,7 @@ using sim::panic;
 
 namespace {
 
-/** Round up to a power of two (>= 1). */
-unsigned
-roundPow2(unsigned v)
-{
-    unsigned p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-/** Initial per-shard directory capacity (power of two). */
+/** Initial directory capacity (power of two). */
 constexpr std::size_t kDirInitCap = 16;
 
 } // namespace
@@ -32,7 +21,7 @@ constexpr std::size_t kDirInitCap = 16;
 UtlbDriver::UtlbDriver(mem::PhysMemory &host_mem,
                        mem::PinFacility &pin_facility,
                        nic::Sram &board_sram, SharedUtlbCache &cache,
-                       const HostCosts &costs, unsigned shard_count)
+                       const HostCosts &costs)
     : hostMem(&host_mem), pins(&pin_facility), sram(&board_sram),
       nicCache(&cache), hostCosts(&costs)
 {
@@ -42,38 +31,11 @@ UtlbDriver::UtlbDriver(mem::PhysMemory &host_mem,
         fatal("no physical memory for the driver garbage page");
     garbagePfn = *frame;
 
-    unsigned n = roundPow2(shard_count ? shard_count : 1);
-    shardMask = n - 1;
-    shards.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        auto s = std::make_unique<Shard>(
-            statIoctlLatency.makeAccum(),
-            statIoctlRejectLatency.makeAccum());
-        {
-            sim::LockGuard lk(s->mu);
-            // Pre-size the directory: registration is rare but the
-            // directory is probed on the miss path, and a pre-sized
-            // table avoids early rehashes.
-            s->dir.resize(kDirInitCap);
-            statIoctls.addSource(&s->st.ioctls);
-            statIoctlRejects.addSource(&s->st.rejects);
-            statPagesPinned.addSource(&s->st.pagesPinned);
-            statPagesUnpinned.addSource(&s->st.pagesUnpinned);
-            statIoctlLatency.addSource(&s->st.latency);
-            statIoctlRejectLatency.addSource(&s->st.rejectLatency);
-        }
-        shards.push_back(std::move(s));
-    }
-
-    if (n > 1) {
-        // A single shard lock no longer serializes the shared
-        // structures the ioctl bodies touch: the pin facility, the
-        // physical allocator (host-table leaf allocation), and the
-        // NIC cache's invalidation path all need their own locking.
-        pins->enableConcurrent();
-        hostMem->enableConcurrent();
-        nicCache->enableConcurrent();
-    }
+    // Pre-size the directory: registration is rare but the directory
+    // is probed on the miss path, and a pre-sized table avoids early
+    // rehashes.
+    sim::LockGuard lk(mu);
+    dir.resize(kDirInitCap);
 }
 
 UtlbDriver::~UtlbDriver()
@@ -82,12 +44,12 @@ UtlbDriver::~UtlbDriver()
 }
 
 UtlbDriver::DirEntry *
-UtlbDriver::findEntryLocked(Shard &s, ProcId pid)
+UtlbDriver::findEntryLocked(ProcId pid)
 {
-    std::size_t mask = s.dir.size() - 1;
+    std::size_t mask = dir.size() - 1;
     std::size_t i = dirHash(pid) & mask;
     for (;;) {
-        DirEntry &e = s.dir[i];
+        DirEntry &e = dir[i];
         if (e.pid == pid)
             return &e;
         if (e.pid == kEmptyPid)
@@ -97,27 +59,16 @@ UtlbDriver::findEntryLocked(Shard &s, ProcId pid)
 }
 
 // Quiescent-only probe (class comment): the unlocked accessors read
-// the shard directory by the same temporal contract the monolithic
-// driver's map reads had. Invisible to the static analysis.
+// the directory by the same temporal contract their references
+// carry. Invisible to the static analysis.
 const UtlbDriver::DirEntry *
 UtlbDriver::findEntry(ProcId pid) const UTLB_NO_THREAD_SAFETY_ANALYSIS
 {
-    const Shard &s = shardFor(pid);
-    std::size_t mask = s.dir.size() - 1;
-    std::size_t i = dirHash(pid) & mask;
-    for (;;) {
-        const DirEntry &e = s.dir[i];
-        if (e.pid == pid)
-            return &e;
-        if (e.pid == kEmptyPid)
-            return nullptr;
-        i = (i + 1) & mask;
-    }
+    return const_cast<UtlbDriver *>(this)->findEntryLocked(pid);
 }
 
 void
-UtlbDriver::dirGrow(std::vector<DirEntry> &dir, std::size_t &used,
-                    std::size_t live)
+UtlbDriver::dirGrowLocked()
 {
     std::size_t ncap = dir.size() * 2;
     std::vector<DirEntry> ndir(ncap);
@@ -131,28 +82,28 @@ UtlbDriver::dirGrow(std::vector<DirEntry> &dir, std::size_t &used,
         ndir[i] = std::move(e);
     }
     dir = std::move(ndir);
-    used = live;
+    dirUsed = dirLive;
 }
 
 void
-UtlbDriver::dirInsertLocked(Shard &s, DirEntry &&e)
+UtlbDriver::dirInsertLocked(DirEntry &&e)
 {
     // Rehash at 3/4 load (live + tombstones); tombstones drop out.
-    if ((s.dirUsed + 1) * 4 >= s.dir.size() * 3)
-        dirGrow(s.dir, s.dirUsed, s.dirLive);
-    std::size_t mask = s.dir.size() - 1;
+    if ((dirUsed + 1) * 4 >= dir.size() * 3)
+        dirGrowLocked();
+    std::size_t mask = dir.size() - 1;
     std::size_t i = dirHash(e.pid) & mask;
     for (;;) {
-        DirEntry &slot = s.dir[i];
+        DirEntry &slot = dir[i];
         if (slot.pid == kEmptyPid) {
             slot = std::move(e);
-            ++s.dirUsed;
-            ++s.dirLive;
+            ++dirUsed;
+            ++dirLive;
             return;
         }
         if (slot.pid == kTombPid) {
             slot = std::move(e);
-            ++s.dirLive;
+            ++dirLive;
             return;
         }
         i = (i + 1) & mask;
@@ -162,13 +113,11 @@ UtlbDriver::dirInsertLocked(Shard &s, DirEntry &&e)
 void
 UtlbDriver::registerProcess(mem::AddressSpace &space)
 {
-    sim::LockGuard rg(registryMu);
     ProcId pid = space.pid();
     if (pid >= kTombPid)
-        panic("pid %u is reserved (shard-directory sentinel)", pid);
-    Shard &s = shardFor(pid);
-    sim::LockGuard lk(s.mu);
-    if (findEntryLocked(s, pid))
+        panic("pid %u is reserved (process-directory sentinel)", pid);
+    sim::LockGuard lk(mu);
+    if (findEntryLocked(pid))
         panic("process %u registered with the driver twice", pid);
     pins->registerSpace(space);
     DirEntry e;
@@ -176,25 +125,27 @@ UtlbDriver::registerProcess(mem::AddressSpace &space)
     e.table = std::make_unique<HostPageTable>(*hostMem, pid, sram);
     e.space = &space;
     statsGrp.adopt(e.table->stats());
-    dirInsertLocked(s, std::move(e));
+    dirInsertLocked(std::move(e));
 }
 
 void
 UtlbDriver::unregisterProcess(ProcId pid)
 {
-    sim::LockGuard rg(registryMu);
-    Shard &s = shardFor(pid);
-    sim::LockGuard lk(s.mu);
+    sim::LockGuard lk(mu);
     nicCache->invalidateProcess(pid);
-    if (DirEntry *e = findEntryLocked(s, pid)) {
+    mem::AddressSpace *space = nullptr;
+    if (DirEntry *e = findEntryLocked(pid)) {
         statsGrp.disown(e->table->stats());
+        space = e->space;
         e->pid = kTombPid;
         e->table.reset();
         e->nicTable.reset();
         e->space = nullptr;
-        --s.dirLive;
+        --dirLive;
     }
     pins->unregisterProcess(pid);
+    if (space)
+        space->unmapAll();
 }
 
 bool
@@ -220,36 +171,25 @@ UtlbDriver::pageTable(ProcId pid)
 HostPageTable *
 UtlbDriver::pageTableShared(ProcId pid)
 {
-    Shard &s = shardFor(pid);
-    sim::LockGuard lk(s.mu);
-    DirEntry *e = findEntryLocked(s, pid);
+    sim::LockGuard lk(mu);
+    DirEntry *e = findEntryLocked(pid);
     return e ? e->table.get() : nullptr;
 }
 
 IoctlResult
 UtlbDriver::ioctlPinAndInstall(ProcId pid, Vpn start, std::size_t npages)
 {
-    return ioctlPinAndInstall(shardOf(pid), pid, start, npages);
+    sim::LockGuard lk(mu);
+    return recordLocked(pinAndInstallLocked(pid, start, npages));
 }
 
 IoctlResult
-UtlbDriver::ioctlPinAndInstall(ShardHandle h, ProcId pid, Vpn start,
-                               std::size_t npages)
-{
-    UTLB_ASSERT(h.sh == &shardFor(pid),
-                "shard handle does not serve pid %u", pid);
-    Shard &s = *h.sh;
-    sim::LockGuard lk(s.mu);
-    return recordLocked(s, pinAndInstallLocked(s, pid, start, npages));
-}
-
-IoctlResult
-UtlbDriver::pinAndInstallLocked(Shard &s, ProcId pid, Vpn start,
+UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
                                 std::size_t npages)
 {
-    ++s.st.ioctls;
+    ++statIoctls;
     IoctlResult res;
-    DirEntry *e = findEntryLocked(s, pid);
+    DirEntry *e = findEntryLocked(pid);
     if (!e) {
         res.status = PinStatus::UnknownProcess;
         return res;
@@ -282,7 +222,7 @@ UtlbDriver::pinAndInstallLocked(Shard &s, ProcId pid, Vpn start,
         }
     }
 
-    s.st.pagesPinned += npages;
+    statPagesPinned += npages;
     res.pagesDone = npages;
     res.cost = hostCosts->pinCost(npages);
     return res;
@@ -292,28 +232,17 @@ IoctlResult
 UtlbDriver::ioctlUnpinAndInvalidate(ProcId pid, Vpn start,
                                     std::size_t npages)
 {
-    return ioctlUnpinAndInvalidate(shardOf(pid), pid, start, npages);
+    sim::LockGuard lk(mu);
+    return recordLocked(unpinAndInvalidateLocked(pid, start, npages));
 }
 
 IoctlResult
-UtlbDriver::ioctlUnpinAndInvalidate(ShardHandle h, ProcId pid,
-                                    Vpn start, std::size_t npages)
-{
-    UTLB_ASSERT(h.sh == &shardFor(pid),
-                "shard handle does not serve pid %u", pid);
-    Shard &s = *h.sh;
-    sim::LockGuard lk(s.mu);
-    return recordLocked(
-        s, unpinAndInvalidateLocked(s, pid, start, npages));
-}
-
-IoctlResult
-UtlbDriver::unpinAndInvalidateLocked(Shard &s, ProcId pid, Vpn start,
+UtlbDriver::unpinAndInvalidateLocked(ProcId pid, Vpn start,
                                      std::size_t npages)
 {
-    ++s.st.ioctls;
+    ++statIoctls;
     IoctlResult res;
-    DirEntry *e = findEntryLocked(s, pid);
+    DirEntry *e = findEntryLocked(pid);
     if (!e) {
         res.status = PinStatus::UnknownProcess;
         return res;
@@ -332,7 +261,7 @@ UtlbDriver::unpinAndInvalidateLocked(Shard &s, ProcId pid, Vpn start,
         }
         ++res.pagesDone;
     }
-    s.st.pagesUnpinned += res.pagesDone;
+    statPagesUnpinned += res.pagesDone;
     res.cost = hostCosts->unpinCost(res.pagesDone ? res.pagesDone : 1);
     return res;
 }
@@ -340,10 +269,8 @@ UtlbDriver::unpinAndInvalidateLocked(Shard &s, ProcId pid, Vpn start,
 NicTranslationTable &
 UtlbDriver::createNicTable(ProcId pid, std::size_t entries)
 {
-    sim::LockGuard rg(registryMu);
-    Shard &s = shardFor(pid);
-    sim::LockGuard lk(s.mu);
-    DirEntry *e = findEntryLocked(s, pid);
+    sim::LockGuard lk(mu);
+    DirEntry *e = findEntryLocked(pid);
     if (!e)
         panic("createNicTable for unregistered process %u", pid);
     if (e->nicTable)
@@ -366,18 +293,16 @@ UtlbDriver::nicTable(ProcId pid)
 IoctlResult
 UtlbDriver::ioctlPinAtIndex(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    Shard &s = shardFor(pid);
-    sim::LockGuard lk(s.mu);
-    return recordLocked(s, pinAtIndexLocked(s, pid, vpn, index));
+    sim::LockGuard lk(mu);
+    return recordLocked(pinAtIndexLocked(pid, vpn, index));
 }
 
 IoctlResult
-UtlbDriver::pinAtIndexLocked(Shard &s, ProcId pid, Vpn vpn,
-                             UtlbIndex index)
+UtlbDriver::pinAtIndexLocked(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    ++s.st.ioctls;
+    ++statIoctls;
     IoctlResult res;
-    DirEntry *e = findEntryLocked(s, pid);
+    DirEntry *e = findEntryLocked(pid);
     if (!e) {
         res.status = PinStatus::UnknownProcess;
         return res;
@@ -393,7 +318,7 @@ UtlbDriver::pinAtIndexLocked(Shard &s, ProcId pid, Vpn vpn,
     if (!e->nicTable)
         panic("nicTable of process %u does not exist", pid);
     e->nicTable->install(index, *frame);
-    ++s.st.pagesPinned;
+    ++statPagesPinned;
     res.pagesDone = 1;
     res.cost = hostCosts->pinCost(1);
     return res;
@@ -402,18 +327,16 @@ UtlbDriver::pinAtIndexLocked(Shard &s, ProcId pid, Vpn vpn,
 IoctlResult
 UtlbDriver::ioctlUnpinIndex(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    Shard &s = shardFor(pid);
-    sim::LockGuard lk(s.mu);
-    return recordLocked(s, unpinIndexLocked(s, pid, vpn, index));
+    sim::LockGuard lk(mu);
+    return recordLocked(unpinIndexLocked(pid, vpn, index));
 }
 
 IoctlResult
-UtlbDriver::unpinIndexLocked(Shard &s, ProcId pid, Vpn vpn,
-                             UtlbIndex index)
+UtlbDriver::unpinIndexLocked(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    ++s.st.ioctls;
+    ++statIoctls;
     IoctlResult res;
-    DirEntry *e = findEntryLocked(s, pid);
+    DirEntry *e = findEntryLocked(pid);
     if (!e) {
         res.status = PinStatus::UnknownProcess;
         return res;
@@ -423,7 +346,7 @@ UtlbDriver::unpinIndexLocked(Shard &s, ProcId pid, Vpn vpn,
         if (!e->nicTable)
             panic("nicTable of process %u does not exist", pid);
         e->nicTable->invalidate(index);
-        ++s.st.pagesUnpinned;
+        ++statPagesUnpinned;
         res.pagesDone = 1;
     }
     res.cost = hostCosts->unpinCost(1);
@@ -431,8 +354,8 @@ UtlbDriver::unpinIndexLocked(Shard &s, ProcId pid, Vpn vpn,
 }
 
 // Audits run at quiescence only (no worker in an ioctl), so the
-// unlocked sweep over the guarded shard directories is safe but
-// unprovable here.
+// unlocked sweep over the guarded directory is safe but unprovable
+// here.
 void
 UtlbDriver::audit(check::AuditReport &report) const
     UTLB_NO_THREAD_SAFETY_ANALYSIS
@@ -444,25 +367,19 @@ UtlbDriver::audit(check::AuditReport &report) const
     report.require(hostMem->ownerOf(garbagePfn) == kKernelPid,
                    "garbage frame %llu not owned by the kernel",
                    static_cast<unsigned long long>(garbagePfn));
-    for (const auto &sp : shards) {
-        for (const DirEntry &e : sp->dir) {
-            if (e.pid == kEmptyPid || e.pid == kTombPid)
-                continue;
-            report.require(e.space && e.space->pid() == e.pid,
-                           "space registered under pid %u reports "
-                           "pid %u",
-                           e.pid, e.space ? e.space->pid() : 0);
-            report.require(e.table != nullptr,
-                           "registered pid %u has no host page table",
-                           e.pid);
-            report.require(&shardFor(e.pid) == sp.get(),
-                           "pid %u filed in the wrong driver shard",
-                           e.pid);
-            if (e.table)
-                e.table->audit(report);
-            if (e.nicTable)
-                e.nicTable->audit(report);
-        }
+    for (const DirEntry &e : dir) {
+        if (e.pid == kEmptyPid || e.pid == kTombPid)
+            continue;
+        report.require(e.space && e.space->pid() == e.pid,
+                       "space registered under pid %u reports pid %u",
+                       e.pid, e.space ? e.space->pid() : 0);
+        report.require(e.table != nullptr,
+                       "registered pid %u has no host page table",
+                       e.pid);
+        if (e.table)
+            e.table->audit(report);
+        if (e.nicTable)
+            e.nicTable->audit(report);
     }
     pins->audit(report);
 }

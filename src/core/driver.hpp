@@ -51,19 +51,13 @@ struct IoctlResult {
  * cache: an unpin always invalidates both the host table entry and
  * any cached NIC copy before the page becomes evictable.
  *
- * Thread safety: the driver is sharded by process. Per-process state
- * (the page-table/NIC-table/space directory and the ioctl statistics)
- * lives in one of @p shards shard blocks, each with its own mutex; an
- * ioctl takes only its process' shard lock, so concurrent misses from
- * different processes stop serializing the way they would on one
- * driver-wide lock. Process (un)registration and NIC-table creation
- * additionally serialize on registryMu (lock order: registryMu, then
- * one shard mutex — ioctls never hold two shard locks). With more
- * than one shard the constructor arms the pin facility's, the
- * physical allocator's, and the NIC cache's internal locking, since
- * a single shard lock no longer serializes access to those shared
- * structures. The default single shard reproduces the monolithic
- * driver exactly (same lock discipline, bit-identical stats).
+ * Thread safety: one driver mutex serializes every ioctl,
+ * (un)registration, and NIC-table creation. It guards the
+ * open-addressed process directory, the ioctl statistics, and —
+ * because every ioctl body runs under it — the pin facility, the
+ * physical allocator, and the host page tables those bodies reach.
+ * Splitting it per address space measured no faster on 4 cores
+ * (docs/performance.md), so the driver stays one critical section.
  *
  * Accessors that hand out references (pageTable, nicTable,
  * pinFacility, stats, audit) are not locked: use them only after
@@ -72,12 +66,10 @@ struct IoctlResult {
  */
 class UtlbDriver
 {
-    struct Shard;  // the per-shard block (defined below, private)
-
   public:
     UtlbDriver(mem::PhysMemory &host_mem, mem::PinFacility &pin_facility,
                nic::Sram &board_sram, SharedUtlbCache &cache,
-               const HostCosts &costs, unsigned shards = 1);
+               const HostCosts &costs);
 
     ~UtlbDriver();
 
@@ -90,21 +82,21 @@ class UtlbDriver
     /** The kernel pin facility this driver fronts. */
     const mem::PinFacility &pinFacility() const { return *pins; }
 
-    /** Number of driver shards (a power of two; 1 = monolithic). */
-    unsigned shardCount() const
-    {
-        return static_cast<unsigned>(shards.size());
-    }
-
     /**
      * Register a process: creates its host-resident page table and
      * registers its address space with the pinning facility. Reserved
-     * pids (the empty/tombstone sentinels of the shard directory,
+     * pids (the empty/tombstone sentinels of the process directory,
      * which also cover kKernelPid) are rejected fatally.
      */
     void registerProcess(mem::AddressSpace &space);
 
-    /** Tear down a process: unpins all pages, drops cache entries. */
+    /**
+     * Tear down an exiting process: unpins all pages, drops cache
+     * entries, and unmaps its address space, returning its frames to
+     * host memory under the driver mutex (so tenant churn never races
+     * another process' demand mapping). The space object itself stays
+     * the caller's and is left empty.
+     */
     void unregisterProcess(mem::ProcId pid);
 
     /** True if @p pid is registered. */
@@ -115,42 +107,15 @@ class UtlbDriver
 
     /**
      * pageTable()'s concurrent-safe twin: resolves the table under
-     * the shard lock, so the directory probe cannot race another
-     * tenant's register/unregister rehashing this shard (fleet churn
-     * does exactly that mid-translate). The returned object is
+     * the driver mutex, so the directory probe cannot race another
+     * tenant's register/unregister rehashing the directory (fleet
+     * churn does exactly that mid-translate). The returned object is
      * heap-stable and outlives the lock; it stays valid until @p pid
      * itself unregisters, which miss-path callers — the process' own
-     * view or a fill thread draining its tickets — preclude by
-     * construction.
+     * view — preclude by construction.
      * @return nullptr if @p pid is not registered.
      */
     HostPageTable *pageTableShared(mem::ProcId pid);
-
-    /**
-     * An opaque reference to the shard that serves one process'
-     * ioctls. Resolving the shard is a cheap hash, but callers that
-     * issue many ioctls for one pid (PinManager, the fill threads)
-     * can resolve once and pass the handle to the ioctl overloads
-     * below. A default-constructed handle is empty; handles stay
-     * valid for the driver's lifetime (shards are never reallocated).
-     */
-    class ShardHandle
-    {
-        friend class UtlbDriver;
-        Shard *sh = nullptr;
-
-      public:
-        ShardHandle() = default;
-        explicit operator bool() const { return sh != nullptr; }
-    };
-
-    /** The shard handle for @p pid's ioctls. */
-    ShardHandle shardOf(mem::ProcId pid)
-    {
-        ShardHandle h;
-        h.sh = &shardFor(pid);
-        return h;
-    }
 
     /**
      * ioctl: pin [start, start+npages) and install the translations
@@ -161,8 +126,6 @@ class UtlbDriver
      */
     IoctlResult ioctlPinAndInstall(mem::ProcId pid, mem::Vpn start,
                                    std::size_t npages);
-    IoctlResult ioctlPinAndInstall(ShardHandle h, mem::ProcId pid,
-                                   mem::Vpn start, std::size_t npages);
 
     /**
      * ioctl: unpin @p npages pages starting at @p start,
@@ -170,9 +133,6 @@ class UtlbDriver
      * Pages in the range that are not pinned are skipped.
      */
     IoctlResult ioctlUnpinAndInvalidate(mem::ProcId pid, mem::Vpn start,
-                                        std::size_t npages);
-    IoctlResult ioctlUnpinAndInvalidate(ShardHandle h, mem::ProcId pid,
-                                        mem::Vpn start,
                                         std::size_t npages);
 
     /**
@@ -202,17 +162,20 @@ class UtlbDriver
     /**
      * @name Lifetime counters
      *
-     * Quiescent-only accessors (class comment): they sum the
-     * per-shard stat slots unlocked, by the same temporal contract
-     * as pageTable().
+     * Quiescent-only accessors (class comment): they read the
+     * mutex-guarded stats unlocked, by the same temporal contract as
+     * pageTable().
      * @{
      */
-    std::uint64_t ioctlCalls() const { return statIoctls.value(); }
-    std::uint64_t pagesPinned() const
+    std::uint64_t ioctlCalls() const UTLB_NO_THREAD_SAFETY_ANALYSIS
+    {
+        return statIoctls.value();
+    }
+    std::uint64_t pagesPinned() const UTLB_NO_THREAD_SAFETY_ANALYSIS
     {
         return statPagesPinned.value();
     }
-    std::uint64_t pagesUnpinned() const
+    std::uint64_t pagesUnpinned() const UTLB_NO_THREAD_SAFETY_ANALYSIS
     {
         return statPagesUnpinned.value();
     }
@@ -231,11 +194,11 @@ class UtlbDriver
 
   private:
     /**
-     * @name Shard directory sentinels
+     * @name Process directory sentinels
      *
-     * The per-shard process directory is open-addressed on pid (the
-     * LeafDir idiom): kEmptyPid marks a never-used slot, kTombPid a
-     * deleted one. Both are above every registerable pid — including
+     * The process directory is open-addressed on pid (the LeafDir
+     * idiom): kEmptyPid marks a never-used slot, kTombPid a deleted
+     * one. Both are above every registerable pid — including
      * kKernelPid (0xfffffffe == kTombPid + 1), which only ever owns
      * the garbage frame and never registers.
      * @{
@@ -253,69 +216,20 @@ class UtlbDriver
     };
 
     /**
-     * Per-shard ioctl statistics: the slots the merge-on-read stats
-     * view (statIoctls & co.) sums at serialization time. Guarded by
-     * the owning shard's mutex, so the ioctl paths bump them with
-     * plain arithmetic — no second stat lock, and the TSA annotation
-     * matches the actual discipline (the old split guarded half the
-     * stats with mu and half with a separate statMu).
-     */
-    struct ShardStats {
-        ShardStats(sim::HistAccum lat, sim::HistAccum rej)
-            : latency(std::move(lat)), rejectLatency(std::move(rej))
-        {}
-
-        std::uint64_t ioctls = 0;
-        std::uint64_t rejects = 0;
-        std::uint64_t pagesPinned = 0;
-        std::uint64_t pagesUnpinned = 0;
-        sim::HistAccum latency;
-        sim::HistAccum rejectLatency;
-    };
-
-    /**
-     * One driver shard: the mutex, the open-addressed process
-     * directory it guards, and the shard's stat block. Processes map
-     * to shards by pid (shardFor), so one process' ioctls always
-     * serialize with each other but never with another shard's.
-     */
-    struct Shard {
-        Shard(sim::HistAccum lat, sim::HistAccum rej)
-            : st(std::move(lat), std::move(rej))
-        {}
-
-        sim::Mutex mu;
-        std::vector<DirEntry> dir UTLB_GUARDED_BY(mu);
-        std::size_t dirLive UTLB_GUARDED_BY(mu){0};
-        std::size_t dirUsed UTLB_GUARDED_BY(mu){0}; //!< live + tombs
-        ShardStats st UTLB_GUARDED_BY(mu);
-    };
-
-    /**
-     * Record an ioctl's outcome in the shard's latency stats before
+     * Record an ioctl's outcome in the latency stats before
      * returning it. Rejects sample their own histogram so
      * ioctl_latency_us stays a pure success-cost (Table 1)
      * distribution.
      */
-    IoctlResult recordLocked(Shard &s, IoctlResult res)
-        UTLB_REQUIRES(s.mu)
+    IoctlResult recordLocked(IoctlResult res) UTLB_REQUIRES(mu)
     {
         if (res.status != mem::PinStatus::Ok) {
-            ++s.st.rejects;
-            s.st.rejectLatency.sample(sim::ticksToUs(res.cost));
+            ++statIoctlRejects;
+            statIoctlRejectLatency.sample(sim::ticksToUs(res.cost));
         } else {
-            s.st.latency.sample(sim::ticksToUs(res.cost));
+            statIoctlLatency.sample(sim::ticksToUs(res.cost));
         }
         return res;
-    }
-
-    Shard &shardFor(mem::ProcId pid)
-    {
-        return *shards[pid & shardMask];
-    }
-    const Shard &shardFor(mem::ProcId pid) const
-    {
-        return *shards[pid & shardMask];
     }
 
     /** @name Open-addressed directory helpers @{ */
@@ -323,38 +237,29 @@ class UtlbDriver
     {
         return static_cast<std::size_t>(pid) * 0x9E3779B9u;
     }
-    DirEntry *findEntryLocked(Shard &s, mem::ProcId pid)
-        UTLB_REQUIRES(s.mu);
-    void dirInsertLocked(Shard &s, DirEntry &&e) UTLB_REQUIRES(s.mu);
-    static void dirGrow(std::vector<DirEntry> &dir,
-                        std::size_t &used, std::size_t live);
+    DirEntry *findEntryLocked(mem::ProcId pid) UTLB_REQUIRES(mu);
+    void dirInsertLocked(DirEntry &&e) UTLB_REQUIRES(mu);
+    void dirGrowLocked() UTLB_REQUIRES(mu);
     /** Quiescent-only probe (the unlocked accessors). */
     const DirEntry *findEntry(mem::ProcId pid) const;
     /** @} */
 
     /** @name Locked ioctl bodies (wrappers recordLocked and unlock) @{ */
-    IoctlResult pinAndInstallLocked(Shard &s, mem::ProcId pid,
-                                    mem::Vpn start, std::size_t npages)
-        UTLB_REQUIRES(s.mu);
-    IoctlResult unpinAndInvalidateLocked(Shard &s, mem::ProcId pid,
+    IoctlResult pinAndInstallLocked(mem::ProcId pid, mem::Vpn start,
+                                    std::size_t npages)
+        UTLB_REQUIRES(mu);
+    IoctlResult unpinAndInvalidateLocked(mem::ProcId pid,
                                          mem::Vpn start,
                                          std::size_t npages)
-        UTLB_REQUIRES(s.mu);
-    IoctlResult pinAtIndexLocked(Shard &s, mem::ProcId pid,
-                                 mem::Vpn vpn, UtlbIndex index)
-        UTLB_REQUIRES(s.mu);
-    IoctlResult unpinIndexLocked(Shard &s, mem::ProcId pid,
-                                 mem::Vpn vpn, UtlbIndex index)
-        UTLB_REQUIRES(s.mu);
+        UTLB_REQUIRES(mu);
+    IoctlResult pinAtIndexLocked(mem::ProcId pid, mem::Vpn vpn,
+                                 UtlbIndex index) UTLB_REQUIRES(mu);
+    IoctlResult unpinIndexLocked(mem::ProcId pid, mem::Vpn vpn,
+                                 UtlbIndex index) UTLB_REQUIRES(mu);
     /** @} */
 
-    /**
-     * Serializes (un)registration and NIC-table creation across
-     * shards: those paths allocate from board SRAM and adopt/disown
-     * stats subtrees, which the shard locks alone do not cover.
-     * Lock order: registryMu before any shard mutex.
-     */
-    sim::Mutex registryMu;
+    /** The driver mutex (class comment). */
+    sim::Mutex mu;
 
     mem::PhysMemory *hostMem;
     mem::PinFacility *pins;
@@ -365,27 +270,27 @@ class UtlbDriver
     /** Set once in the constructor, immutable afterwards. */
     mem::Pfn garbagePfn;
 
-    /** The shard blocks; sized and wired once in the constructor. */
-    std::vector<std::unique_ptr<Shard>> shards;
-    mem::ProcId shardMask = 0;
+    std::vector<DirEntry> dir UTLB_GUARDED_BY(mu);
+    std::size_t dirLive UTLB_GUARDED_BY(mu){0};
+    std::size_t dirUsed UTLB_GUARDED_BY(mu){0}; //!< live + tombs
 
     sim::StatGroup statsGrp{"driver"};
-    sim::MergedCounter statIoctls{
+    sim::Counter statIoctls UTLB_GUARDED_BY(mu){
         &statsGrp, "ioctl_calls",
         "ioctl invocations (all four entry points)"};
-    sim::MergedCounter statIoctlRejects{
+    sim::Counter statIoctlRejects UTLB_GUARDED_BY(mu){
         &statsGrp, "ioctl_rejects",
         "ioctls that returned a non-Ok status"};
-    sim::MergedCounter statPagesPinned{
+    sim::Counter statPagesPinned UTLB_GUARDED_BY(mu){
         &statsGrp, "pages_pinned", "pages pinned through ioctls"};
-    sim::MergedCounter statPagesUnpinned{
+    sim::Counter statPagesUnpinned UTLB_GUARDED_BY(mu){
         &statsGrp, "pages_unpinned",
         "pages unpinned through ioctls"};
-    sim::MergedHistogram statIoctlLatency{
+    sim::Histogram statIoctlLatency UTLB_GUARDED_BY(mu){
         &statsGrp, "ioctl_latency_us",
         "modeled cost per successful ioctl (Table 1 batch curve)",
         200.0, 40};
-    sim::MergedHistogram statIoctlRejectLatency{
+    sim::Histogram statIoctlRejectLatency UTLB_GUARDED_BY(mu){
         &statsGrp, "ioctl_reject_latency_us",
         "modeled cost charged to rejected ioctls (syscall floor)",
         200.0, 40};

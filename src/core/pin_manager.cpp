@@ -16,8 +16,7 @@ using sim::warn;
 
 PinManager::PinManager(UtlbDriver &drv, mem::ProcId pid,
                        const PinManagerConfig &config)
-    : driver(&drv), procId(pid), homeShard(drv.shardOf(pid)),
-      cfg(config),
+    : driver(&drv), procId(pid), cfg(config),
       repl(ReplacementPolicy::create(cfg.policy, cfg.seed))
 {
     if (cfg.budget)
@@ -125,7 +124,7 @@ PinManager::evictOne(EnsureResult &res)
 
     // Unpin one page at a time (§6.5).
     IoctlResult io =
-        driver->ioctlUnpinAndInvalidate(homeShard, procId, *victim, 1);
+        driver->ioctlUnpinAndInvalidate(procId, *victim, 1);
     res.cost += io.cost;
     res.unpinCost += io.cost;
     ++res.unpinIoctls;
@@ -168,8 +167,8 @@ PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
     }
 
     while (true) {
-        IoctlResult io = driver->ioctlPinAndInstall(homeShard, procId,
-                                                    start, npages);
+        IoctlResult io = driver->ioctlPinAndInstall(procId, start,
+                                                    npages);
         res.cost += io.cost;
         res.pinCost += io.cost;
         ++res.pinIoctls;
@@ -308,7 +307,7 @@ PinManager::releasePage(Vpn vpn)
     if (!bits.test(vpn))
         return false;
     IoctlResult io =
-        driver->ioctlUnpinAndInvalidate(homeShard, procId, vpn, 1);
+        driver->ioctlUnpinAndInvalidate(procId, vpn, 1);
     if (io.status != PinStatus::Ok || io.pagesDone != 1)
         return false;
     bits.clear(vpn);

@@ -234,14 +234,6 @@ class PinManager
     UtlbDriver *driver;
     mem::ProcId procId;
 
-    /**
-     * The driver shard serving procId, resolved once at construction
-     * (the shard layout is fixed for the driver's lifetime). Every
-     * ioctl this manager issues goes through the handle overloads,
-     * skipping the per-call shard lookup on the pin hot path.
-     */
-    UtlbDriver::ShardHandle homeShard;
-
     PinManagerConfig cfg;
     /** Non-null once enableConcurrent() ran; mutable for guards in
      *  const readers (isLocked/isPinned/pinnedPages). Annotated

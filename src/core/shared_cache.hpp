@@ -371,16 +371,6 @@ class SharedUtlbCache
     std::size_t setIndex(mem::ProcId pid, mem::Vpn vpn) const;
 
     /**
-     * The lock-stripe index (pid, vpn)'s set lives in. The fill
-     * thread sorts each miss batch by this so its installs take each
-     * stripe spinlock in runs instead of ping-ponging across stripes.
-     */
-    std::size_t stripeIndex(mem::ProcId pid, mem::Vpn vpn) const
-    {
-        return setIndex(pid, vpn) >> kSetsPerStripeLog2;
-    }
-
-    /**
      * @name Lifetime counters
      *
      * Removal taxonomy (the stats JSON relies on this split):

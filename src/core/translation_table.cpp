@@ -360,9 +360,8 @@ HostPageTable::readRun(Vpn vpn, std::size_t n,
     if (!de)
         return;
 
-    // The fill thread and a sync-path caller can read the same
-    // process' table concurrently (serviceMiss holds no lock here);
-    // the bump must not tear.
+    // Concurrent-mode views may read one table from several threads
+    // (serviceMiss holds no lock here); the bump must not tear.
     statRunReads.addRelaxed(1);
     std::size_t in_leaf = kLeafEntries
         - static_cast<std::size_t>(vpn % kLeafEntries);

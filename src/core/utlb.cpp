@@ -1,6 +1,5 @@
 #include "core/utlb.hpp"
 
-#include "core/fill_pipeline.hpp"
 #include "sim/log.hpp"
 
 namespace utlb::core {
@@ -17,7 +16,7 @@ serviceMiss(UtlbDriver &driver, SharedUtlbCache &cache,
 {
     MissOutcome mo;
     // Locked resolve: fleet churn registers/unregisters other
-    // tenants on this shard while this miss is in flight.
+    // tenants in the driver while this miss is in flight.
     HostPageTable *tablePtr = driver.pageTableShared(pid);
     if (!tablePtr)
         sim::panic("serviceMiss for unregistered process %u", pid);
@@ -117,10 +116,18 @@ UserUtlb::UserUtlb(UtlbDriver &drv, SharedUtlbCache &cache,
     if (cfg.prefetchEntries == 0)
         sim::fatal("prefetchEntries must be >= 1");
     statsGrp.adopt(pinMgr.stats());
+    if (cfg.asyncFills && !cfg.concurrent)
+        sim::fatal("asyncFills requires concurrent mode "
+                   "(UtlbConfig::concurrent)");
     if (cfg.concurrent) {
         nicCache->enableConcurrent();
         pinMgr.enableConcurrent();
         shard.emplace(nicCache->makeShard());
+    }
+    if (cfg.asyncFills) {
+        asyncPending.reserve(kMaxOutstandingFills);
+        asyncWaiters.reserve(kMaxOutstandingFills);
+        engineReadyAt.assign(kMaxOutstandingFills, 0);
     }
 }
 
@@ -184,26 +191,6 @@ UserUtlb::nicTranslateImpl(Vpn vpn)
     out.cost += mo.cost;
     out.pfn = mo.pfn;
     return out;
-}
-
-void
-UserUtlb::attachFillPipeline(FillPipeline *fp)
-{
-    if (fp && !shard)
-        sim::fatal("attachFillPipeline requires concurrent mode "
-                   "(UtlbConfig::concurrent)");
-    fillPipe = fp;
-    if (fp) {
-        if (!tickets)
-            tickets =
-                std::make_unique<FillTicket[]>(kMaxOutstandingFills);
-        asyncPending.reserve(kMaxOutstandingFills);
-        asyncWaiters.reserve(kMaxOutstandingFills);
-        // Fresh modeled DMA engines per attachment: a re-attached
-        // view starts with every engine idle and its clock at zero.
-        asyncClock = 0;
-        engineReadyAt.assign(kMaxOutstandingFills, 0);
-    }
 }
 
 void
@@ -310,7 +297,7 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
     // place, then convert to frame addresses in one pass at the end.
     mem::Pfn *slots = tr.pageAddrs.data();
 
-    if (fillPipe && shard) {
+    if (cfg.asyncFills) {
         nicRangeAsync(start, npages, slots, tr);
         for (std::size_t p = 0; p < npages; ++p)
             slots[p] = mem::frameAddr(slots[p]);
@@ -373,21 +360,17 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
     asyncPending.clear();
     asyncWaiters.clear();
 
-    // Modeled overlap accounting. tNow is the worker's modeled clock
-    // (ticks of NIC service it has consumed); a posted fill starts
-    // its DMA at post time on its slot's modeled fill engine and runs
-    // concurrently with the worker's subsequent hit service. Without
-    // carry the clock is per window and each fill's residual stall —
-    // completion time minus the worker's clock — is charged at
-    // collection; with carry (cfg.asyncCarryFills) the clock persists
-    // across windows, nothing is charged at the window edge, and a
-    // fill still in flight then costs only whichever later post needs
-    // its engine before engineReadyAt.
-    const bool carry = cfg.asyncCarryFills;
-    sim::Tick tNow = carry ? asyncClock : 0;
+    // Modeled overlap accounting. tNow is the view's modeled clock
+    // (ticks of NIC service it has consumed), persistent across
+    // windows. A posted fill starts its DMA at post time on its
+    // slot's modeled engine and runs concurrently with the walk's
+    // subsequent hit service, completing at postTick + cost. Nothing
+    // is charged at the window edge: a fill still in flight then
+    // costs only whichever later post needs its engine before
+    // engineReadyAt.
+    sim::Tick tNow = asyncClock;
 
-    // Engines already claimed by this window's pending fills (carry
-    // mode allocates the free engine that is ready soonest).
+    // Engines already claimed by this window's posted fills.
     std::uint32_t engineUsed = 0;
 
     std::size_t i = 0;
@@ -413,10 +396,9 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
             i += run.hits;
             continue;
         }
-        // First page of the window misses. Probe it individually
-        // (recording hit-or-miss in the shard, like the synchronous
-        // walk's nicTranslate would); a fill that landed since the
-        // run probe turns it into a plain hit.
+        // First page of the window misses. Probe it individually,
+        // recording hit-or-miss in the shard like the synchronous
+        // walk's nicTranslate would.
         Vpn vpn = start + i;
         CacheProbe probe = nicCache->lookupMT(procId, vpn, *shard);
         tr.nicCost += probe.cost;
@@ -431,13 +413,11 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
         ++tr.niMisses;
         tr.missPages.push_back(static_cast<std::uint32_t>(i));
 
-        // A real miss. If an in-flight fill's prefetch width already
-        // covers this page, don't duplicate the DMA — re-probe after
-        // that fill completes.
+        // If a posted fill's prefetch width already covers this page,
+        // don't duplicate the DMA — re-probe after that fill lands.
         bool covered = false;
         for (const PendingFill &p : asyncPending) {
-            if (vpn >= p.ticket->vpn &&
-                vpn < p.ticket->vpn + p.ticket->width) {
+            if (vpn >= p.vpn && vpn < p.vpn + p.width) {
                 covered = true;
                 break;
             }
@@ -450,50 +430,40 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
         }
 
         // Post a fill and keep walking: later pages of the buffer are
-        // served (hits and all) while the fill thread DMAs this one.
+        // served (hits and all) while this one's DMA is outstanding.
         if (asyncPending.size() < kMaxOutstandingFills) {
-            // Carry mode: take the free modeled engine that is ready
-            // soonest (lowest index breaks ties), so a window never
-            // stalls on a busy engine while an idle one exists.
-            // Without carry every engine is idle at window start and
-            // the next unused slot is equivalent.
-            std::size_t slot = asyncPending.size();
-            if (carry) {
-                bool found = false;
-                for (std::size_t e = 0; e < kMaxOutstandingFills;
-                     ++e) {
-                    if (engineUsed & (1u << e))
-                        continue;
-                    if (!found ||
-                        engineReadyAt[e] < engineReadyAt[slot]) {
-                        slot = e;
-                        found = true;
-                    }
+            // Take the free modeled engine that is ready soonest
+            // (lowest index breaks ties), so a window never stalls on
+            // a busy engine while an idle one exists.
+            std::size_t slot = 0;
+            bool found = false;
+            for (std::size_t e = 0; e < kMaxOutstandingFills; ++e) {
+                if (engineUsed & (1u << e))
+                    continue;
+                if (!found || engineReadyAt[e] < engineReadyAt[slot]) {
+                    slot = e;
+                    found = true;
                 }
             }
-            FillTicket &t = tickets[slot];
-            if (fillPipe->post(t, procId, vpn, cfg.prefetchEntries)) {
-                ++statAsyncFills;
-                engineUsed |= 1u << slot;
-                if (carry && engineReadyAt[slot] > tNow) {
-                    // The engine is still finishing a previous
-                    // window's DMA: the carried residual is charged
-                    // here, to the post that actually had to wait.
-                    sim::Tick stall = engineReadyAt[slot] - tNow;
-                    tr.nicCost += stall;
-                    tNow += stall;
-                }
-                asyncPending.push_back(
-                    {static_cast<std::uint32_t>(i),
-                     static_cast<std::uint32_t>(slot), probe.cost,
-                     tNow, &t});
-                ++i;
-                continue;
+            ++statAsyncFills;
+            engineUsed |= 1u << slot;
+            if (engineReadyAt[slot] > tNow) {
+                // The engine is still finishing an earlier window's
+                // DMA: the carried residual is charged here, to the
+                // post that actually had to wait.
+                sim::Tick stall = engineReadyAt[slot] - tNow;
+                tr.nicCost += stall;
+                tNow += stall;
             }
+            asyncPending.push_back(
+                {static_cast<std::uint32_t>(i), vpn,
+                 cfg.prefetchEntries, static_cast<std::uint32_t>(slot),
+                 probe.cost, tNow});
+            ++i;
+            continue;
         }
-        // Outstanding window exhausted or queue full/stopped: the
-        // bounded-DMA model says service this one in place, fully on
-        // the worker's clock.
+        // Outstanding window exhausted: the bounded-DMA model says
+        // service this one in place, fully on the view's clock.
         ++statAsyncFallbacks;
         sim::Tick before = tr.nicCost;
         syncServicePage(vpn, probe.cost, slots[i], tr);
@@ -501,56 +471,36 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
         ++i;
     }
 
-    // Collect the outstanding fills (post order). Each outstanding
-    // slot is its own modeled DMA engine — the bounded-window model
-    // of the paper's firmware posting a translation-miss DMA per miss
-    // and letting them complete out of order — so fill k completes at
-    // postTick + cost, independent of its siblings.
-    //
-    // Without carry, waiting on the first fill advances the worker's
-    // clock past most of the others' completion times: their DMA ran
-    // hidden behind the stall and costs the window nothing; only time
-    // not yet covered by tNow is charged. With carry the wall-clock
-    // wait still happens (the pfn must be correct before we return)
-    // but no modeled time is charged at the edge at all: the engine
-    // just stays busy until postTick + cost, and a later window's
-    // post pays the residual if it needs the engine early.
+    // Service the posted fills, in post order. Each fill slot is its
+    // own modeled DMA engine — the bounded-window model of the
+    // paper's firmware posting a translation-miss DMA per miss — so
+    // fill k completes at postTick + cost, independent of its
+    // siblings, and the time it overlapped the walk is hidden.
     for (const PendingFill &p : asyncPending) {
-        fillPipe->waitDone(*p.ticket);
-        const MissOutcome &mo = p.ticket->result;
+        MissOutcome mo = serviceMiss(*driver, *nicCache, *timings,
+                                     procId, p.vpn, p.width, runBuf,
+                                     repairBuf, &*shard, nullptr);
         if (mo.fault) {
             ++statFaults;
             ++tr.faults;
         }
         statPrefetchInstalls += mo.prefetchInstalls;
         sim::Tick done = p.postTick + mo.cost;
-        if (carry) {
-            sim::Tick hidden =
-                tNow > p.postTick ? tNow - p.postTick : 0;
-            statAsyncHiddenTicks += static_cast<std::uint64_t>(
-                hidden < mo.cost ? hidden : mo.cost);
-            engineReadyAt[p.slot] = done;
-            if (done > tNow)
-                ++statAsyncCarried;
-            statTranslateLatency.sample(sim::ticksToUs(p.probeCost));
-        } else {
-            sim::Tick stall = done > tNow ? done - tNow : 0;
-            statAsyncHiddenTicks += static_cast<std::uint64_t>(
-                mo.cost - (stall < mo.cost ? stall : mo.cost));
-            tr.nicCost += stall;
-            tNow += stall;
-            statTranslateLatency.sample(
-                sim::ticksToUs(p.probeCost + stall));
-        }
+        sim::Tick hidden = tNow - p.postTick;
+        statAsyncHiddenTicks += static_cast<std::uint64_t>(
+            hidden < mo.cost ? hidden : mo.cost);
+        engineReadyAt[p.slot] = done;
+        if (done > tNow)
+            ++statAsyncCarried;
+        statTranslateLatency.sample(sim::ticksToUs(p.probeCost));
         slots[p.page] = mo.pfn;
     }
-    asyncPending.clear();
 
     // Pages that waited on a neighbour's fill re-probe now that the
-    // covering fill has completed. The scan probe already paid the
-    // full cache reference and computed the set index; the
-    // post-completion recheck re-reads that set only, so it is
-    // modeled as one way probe, not a second full lookup.
+    // covering fill has landed. The scan probe already paid the full
+    // cache reference and computed the set index; the recheck
+    // re-reads that set only, so it is modeled as one way probe, not
+    // a second full lookup.
     for (std::uint32_t page : asyncWaiters) {
         Vpn vpn = start + page;
         CacheProbe probe = nicCache->lookupMT(procId, vpn, *shard);
@@ -563,17 +513,15 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
             continue;
         }
         // The covering fill's run had an invalid entry for this page
-        // (or the entry was evicted already): service it here.
+        // (or a later fill evicted it already): service it here.
         sim::Tick before = tr.nicCost;
         syncServicePage(vpn, recheck, slots[page], tr);
         tNow += tr.nicCost - before;
     }
-    asyncWaiters.clear();
 
     // Persist the view's modeled clock so the next window's posts
     // compare against the engines' busy-until times on one timeline.
-    if (carry)
-        asyncClock = tNow;
+    asyncClock = tNow;
 }
 
 } // namespace utlb::core

@@ -26,7 +26,6 @@
 #define UTLB_CORE_UTLB_HPP
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -51,21 +50,6 @@ struct UtlbConfig {
     std::size_t prefetchEntries = 1;
 
     /**
-     * Let posted fills' modeled DMA time survive translateRange()
-     * window boundaries: each outstanding-fill slot is a modeled DMA
-     * engine whose busy-until time persists on the view, so a fill
-     * still in flight when a window ends charges nothing at the edge
-     * — its residual cost is paid lazily, by the first later post
-     * that needs the engine before it is ready. Models the paper's
-     * firmware keeping translation-miss DMAs outstanding across
-     * message boundaries. false restores the per-window accounting
-     * (every fill settled at its own window's end). Translation
-     * *results* are identical either way; only the modeled cost
-     * attribution differs.
-     */
-    bool asyncCarryFills = true;
-
-    /**
      * Build this process' UTLB view for multi-threaded use: arms the
      * shared cache's striped locking and the pin manager's mutex,
      * and gives this instance a per-worker stat shard. One thread
@@ -81,16 +65,28 @@ struct UtlbConfig {
      * only.
      */
     bool concurrent = false;
-};
 
-class FillPipeline;
-struct FillTicket;
+    /**
+     * Service translateRange() misses out of order (concurrent mode
+     * only; fatal otherwise): each miss posts a modeled outstanding
+     * fill and the walk keeps serving later pages of the window. The
+     * posted fills are serviced, in post order, when the walk ends.
+     * Each of the view's eight fill slots is a modeled DMA engine
+     * whose busy-until time persists across windows, so only the
+     * stall of a post that finds its engine still busy is charged to
+     * nicCost — the paper's firmware keeping translation-miss DMAs
+     * outstanding while it accepts more work (docs/performance.md).
+     * Translation results are identical to the synchronous path;
+     * modeled costs differ by design.
+     */
+    bool asyncFills = false;
+};
 
 /**
  * Outcome of servicing one NIC-cache miss: the host-table fetch,
  * the optional fault-repair ioctl, and the cache installs. Shared
- * between the synchronous miss path (UserUtlb::nicTranslate) and the
- * asynchronous fill thread (FillPipeline), so both charge the same
+ * between the per-page miss path (UserUtlb::nicTranslate) and the
+ * posted fills of UtlbConfig::asyncFills, so both charge the same
  * modeled costs and count the same statistics.
  */
 struct MissOutcome {
@@ -213,26 +209,6 @@ class UserUtlb
      */
     Translation translateRange(mem::VirtAddr va, std::size_t nbytes);
 
-    /**
-     * Attach the NIC's asynchronous fill pipeline (concurrent mode
-     * only; fatal otherwise). translateRange() then services misses
-     * out of order: each miss posts a fill request and the walk keeps
-     * serving later hits while the fill thread DMAs the entries;
-     * results are collected before the call returns. Hits never
-     * touch the queue, so hit service is never blocked by an
-     * in-flight fill. When the queue is full (or stopped) a miss
-     * falls back to the synchronous path, so translation *results*
-     * are identical either way; modeled costs differ by design — a
-     * fill's DMA ticks run on a modeled fill-engine timeline and only
-     * the residual stall at collection is charged to the window, so
-     * nicCost reflects the overlap (docs/performance.md). Pass
-     * nullptr to detach.
-     */
-    void attachFillPipeline(FillPipeline *fp);
-
-    /** The attached fill pipeline, or nullptr. */
-    FillPipeline *fillPipeline() { return fillPipe; }
-
     PinManager &pinManager() { return pinMgr; }
     const PinManager &pinManager() const { return pinMgr; }
 
@@ -254,11 +230,11 @@ class UserUtlb
     NicLookup nicTranslateImpl(mem::Vpn vpn);
 
     /**
-     * The asynchronous NIC half of translateRange(): batched lookups
-     * with misses posted to the fill pipeline; pending fills are
-     * collected (demand pages first, then pages covered by a
-     * neighbour's in-flight fill) before returning. @p slots receives
-     * pfns, converted to frame addresses by the caller.
+     * The asynchronous NIC half of translateRange() (asyncFills):
+     * batched lookups with misses posted as outstanding fills; the
+     * posted fills are serviced (demand pages first, then pages
+     * covered by a neighbour's fill) before returning. @p slots
+     * receives pfns, converted to frame addresses by the caller.
      */
     void nicRangeAsync(mem::Vpn start, std::size_t npages,
                        mem::Pfn *slots, Translation &tr);
@@ -283,40 +259,33 @@ class UserUtlb
 
     /**
      * Outstanding fills this view may have in flight at once — the
-     * model's bounded outstanding-DMA window. Misses beyond it (or
-     * past a full queue) are serviced synchronously.
+     * model's bounded outstanding-DMA window. Misses beyond it are
+     * serviced synchronously.
      */
     static constexpr std::size_t kMaxOutstandingFills = 8;
 
-    /** Attached fill pipeline (nullptr = synchronous miss service). */
-    FillPipeline *fillPipe = nullptr;
-
-    /** This view's fill tickets (allocated on first attach). */
-    std::unique_ptr<FillTicket[]> tickets;
-
-    /** One in-flight fill of the current window. */
+    /** One posted fill of the current window. */
     struct PendingFill {
         std::uint32_t page;  //!< page index within the buffer
-        std::uint32_t slot;  //!< modeled DMA engine (ticket index)
+        mem::Vpn vpn;        //!< first entry of the fetch
+        std::size_t width;   //!< entries the fetch covers
+        std::uint32_t slot;  //!< modeled DMA engine
         sim::Tick probeCost; //!< the missing probe's modeled cost
         sim::Tick postTick;  //!< modeled post time (view clock)
-        FillTicket *ticket;
     };
 
-    /** In-flight fills of the current window, in post order. */
+    /** Posted fills of the current window, in post order. */
     std::vector<PendingFill> asyncPending;
 
-    /** Pages covered by an in-flight neighbour fill (re-probed). */
+    /** Pages covered by a posted neighbour fill (re-probed). */
     std::vector<std::uint32_t> asyncWaiters;
 
     /**
-     * Cross-window modeled state (asyncCarryFills): the view's
-     * persistent modeled clock, and per outstanding-fill slot the
-     * modeled time its DMA engine frees up. engineReadyAt[k] >
-     * asyncClock means slot k's last fill is still in flight at the
-     * model level even though its wall-clock ticket has completed —
-     * the residual is charged to whichever later post next needs
-     * that engine.
+     * Cross-window modeled state: the view's persistent modeled
+     * clock, and per fill slot the modeled time its DMA engine frees
+     * up. engineReadyAt[k] > asyncClock means slot k's last fill is
+     * still in flight at the model level; the residual is charged to
+     * whichever later post next needs that engine.
      */
     sim::Tick asyncClock = 0;
     std::vector<sim::Tick> engineReadyAt;

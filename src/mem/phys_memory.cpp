@@ -22,7 +22,6 @@ PhysMemory::PhysMemory(std::size_t frames)
 std::optional<Pfn>
 PhysMemory::allocFrame(ProcId owner)
 {
-    auto lk = guard();
     if (freeList.empty())
         return std::nullopt;
     Pfn pfn = freeList.back();
@@ -39,7 +38,6 @@ PhysMemory::allocFrame(ProcId owner)
 void
 PhysMemory::freeFrame(Pfn pfn)
 {
-    auto lk = guard();
     if (pfn >= owners.size() || owners[pfn] == kNoOwner)
         panic("freeFrame of unallocated frame %llu",
               static_cast<unsigned long long>(pfn));
@@ -52,14 +50,12 @@ PhysMemory::freeFrame(Pfn pfn)
 ProcId
 PhysMemory::ownerOf(Pfn pfn) const
 {
-    auto lk = guard();
     return pfn < owners.size() ? owners[pfn] : kNoOwner;
 }
 
 bool
 PhysMemory::isAllocated(Pfn pfn) const
 {
-    auto lk = guard();
     return pfn < owners.size() && owners[pfn] != kNoOwner;
 }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "mem/page.hpp"
-#include "sim/mutex.hpp"
 
 namespace utlb::mem {
 
@@ -37,24 +36,6 @@ class PhysMemory
   public:
     /** Construct with @p frames frames of kPageSize bytes each. */
     explicit PhysMemory(std::size_t frames);
-
-    /**
-     * Arm internal locking of the allocator bookkeeping (idempotent).
-     * Until called the allocator is single-threaded and entry points
-     * pay no lock. The sharded driver arms it because host-table
-     * leaf allocation and demand mapping run under different shard
-     * locks concurrently. Only allocFrame/freeFrame and the owner
-     * queries serialize; the byte-store data plane (read/write/
-     * zeroFrame) stays lock-free — frames are owner-private.
-     * Allocation order stays deterministic per interleaving (the
-     * freelist is unchanged); with one shard the interleaving is the
-     * sequential one, so results are bit-identical.
-     */
-    void enableConcurrent()
-    {
-        if (!mu)
-            mu = std::make_unique<sim::Mutex>();
-    }
 
     /** Total number of frames. */
     std::size_t totalFrames() const { return owners.size(); }
@@ -104,14 +85,6 @@ class PhysMemory
 
   private:
     void checkRange(PhysAddr pa, std::size_t len) const;
-
-    /** The opt-in allocator lock (see enableConcurrent). */
-    sim::OptionalLockGuard guard() const
-    {
-        return sim::OptionalLockGuard(mu.get());
-    }
-
-    mutable std::unique_ptr<sim::Mutex> mu;
 
     std::unique_ptr<std::uint8_t[]> bytes;  //!< zeroed on allocFrame
     std::vector<ProcId> owners;

@@ -23,7 +23,6 @@ toString(PinStatus s)
 void
 PinFacility::registerSpace(AddressSpace &space)
 {
-    auto lk = guard();
     auto [it, inserted] = procs.try_emplace(space.pid());
     if (!inserted && it->second.space != &space)
         panic("process %u registered twice with different spaces",
@@ -34,14 +33,12 @@ PinFacility::registerSpace(AddressSpace &space)
 void
 PinFacility::unregisterProcess(ProcId pid)
 {
-    auto lk = guard();
     procs.erase(pid);
 }
 
 void
 PinFacility::setPinLimit(ProcId pid, std::size_t pages)
 {
-    auto lk = guard();
     auto *p = findProc(pid);
     if (!p)
         panic("setPinLimit for unknown process %u", pid);
@@ -51,7 +48,6 @@ PinFacility::setPinLimit(ProcId pid, std::size_t pages)
 std::size_t
 PinFacility::pinLimit(ProcId pid) const
 {
-    auto lk = guard();
     const auto *p = findProc(pid);
     return p ? p->limit : 0;
 }
@@ -72,13 +68,6 @@ PinFacility::findProc(ProcId pid) const
 
 std::optional<Pfn>
 PinFacility::pinPage(ProcId pid, Vpn vpn, PinStatus *st)
-{
-    auto lk = guard();
-    return pinPageImpl(pid, vpn, st);
-}
-
-std::optional<Pfn>
-PinFacility::pinPageImpl(ProcId pid, Vpn vpn, PinStatus *st)
 {
     ++statPinOps;
     auto set_st = [&](PinStatus s) { if (st) *st = s; };
@@ -120,7 +109,6 @@ std::optional<std::vector<Pfn>>
 PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
                       PinStatus *st)
 {
-    auto lk = guard();
     auto *p = findProc(pid);
     std::vector<Pfn> frames;
     std::vector<bool> freshly_mapped;
@@ -130,14 +118,14 @@ PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
         bool was_mapped =
             p && p->space->lookup(start + i).has_value();
         PinStatus s = PinStatus::Ok;
-        auto pfn = pinPageImpl(pid, start + i, &s);
+        auto pfn = pinPage(pid, start + i, &s);
         if (!pfn) {
             // Roll back: all-or-nothing semantics. Pages this call
             // demand-mapped purely to pin them are unmapped again so
             // a failed pin does not strand physical frames.
             for (std::size_t j = i; j-- > 0;) {
-                unpinPageImpl(pid, start + j);
-                if (freshly_mapped[j] && !isPinnedImpl(pid, start + j))
+                unpinPage(pid, start + j);
+                if (freshly_mapped[j] && !isPinned(pid, start + j))
                     p->space->unmap(start + j);
             }
             if (st)
@@ -154,13 +142,6 @@ PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
 
 PinStatus
 PinFacility::unpinPage(ProcId pid, Vpn vpn)
-{
-    auto lk = guard();
-    return unpinPageImpl(pid, vpn);
-}
-
-PinStatus
-PinFacility::unpinPageImpl(ProcId pid, Vpn vpn)
 {
     ++statUnpinOps;
     auto *p = findProc(pid);
@@ -179,13 +160,6 @@ PinFacility::unpinPageImpl(ProcId pid, Vpn vpn)
 bool
 PinFacility::isPinned(ProcId pid, Vpn vpn) const
 {
-    auto lk = guard();
-    return isPinnedImpl(pid, vpn);
-}
-
-bool
-PinFacility::isPinnedImpl(ProcId pid, Vpn vpn) const
-{
     const auto *p = findProc(pid);
     return p && p->refs.count(vpn) > 0;
 }
@@ -193,7 +167,6 @@ PinFacility::isPinnedImpl(ProcId pid, Vpn vpn) const
 std::uint32_t
 PinFacility::pinRefs(ProcId pid, Vpn vpn) const
 {
-    auto lk = guard();
     const auto *p = findProc(pid);
     if (!p)
         return 0;
@@ -204,7 +177,6 @@ PinFacility::pinRefs(ProcId pid, Vpn vpn) const
 std::size_t
 PinFacility::pinnedPages(ProcId pid) const
 {
-    auto lk = guard();
     const auto *p = findProc(pid);
     return p ? p->refs.size() : 0;
 }
@@ -212,7 +184,6 @@ PinFacility::pinnedPages(ProcId pid) const
 std::optional<Pfn>
 PinFacility::pinnedFrame(ProcId pid, Vpn vpn) const
 {
-    auto lk = guard();
     const auto *p = findProc(pid);
     if (!p || !p->refs.count(vpn))
         return std::nullopt;

@@ -15,7 +15,6 @@
 #define UTLB_MEM_PINNING_HPP
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -24,7 +23,6 @@
 #include "check/test_tamper.hpp"
 #include "mem/address_space.hpp"
 #include "mem/page.hpp"
-#include "sim/mutex.hpp"
 #include "sim/stats.hpp"
 
 namespace utlb::check {
@@ -60,21 +58,6 @@ class PinFacility
 
     PinFacility(const PinFacility &) = delete;
     PinFacility &operator=(const PinFacility &) = delete;
-
-    /**
-     * Arm internal locking (idempotent). Until called, the facility
-     * is single-threaded and entry points pay no lock — exactly the
-     * historical behaviour. The sharded driver arms it when more
-     * than one driver shard can reach the facility concurrently
-     * (PinManager's opt-in mutex uses the same pattern). Locking is
-     * uncontended mutual exclusion only: it never changes results,
-     * modeled costs, or stat totals.
-     */
-    void enableConcurrent()
-    {
-        if (!mu)
-            mu = std::make_unique<sim::Mutex>();
-    }
 
     /** Register a process' address space. */
     void registerSpace(AddressSpace &space);
@@ -162,23 +145,6 @@ class PinFacility
 
     ProcState *findProc(ProcId pid);
     const ProcState *findProc(ProcId pid) const;
-
-    /** @name Lock-free bodies (the public entry points guard) @{ */
-    std::optional<Pfn> pinPageImpl(ProcId pid, Vpn vpn, PinStatus *st);
-    PinStatus unpinPageImpl(ProcId pid, Vpn vpn);
-    bool isPinnedImpl(ProcId pid, Vpn vpn) const;
-    /** @} */
-
-    /**
-     * The opt-in lock (see enableConcurrent): every public entry
-     * point takes guard(); the *Impl internals never re-acquire.
-     */
-    sim::OptionalLockGuard guard() const
-    {
-        return sim::OptionalLockGuard(mu.get());
-    }
-
-    mutable std::unique_ptr<sim::Mutex> mu;
 
     std::unordered_map<ProcId, ProcState> procs;
 

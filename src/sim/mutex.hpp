@@ -15,14 +15,11 @@
 #ifndef UTLB_SIM_MUTEX_HPP
 #define UTLB_SIM_MUTEX_HPP
 
-#include <condition_variable>
 #include <mutex>
 
 #include "sim/annotations.hpp"
 
 namespace utlb::sim {
-
-class UniqueLock;
 
 /** A std::mutex the thread-safety analysis can see. */
 class UTLB_CAPABILITY("mutex") Mutex
@@ -52,7 +49,6 @@ class UTLB_CAPABILITY("mutex") Mutex
     }
 
   private:
-    friend class UniqueLock;
     std::mutex m;
 };
 
@@ -72,69 +68,6 @@ class UTLB_SCOPED_CAPABILITY LockGuard
 
   private:
     Mutex *mu;
-};
-
-/**
- * Scoped Mutex holder a CondVar can wait on. Like LockGuard the
- * acquisition is scope-bound and visible to the analysis; unlike it,
- * the underlying std::unique_lock can be released and re-acquired
- * inside CondVar::wait(). The analysis cannot see that transient
- * release (standard for condition-variable code): the capability is
- * modelled as held for the whole scope, which is exactly the
- * invariant wait() restores before returning.
- */
-class UTLB_SCOPED_CAPABILITY UniqueLock
-{
-  public:
-    explicit UniqueLock(Mutex &m) UTLB_ACQUIRE(m) : lk(m.m) {}
-
-    ~UniqueLock() UTLB_RELEASE() = default;
-
-    UniqueLock(const UniqueLock &) = delete;
-    UniqueLock &operator=(const UniqueLock &) = delete;
-
-  private:
-    friend class CondVar;
-    std::unique_lock<std::mutex> lk;
-};
-
-/**
- * A condition variable paired with sim::Mutex / sim::UniqueLock.
- *
- * waitOn() is the raw wait: callers loop on their condition under
- * the lock (spurious wakeups are allowed), which keeps the guarded
- * fields' accesses lexically under the UniqueLock where the
- * thread-safety analysis can check them — no predicate lambda whose
- * capability context the analysis cannot see. The method name avoids
- * the bare `wait(` spelling so caller sites do not collide with the
- * concurrency lint's atomic-wait memory-order rule.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /**
-     * Block until notified (or spuriously woken); @p lk is released
-     * while blocked and re-held on return. Re-check your condition
-     * in a loop around this call.
-     */
-    void
-    waitOn(UniqueLock &lk)
-    {
-        // std::condition_variable::wait, not an atomic wait: there is
-        // no memory-order argument to spell.
-        cv.wait(lk.lk); // utlb-lint: allow(memory-order)
-    }
-
-    void notifyOne() { cv.notify_one(); }
-    void notifyAll() { cv.notify_all(); }
-
-  private:
-    std::condition_variable cv;
 };
 
 /**

@@ -194,74 +194,6 @@ Histogram::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-void
-MergedCounter::print(std::ostream &os) const
-{
-    os << statNameWidth(name()) << value() << "  # " << desc() << '\n';
-}
-
-// Field-for-field the Counter shape: a merged stat must serialize
-// indistinguishably from its monolithic twin or the golden stats-dump
-// comparisons would see the layout, not the numbers.
-void
-MergedCounter::writeJson(JsonWriter &w) const
-{
-    w.beginObject(name());
-    w.field("type", "counter");
-    w.field("value", value());
-    w.field("desc", desc());
-    w.endObject();
-}
-
-HistAccum
-MergedHistogram::merged() const
-{
-    HistAccum out(shape.maxValBound, shape.counts.size());
-    for (const HistAccum *src : slots) {
-        HistAccum copy = *src;
-        out.absorb(copy);
-    }
-    return out;
-}
-
-void
-MergedHistogram::print(std::ostream &os) const
-{
-    HistAccum m = merged();
-    double mn = m.total ? m.sum / static_cast<double>(m.total) : 0.0;
-    os << statNameWidth(name()) << "hist(" << m.total
-       << " samples, mean " << mn << ")  # " << desc() << '\n';
-    for (std::size_t i = 0; i < m.counts.size(); ++i) {
-        if (!m.counts[i])
-            continue;
-        os << "    [" << i * m.bucketWidth << ", "
-           << (i + 1) * m.bucketWidth << "): " << m.counts[i] << '\n';
-    }
-    if (m.overflow)
-        os << "    overflow: " << m.overflow << '\n';
-}
-
-void
-MergedHistogram::writeJson(JsonWriter &w) const
-{
-    HistAccum m = merged();
-    w.beginObject(name());
-    w.field("type", "histogram");
-    w.field("samples", m.total);
-    w.field("mean", m.total ? m.sum / static_cast<double>(m.total)
-                            : 0.0);
-    w.field("min", m.total ? m.minVal : 0.0);
-    w.field("max", m.total ? m.maxVal : 0.0);
-    w.field("bucket_width", m.bucketWidth);
-    w.beginArray("buckets");
-    for (std::uint64_t c : m.counts)
-        w.value(c);
-    w.endArray();
-    w.field("overflow", m.overflow);
-    w.field("desc", desc());
-    w.endObject();
-}
-
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : groupName(std::move(name))
 {

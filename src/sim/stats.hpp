@@ -224,105 +224,6 @@ class Histogram : public StatBase
 };
 
 /**
- * A counter whose value is the sum of externally owned shard slots,
- * computed at read time. Sharded components (the driver's per-shard
- * stat blocks) register one slot per shard; reads and serialization
- * then see a current total without any cross-shard flush step.
- * Serializes exactly like Counter ("type": "counter"), so a stats
- * dump is indistinguishable from the monolithic layout.
- *
- * Thread contract: addSource() only during construction; value(),
- * writeJson(), and reset() only at quiescence (no writer holds a
- * shard lock), same as every other unlocked stats read in the tree.
- */
-class MergedCounter : public StatBase
-{
-  public:
-    MergedCounter(StatGroup *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
-    {}
-
-    /** Register a shard's slot. The slot must outlive this stat. */
-    void addSource(std::uint64_t *slot) { slots.push_back(slot); }
-
-    std::uint64_t value() const
-    {
-        std::uint64_t sum = 0;
-        for (const std::uint64_t *s : slots)
-            sum += *s;
-        return sum;
-    }
-
-    void print(std::ostream &os) const override;
-    void writeJson(JsonWriter &w) const override;
-    void reset() override
-    {
-        for (std::uint64_t *s : slots)
-            *s = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t *> slots;
-};
-
-/**
- * A histogram whose samples live in externally owned per-shard
- * HistAccum buffers, merged at read time (copy each source, fold the
- * copies into an empty accumulator — sources are never disturbed).
- * Serializes exactly like Histogram ("type": "histogram").
- *
- * Exactness: counts, buckets, and overflow merge in integers and are
- * order-independent; when every sample of the stat went through a
- * single source the merge is bit-exact (HistAccum::absorb into an
- * empty accumulator), so a one-shard configuration reproduces the
- * monolithic histogram bit for bit. With samples spread over several
- * sources only the floating-point sum (hence the mean) can differ
- * from the sequential interleave in the last ulps.
- *
- * Same quiescent read contract as MergedCounter.
- */
-class MergedHistogram : public StatBase
-{
-  public:
-    MergedHistogram(StatGroup *parent, std::string name,
-                    std::string desc, double max, std::size_t buckets)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          shape(max, buckets)
-    {}
-
-    /** Register a shard's accumulator (must share the geometry). */
-    void addSource(HistAccum *acc) { slots.push_back(acc); }
-
-    /** A zeroed accumulator with this histogram's geometry. */
-    HistAccum makeAccum() const
-    {
-        return HistAccum(shape.maxValBound, shape.counts.size());
-    }
-
-    /** The merged view (sources untouched). */
-    HistAccum merged() const;
-
-    std::uint64_t samples() const { return merged().total; }
-    double mean() const
-    {
-        HistAccum m = merged();
-        return m.total ? m.sum / m.total : 0.0;
-    }
-
-    void print(std::ostream &os) const override;
-    void writeJson(JsonWriter &w) const override;
-    void reset() override
-    {
-        for (HistAccum *s : slots)
-            s->reset();
-    }
-
-  private:
-    HistAccum shape;  //!< geometry only; never sampled
-    std::vector<HistAccum *> slots;
-};
-
-/**
  * A group of statistics, optionally nested. Components own a
  * StatGroup and declare their stats as members referencing it.
  */

@@ -1,10 +1,9 @@
 // Known-bad fixture for scripts/concurrency_lint.py (never compiled).
 //
-// A fill-queue-style sleep built on a bare std::condition_variable.
+// A work-queue-style sleep built on a bare std::condition_variable.
 // The condvar's lock handoff is invisible to the clang thread-safety
 // analysis, so a waiter that re-reads guarded state after waking is
-// unchecked; src/ code must sleep through sim::CondVar::waitOn with
-// a sim::UniqueLock.
+// unchecked; src/ code never sleeps on a condition.
 //
 // utlb-lint-expect: scoped-guard
 

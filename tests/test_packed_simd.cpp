@@ -16,8 +16,8 @@
  *     call-by-call and in the final stats dump, across
  *     assoc {1, 2, 4} x {sequential, concurrent} stacks.
  *  3. A torture mix of packed probes, pin-churn evictions, and
- *     asynchronous fills; run under UTLB_SANITIZE=thread this is a
- *     race detector for the packed read/write protocol.
+ *     asynchronous-fill views; run under UTLB_SANITIZE=thread this
+ *     is a race detector for the packed read/write protocol.
  *
  * The dispatch override (simd::forcePath) is process-global, so the
  * golden tests run their two stacks sequentially, each under a
@@ -35,7 +35,6 @@
 
 #include "check/audit.hpp"
 #include "core/driver.hpp"
-#include "core/fill_pipeline.hpp"
 #include "core/shared_cache.hpp"
 #include "core/utlb.hpp"
 #include "mem/address_space.hpp"
@@ -304,9 +303,9 @@ TEST(SimdGolden, FourWayConcurrent)
 
 TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
 {
-    // Two views under a tight pin budget drive async translateRange
-    // loops (packed probes + budget-forced unpin invalidates +
-    // fill-thread installs), while a raw reader hammers lookupMT
+    // Two async-fill views under a tight pin budget drive
+    // translateRange loops (packed probes + budget-forced unpin
+    // invalidates + miss installs), while a raw reader hammers lookupMT
     // through the seqlock path on the same sets. Run under
     // UTLB_SANITIZE=thread to make this a race detector for the
     // packed tag/cold write protocol.
@@ -327,15 +326,13 @@ TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
 
     UtlbConfig cfg;
     cfg.concurrent = true;
+    cfg.asyncFills = true;
     cfg.prefetchEntries = 8;
     cfg.pin.memLimitPages = 96;
     auto v1 = std::make_unique<UserUtlb>(driver, cache, timings, 1,
                                          cfg);
     auto v2 = std::make_unique<UserUtlb>(driver, cache, timings, 2,
                                          cfg);
-    FillPipeline fp(driver, cache, timings);
-    v1->attachFillPipeline(&fp);
-    v2->attachFillPipeline(&fp);
 
     auto work = [](UserUtlb &view, std::uint64_t seed) {
         Rng rng(seed);
@@ -360,10 +357,6 @@ TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
     w1.join();
     w2.join();
     reader.join();
-
-    v1->attachFillPipeline(nullptr);
-    v2->attachFillPipeline(nullptr);
-    fp.stop();
 
     v1->flushShardStats();
     v2->flushShardStats();

@@ -63,7 +63,7 @@ class ChurnStack : public ::testing::Test
     ChurnStack()
         : physMem(8192), sram(32u << 10),
           cache(CacheConfig{1024, 1, true}, timings, &sram),
-          driver(physMem, pins, sram, cache, costs, 4)
+          driver(physMem, pins, sram, cache, costs)
     {
         for (unsigned i = 0; i < kStableTenants; ++i) {
             auto pid = static_cast<ProcId>(i + 1);
