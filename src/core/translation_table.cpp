@@ -284,7 +284,6 @@ HostPageTable::set(Vpn vpn, Pfn pfn)
             dir.erase(dirIndexOf(vpn));
             return false;
         }
-        hostMem->zeroFrame(*frame);
         de.leafFrame = *frame;
     } else if (de.swapped) {
         if (!swapInLeaf(vpn))

@@ -22,7 +22,6 @@ AddressSpace::touch(Vpn vpn)
     auto pfn = physMem->allocFrame(procId);
     if (!pfn)
         return std::nullopt;
-    physMem->zeroFrame(*pfn);
     table.emplace(vpn, *pfn);
     return pfn;
 }

@@ -1,6 +1,8 @@
 #include "mem/phys_memory.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 
 #include "sim/log.hpp"
@@ -10,9 +12,11 @@ namespace utlb::mem {
 using sim::panic;
 
 PhysMemory::PhysMemory(std::size_t frames)
-    : bytes(new std::uint8_t[frames * kPageSize]),
-      owners(frames, kNoOwner)
+    : bytes(static_cast<std::uint8_t *>(std::calloc(frames, kPageSize))),
+      owners(frames, kNoOwner), handedOut(frames, 0)
 {
+    if (!bytes && frames != 0)
+        panic("cannot allocate %zu frames of host memory", frames);
     freeList.reserve(frames);
     // Descending so pop_back yields the lowest free frame first.
     for (std::size_t i = frames; i-- > 0;)
@@ -29,9 +33,13 @@ PhysMemory::allocFrame(ProcId owner)
     owners[pfn] = owner;
     ++numAllocated;
     ++numAllocs;
-    // Fresh frames read as zero, like DRAM handed out by an OS; the
-    // backing store itself is never bulk-initialized.
-    std::memset(bytes.get() + frameAddr(pfn), 0, kPageSize);
+    // Frames read as zero, like DRAM handed out by an OS. A frame
+    // never handed out before is still calloc's zero page.
+    if (handedOut[pfn]) {
+        std::memset(bytes.get() + frameAddr(pfn), 0, kPageSize);
+        ++numZeroFills;
+    }
+    handedOut[pfn] = 1;
     return pfn;
 }
 
@@ -82,10 +90,11 @@ PhysMemory::write(PhysAddr pa, std::span<const std::uint8_t> in)
 }
 
 void
-PhysMemory::zeroFrame(Pfn pfn)
+PhysMemory::populate(Pfn pfn)
 {
     checkRange(frameAddr(pfn), kPageSize);
-    std::memset(bytes.get() + frameAddr(pfn), 0, kPageSize);
+    std::atomic_ref<std::uint8_t>(bytes[frameAddr(pfn)])
+        .fetch_or(0, std::memory_order_relaxed);
 }
 
 } // namespace utlb::mem

@@ -11,6 +11,7 @@
 #define UTLB_MEM_PHYS_MEMORY_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,9 +28,15 @@ inline constexpr ProcId kNoOwner = ~ProcId{0};
  * Host DRAM: a pool of 4 KB frames with owner tracking and byte
  * storage.
  *
- * Frames are allocated lowest-free-first from an explicit freelist so
- * that allocation order is deterministic (important for reproducible
- * physical layouts in the trace-driven experiments).
+ * Frames come from an explicit freelist so that allocation order is
+ * deterministic (important for reproducible physical layouts in the
+ * trace-driven experiments). A fresh pool hands frames out lowest
+ * first; a freed frame goes to the back of the list and is the next
+ * one handed out (LIFO reuse).
+ *
+ * The backing store is one calloc'd block, so a frame that has never
+ * been handed out is zero and costs no resident memory until it is
+ * written. allocFrame zeroes only a frame it has handed out before.
  */
 class PhysMemory
 {
@@ -53,10 +60,9 @@ class PhysMemory
     std::size_t freeFrames() const { return owners.size() - numAllocated; }
 
     /**
-     * Allocate one frame for @p owner. The frame's contents are
-     * zeroed (the backing store is lazily mapped and deliberately
-     * not pre-initialized, so freshly simulated DRAM is cheap even
-     * at multi-GB sizes).
+     * Allocate one frame for @p owner. The frame reads as zero: a
+     * first-time frame is still the calloc'd zero page, and a reused
+     * one is zero-filled here.
      * @return the frame number, or nullopt if memory is exhausted.
      */
     std::optional<Pfn> allocFrame(ProcId owner);
@@ -76,22 +82,41 @@ class PhysMemory
     /** Write @p in to physical memory starting at @p pa. */
     void write(PhysAddr pa, std::span<const std::uint8_t> in);
 
-    /** Zero-fill one frame. */
-    void zeroFrame(Pfn pfn);
+    /**
+     * Make frame @p pfn resident without changing its bytes: one
+     * atomic no-op write to its first byte, so the host takes the
+     * write fault now rather than on the first data access.
+     */
+    void populate(Pfn pfn);
 
     /** Lifetime counters. */
     std::uint64_t totalAllocs() const { return numAllocs; }
     std::uint64_t totalFrees() const { return numFrees; }
+    /** Allocations that had to zero-fill a reused frame. */
+    std::uint64_t totalZeroFills() const { return numZeroFills; }
 
   private:
     void checkRange(PhysAddr pa, std::size_t len) const;
 
-    std::unique_ptr<std::uint8_t[]> bytes;  //!< zeroed on allocFrame
+    struct FreeDeleter
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    /** calloc'd; a frame is zeroed again only when reused. */
+    std::unique_ptr<std::uint8_t[], FreeDeleter> bytes;
     std::vector<ProcId> owners;
-    std::vector<Pfn> freeList;  //!< kept sorted descending; pop_back
+    /** Nonzero once a frame has been handed out; same discipline as
+     * owners. Bytes, not vector<bool>: no read-modify-write that
+     * spans neighbouring frames. */
+    std::vector<std::uint8_t> handedOut;
+    /** Pop from the back. Built descending (lowest frame first);
+     * freeFrame appends, so freed frames are reused LIFO. */
+    std::vector<Pfn> freeList;
     std::size_t numAllocated = 0;
     std::uint64_t numAllocs = 0;
     std::uint64_t numFrees = 0;
+    std::uint64_t numZeroFills = 0;
 };
 
 } // namespace utlb::mem

@@ -112,6 +112,12 @@ VmmcNode::exportBuffer(ProcId pid, VirtAddr va, std::size_t bytes)
     if (!res.ok)
         return std::nullopt;
     p.utlb->pinManager().lockRange(pageOf(va), pagesSpanned(va, bytes));
+    // A fresh frame is not resident on the host until written, and
+    // pinning does not write it: fault the buffer in here, at set-up,
+    // rather than on its first deposit.
+    for (std::size_t i = 0; i < pagesSpanned(va, bytes); ++i)
+        if (auto pfn = p.space->lookup(pageOf(va) + i))
+            physMem.populate(*pfn);
 
     ExportEntry entry;
     entry.pid = pid;

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <numeric>
+#include <vector>
 
 #include "mem/address_space.hpp"
 #include "mem/page.hpp"
@@ -85,16 +86,52 @@ TEST(PhysMemory, ReadWriteRoundTrips)
     EXPECT_EQ(in, out);
 }
 
-TEST(PhysMemory, ZeroFrameClears)
+TEST(PhysMemory, FirstAllocationsReadAsZeroWithoutZeroFill)
 {
-    PhysMemory pm(1);
+    PhysMemory pm(3);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(pm.allocFrame(1).has_value());
+    std::vector<std::uint8_t> out(3 * kPageSize, 0xAB);
+    pm.read(0, out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(3 * kPageSize, 0));
+    EXPECT_EQ(pm.totalAllocs(), 3u);
+    EXPECT_EQ(pm.totalZeroFills(), 0u);
+}
+
+TEST(PhysMemory, ReusedFrameIsZeroFilledOnce)
+{
+    PhysMemory pm(2);
     auto f = *pm.allocFrame(1);
-    std::array<std::uint8_t, 4> in{9, 9, 9, 9};
-    pm.write(frameAddr(f), in);
-    pm.zeroFrame(f);
-    std::array<std::uint8_t, 4> out{1, 1, 1, 1};
+    std::vector<std::uint8_t> dirty(kPageSize, 9);
+    pm.write(frameAddr(f), dirty);
+    pm.freeFrame(f);
+    ASSERT_EQ(*pm.allocFrame(2), f);
+    EXPECT_EQ(pm.totalZeroFills(), 1u);
+    std::vector<std::uint8_t> out(kPageSize, 1);
     pm.read(frameAddr(f), out);
-    EXPECT_EQ(out, (std::array<std::uint8_t, 4>{0, 0, 0, 0}));
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
+    // The other frame has never been handed out: no fill.
+    ASSERT_TRUE(pm.allocFrame(3).has_value());
+    EXPECT_EQ(pm.totalZeroFills(), 1u);
+}
+
+TEST(PhysMemory, PopulateKeepsContents)
+{
+    PhysMemory pm(2);
+    auto f = *pm.allocFrame(1);
+    std::vector<std::uint8_t> pattern(kPageSize);
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    pm.write(frameAddr(f), pattern);
+    pm.populate(f);
+    std::vector<std::uint8_t> out(kPageSize);
+    pm.read(frameAddr(f), out);
+    EXPECT_EQ(out, pattern);
+
+    auto g = *pm.allocFrame(1);
+    pm.populate(g);
+    pm.read(frameAddr(g), out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
 }
 
 TEST(AddressSpace, DemandMapsOnTouch)
@@ -109,6 +146,17 @@ TEST(AddressSpace, DemandMapsOnTouch)
     // Touch again: same frame, no new allocation.
     EXPECT_EQ(as.touch(5), f);
     EXPECT_EQ(pm.allocatedFrames(), 1u);
+}
+
+TEST(AddressSpace, UnwrittenPageReadsAsZero)
+{
+    PhysMemory pm(4);
+    AddressSpace as(1, pm);
+    std::vector<std::uint8_t> out(kPageSize + 100, 0xCD);
+    as.readBytes(addrOf(2) + 50, out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize + 100, 0));
+    EXPECT_EQ(as.mappedPages(), 2u);
+    EXPECT_EQ(pm.totalZeroFills(), 0u);
 }
 
 TEST(AddressSpace, TranslateComposesFrameAndOffset)
