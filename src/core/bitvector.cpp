@@ -1,5 +1,6 @@
 #include "core/bitvector.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "check/audit.hpp"
@@ -19,21 +20,33 @@ costs()
 
 } // namespace
 
-void
+std::uint64_t &
 PinBitVector::ensure(std::uint64_t word_index)
 {
-    if (word_index >= words.size())
-        words.resize(word_index + 1, 0);
+    if (words.empty()) {
+        baseWord = word_index;
+    } else if (word_index < baseWord) {
+        // Grow downwards by at least the current span, so a run of
+        // sets walking down the address space stays amortized O(1).
+        std::uint64_t grow = std::max<std::uint64_t>(
+            baseWord - word_index, words.size());
+        grow = std::min(grow, baseWord);
+        words.insert(words.begin(), grow, 0);
+        baseWord -= grow;
+    }
+    std::uint64_t i = word_index - baseWord;
+    if (i >= words.size())
+        words.resize(i + 1, 0);
+    return words[i];
 }
 
 void
 PinBitVector::set(mem::Vpn vpn)
 {
-    std::uint64_t w = vpn / 64;
     std::uint64_t bit = std::uint64_t{1} << (vpn % 64);
-    ensure(w);
-    if (!(words[w] & bit)) {
-        words[w] |= bit;
+    std::uint64_t &word = ensure(vpn / 64);
+    if (!(word & bit)) {
+        word |= bit;
         ++numSet;
     }
 }
@@ -41,12 +54,12 @@ PinBitVector::set(mem::Vpn vpn)
 void
 PinBitVector::clear(mem::Vpn vpn)
 {
-    std::uint64_t w = vpn / 64;
-    if (!wordPresent(w))
+    std::uint64_t i = vpn / 64 - baseWord;
+    if (i >= words.size())
         return;
     std::uint64_t bit = std::uint64_t{1} << (vpn % 64);
-    if (words[w] & bit) {
-        words[w] &= ~bit;
+    if (words[i] & bit) {
+        words[i] &= ~bit;
         --numSet;
     }
 }
@@ -54,10 +67,7 @@ PinBitVector::clear(mem::Vpn vpn)
 bool
 PinBitVector::test(mem::Vpn vpn) const
 {
-    std::uint64_t w = vpn / 64;
-    if (!wordPresent(w))
-        return false;
-    return (words[w] >> (vpn % 64)) & 1;
+    return (wordAt(vpn / 64) >> (vpn % 64)) & 1;
 }
 
 namespace {
@@ -88,8 +98,7 @@ PinBitVector::firstClearInRange(mem::Vpn start, std::size_t npages) const
     std::uint64_t wstart = start / 64;
     std::uint64_t wend = (end - 1) / 64;
     for (std::uint64_t w = wstart; w <= wend; ++w) {
-        std::uint64_t have = wordPresent(w) ? words[w] : 0;
-        std::uint64_t missing = rangeMask(w, start, end) & ~have;
+        std::uint64_t missing = rangeMask(w, start, end) & ~wordAt(w);
         if (missing) {
             return static_cast<mem::Vpn>(
                 w * 64 + static_cast<unsigned>(std::countr_zero(missing)));
@@ -104,12 +113,16 @@ PinBitVector::firstSetInRange(mem::Vpn start, std::size_t npages) const
     if (npages == 0)
         return std::nullopt;
     mem::Vpn end = start + npages;
-    std::uint64_t wstart = start / 64;
-    std::uint64_t wend = (end - 1) / 64;
+    // Words outside the stored span are all clear: scan only the
+    // overlap of the range with it.
+    if (words.empty())
+        return std::nullopt;
+    std::uint64_t wstart = std::max<std::uint64_t>(start / 64, baseWord);
+    std::uint64_t wend = std::min<std::uint64_t>(
+        (end - 1) / 64, baseWord + words.size() - 1);
     for (std::uint64_t w = wstart; w <= wend; ++w) {
-        if (!wordPresent(w))
-            return std::nullopt;    // words beyond the map are all clear
-        std::uint64_t present = rangeMask(w, start, end) & words[w];
+        std::uint64_t present =
+            rangeMask(w, start, end) & words[w - baseWord];
         if (present) {
             return static_cast<mem::Vpn>(
                 w * 64 + static_cast<unsigned>(std::countr_zero(present)));

@@ -39,7 +39,10 @@ struct CheckResult {
 /**
  * A growable bit vector over virtual page numbers.
  *
- * Bits are stored in 64-bit words; checkRange() reports how many
+ * Bits are stored in 64-bit words, starting at the lowest word ever
+ * set rather than at vpn 0: a process whose pages sit far from 0
+ * pays only for the span it touches. Words outside the stored span
+ * read as clear. checkRange() reports how many
  * words it scanned and the modeled cost, reproducing Table 1's
  * position-dependent check timing (0.2 us best case, up to 0.7 us
  * over 32 pages).
@@ -109,7 +112,7 @@ class PinBitVector
             while (word != 0) {
                 auto bit =
                     static_cast<unsigned>(std::countr_zero(word));
-                fn(static_cast<mem::Vpn>(w * 64 + bit));
+                fn(static_cast<mem::Vpn>((baseWord + w) * 64 + bit));
                 word &= word - 1;
             }
         }
@@ -124,9 +127,18 @@ class PinBitVector
   private:
     friend struct check::TestTamper;
 
-    bool wordPresent(std::uint64_t w) const { return w < words.size(); }
-    void ensure(std::uint64_t word_index);
+    /** Stored word for absolute word index @p w (0 if outside). */
+    std::uint64_t
+    wordAt(std::uint64_t w) const
+    {
+        return w - baseWord < words.size() ? words[w - baseWord] : 0;
+    }
 
+    /** The stored word for @p word_index, growing the span. */
+    std::uint64_t &ensure(std::uint64_t word_index);
+
+    /** words[i] holds the bits of absolute word baseWord + i. */
+    std::uint64_t baseWord = 0;
     std::vector<std::uint64_t> words;
     std::size_t numSet = 0;
 };

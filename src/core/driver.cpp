@@ -1,5 +1,7 @@
 #include "core/driver.hpp"
 
+#include <utility>
+
 #include "check/audit.hpp"
 #include "sim/log.hpp"
 
@@ -10,13 +12,6 @@ using mem::ProcId;
 using mem::Vpn;
 using sim::fatal;
 using sim::panic;
-
-namespace {
-
-/** Initial directory capacity (power of two). */
-constexpr std::size_t kDirInitCap = 16;
-
-} // namespace
 
 UtlbDriver::UtlbDriver(mem::PhysMemory &host_mem,
                        mem::PinFacility &pin_facility,
@@ -30,32 +25,11 @@ UtlbDriver::UtlbDriver(mem::PhysMemory &host_mem,
     if (!frame)
         fatal("no physical memory for the driver garbage page");
     garbagePfn = *frame;
-
-    // Pre-size the directory: registration is rare but the directory
-    // is probed on the miss path, and a pre-sized table avoids early
-    // rehashes.
-    sim::LockGuard lk(mu);
-    dir.resize(kDirInitCap);
 }
 
 UtlbDriver::~UtlbDriver()
 {
     hostMem->freeFrame(garbagePfn);
-}
-
-UtlbDriver::DirEntry *
-UtlbDriver::findEntryLocked(ProcId pid)
-{
-    std::size_t mask = dir.size() - 1;
-    std::size_t i = dirHash(pid) & mask;
-    for (;;) {
-        DirEntry &e = dir[i];
-        if (e.pid == pid)
-            return &e;
-        if (e.pid == kEmptyPid)
-            return nullptr;
-        i = (i + 1) & mask;
-    }
 }
 
 // Quiescent-only probe (class comment): the unlocked accessors read
@@ -64,68 +38,23 @@ UtlbDriver::findEntryLocked(ProcId pid)
 const UtlbDriver::DirEntry *
 UtlbDriver::findEntry(ProcId pid) const UTLB_NO_THREAD_SAFETY_ANALYSIS
 {
-    return const_cast<UtlbDriver *>(this)->findEntryLocked(pid);
-}
-
-void
-UtlbDriver::dirGrowLocked()
-{
-    std::size_t ncap = dir.size() * 2;
-    std::vector<DirEntry> ndir(ncap);
-    std::size_t mask = ncap - 1;
-    for (DirEntry &e : dir) {
-        if (e.pid == kEmptyPid || e.pid == kTombPid)
-            continue;
-        std::size_t i = dirHash(e.pid) & mask;
-        while (ndir[i].pid != kEmptyPid)
-            i = (i + 1) & mask;
-        ndir[i] = std::move(e);
-    }
-    dir = std::move(ndir);
-    dirUsed = dirLive;
-}
-
-void
-UtlbDriver::dirInsertLocked(DirEntry &&e)
-{
-    // Rehash at 3/4 load (live + tombstones); tombstones drop out.
-    if ((dirUsed + 1) * 4 >= dir.size() * 3)
-        dirGrowLocked();
-    std::size_t mask = dir.size() - 1;
-    std::size_t i = dirHash(e.pid) & mask;
-    for (;;) {
-        DirEntry &slot = dir[i];
-        if (slot.pid == kEmptyPid) {
-            slot = std::move(e);
-            ++dirUsed;
-            ++dirLive;
-            return;
-        }
-        if (slot.pid == kTombPid) {
-            slot = std::move(e);
-            ++dirLive;
-            return;
-        }
-        i = (i + 1) & mask;
-    }
+    return std::as_const(dir).find(pid);
 }
 
 void
 UtlbDriver::registerProcess(mem::AddressSpace &space)
 {
     ProcId pid = space.pid();
-    if (pid >= kTombPid)
-        panic("pid %u is reserved (process-directory sentinel)", pid);
+    if (pid == kKernelPid || pid == mem::kNoOwner)
+        panic("pid %u is reserved", pid);
     sim::LockGuard lk(mu);
-    if (findEntryLocked(pid))
+    auto [e, inserted] = dir.tryEmplace(pid);
+    if (!inserted)
         panic("process %u registered with the driver twice", pid);
     pins->registerSpace(space);
-    DirEntry e;
-    e.pid = pid;
-    e.table = std::make_unique<HostPageTable>(*hostMem, pid, sram);
-    e.space = &space;
-    statsGrp.adopt(e.table->stats());
-    dirInsertLocked(std::move(e));
+    e->table = std::make_unique<HostPageTable>(*hostMem, pid, sram);
+    e->space = &space;
+    statsGrp.adopt(e->table->stats());
 }
 
 void
@@ -137,11 +66,7 @@ UtlbDriver::unregisterProcess(ProcId pid)
     if (DirEntry *e = findEntryLocked(pid)) {
         statsGrp.disown(e->table->stats());
         space = e->space;
-        e->pid = kTombPid;
-        e->table.reset();
-        e->nicTable.reset();
-        e->space = nullptr;
-        --dirLive;
+        dir.erase(pid);
     }
     pins->unregisterProcess(pid);
     if (space)
@@ -197,9 +122,9 @@ UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
     if (npages == 0)
         return res;
 
-    PinStatus st = PinStatus::Ok;
-    auto frames = pins->pinRange(pid, start, npages, &st);
-    if (!frames) {
+    PinStatus st =
+        pins->pinRange(pid, start, npages, pinFrames, pinMapped);
+    if (st != PinStatus::Ok) {
         res.status = st;
         // A rejected ioctl still costs the syscall entry; charge the
         // one-page pin floor as a conservative model.
@@ -209,17 +134,22 @@ UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
 
     HostPageTable &table = *e->table;
     for (std::size_t i = 0; i < npages; ++i) {
-        if (!table.set(start + i, (*frames)[i])) {
-            // Roll back on table-leaf OOM.
-            for (std::size_t j = 0; j <= i; ++j) {
+        if (table.set(start + i, pinFrames[i]))
+            continue;
+        // Table-leaf OOM: undo this call only. Drop its pin
+        // references; a page left unpinned was installed by this call
+        // (an earlier pin would still hold it), so clear its entry.
+        // Then unmap the pages the pin demand-mapped.
+        for (std::size_t j = 0; j < npages; ++j) {
+            pins->unpinPage(pid, start + j);
+            if (j < i && !pins->isPinned(pid, start + j))
                 table.clear(start + j);
-            }
-            for (std::size_t j = 0; j < npages; ++j)
-                pins->unpinPage(pid, start + j);
-            res.status = PinStatus::OutOfMemory;
-            res.cost = hostCosts->pinCost(1);
-            return res;
         }
+        for (std::size_t k = pinMapped.size(); k-- > 0;)
+            e->space->unmap(pinMapped[k]);
+        res.status = PinStatus::OutOfMemory;
+        res.cost = hostCosts->pinCost(1);
+        return res;
     }
 
     statPagesPinned += npages;
@@ -367,15 +297,14 @@ UtlbDriver::audit(check::AuditReport &report) const
     report.require(hostMem->ownerOf(garbagePfn) == kKernelPid,
                    "garbage frame %llu not owned by the kernel",
                    static_cast<unsigned long long>(garbagePfn));
-    for (const DirEntry &e : dir) {
-        if (e.pid == kEmptyPid || e.pid == kTombPid)
-            continue;
-        report.require(e.space && e.space->pid() == e.pid,
+    for (const auto &[key, e] : dir) {
+        auto pid = static_cast<ProcId>(key);
+        report.require(e.space && e.space->pid() == pid,
                        "space registered under pid %u reports pid %u",
-                       e.pid, e.space ? e.space->pid() : 0);
+                       pid, e.space ? e.space->pid() : 0);
         report.require(e.table != nullptr,
                        "registered pid %u has no host page table",
-                       e.pid);
+                       pid);
         if (e.table)
             e.table->audit(report);
         if (e.nicTable)

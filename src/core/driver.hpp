@@ -30,6 +30,7 @@
 #include "mem/pinning.hpp"
 #include "nic/sram.hpp"
 #include "sim/annotations.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/mutex.hpp"
 #include "sim/stats.hpp"
 
@@ -84,9 +85,9 @@ class UtlbDriver
 
     /**
      * Register a process: creates its host-resident page table and
-     * registers its address space with the pinning facility. Reserved
-     * pids (the empty/tombstone sentinels of the process directory,
-     * which also cover kKernelPid) are rejected fatally.
+     * registers its address space with the pinning facility. The
+     * reserved pids kKernelPid and mem::kNoOwner are rejected
+     * fatally.
      */
     void registerProcess(mem::AddressSpace &space);
 
@@ -193,23 +194,8 @@ class UtlbDriver
     void audit(check::AuditReport &report) const;
 
   private:
-    /**
-     * @name Process directory sentinels
-     *
-     * The process directory is open-addressed on pid (the LeafDir
-     * idiom): kEmptyPid marks a never-used slot, kTombPid a deleted
-     * one. Both are above every registerable pid — including
-     * kKernelPid (0xfffffffe == kTombPid + 1), which only ever owns
-     * the garbage frame and never registers.
-     * @{
-     */
-    static constexpr mem::ProcId kEmptyPid = 0xffffffffu;
-    static constexpr mem::ProcId kTombPid = 0xfffffffdu;
-    /** @} */
-
     /** One registered process' driver-side state. */
     struct DirEntry {
-        mem::ProcId pid = kEmptyPid;
         std::unique_ptr<HostPageTable> table;
         std::unique_ptr<NicTranslationTable> nicTable;
         mem::AddressSpace *space = nullptr;
@@ -232,14 +218,11 @@ class UtlbDriver
         return res;
     }
 
-    /** @name Open-addressed directory helpers @{ */
-    static std::size_t dirHash(mem::ProcId pid)
+    /** @name Process directory probes @{ */
+    DirEntry *findEntryLocked(mem::ProcId pid) UTLB_REQUIRES(mu)
     {
-        return static_cast<std::size_t>(pid) * 0x9E3779B9u;
+        return dir.find(pid);
     }
-    DirEntry *findEntryLocked(mem::ProcId pid) UTLB_REQUIRES(mu);
-    void dirInsertLocked(DirEntry &&e) UTLB_REQUIRES(mu);
-    void dirGrowLocked() UTLB_REQUIRES(mu);
     /** Quiescent-only probe (the unlocked accessors). */
     const DirEntry *findEntry(mem::ProcId pid) const;
     /** @} */
@@ -270,9 +253,13 @@ class UtlbDriver
     /** Set once in the constructor, immutable afterwards. */
     mem::Pfn garbagePfn;
 
-    std::vector<DirEntry> dir UTLB_GUARDED_BY(mu);
-    std::size_t dirLive UTLB_GUARDED_BY(mu){0};
-    std::size_t dirUsed UTLB_GUARDED_BY(mu){0}; //!< live + tombs
+    /** Registered processes, open-addressed on pid. */
+    sim::FlatMap<DirEntry> dir UTLB_GUARDED_BY(mu);
+
+    /** pinAndInstallLocked's frame buffers, reused across ioctls:
+     *  the run's frames, and the pages it demand-mapped. */
+    mem::PageBuf pinFrames UTLB_GUARDED_BY(mu);
+    mem::PageBuf pinMapped UTLB_GUARDED_BY(mu);
 
     sim::StatGroup statsGrp{"driver"};
     sim::Counter statIoctls UTLB_GUARDED_BY(mu){

@@ -16,18 +16,35 @@
  * kernel_unpin_cost (kernel-mode work needs no protection-domain
  * crossing, so the in-kernel pin/unpin constants are used, not the
  * ioctl batch curve).
+ *
+ * Shedding: when the pin limit (or host memory) refuses a pin, the
+ * handler sheds the process' least recently used cached page. Each
+ * process keeps an LRU list of the pages it has cached, updated on
+ * every hit, install and removal, so the victim is the list head
+ * rather than the result of a scan over the whole cache. The head is
+ * exactly the line with the oldest cache recency stamp: a page is
+ * pinned exactly while it is cached, and the cache stamps a line
+ * only on a lookup hit or a demand install, the two events that move
+ * a page to the list tail.
  */
 
 #ifndef UTLB_CORE_INTERRUPT_BASELINE_HPP
 #define UTLB_CORE_INTERRUPT_BASELINE_HPP
 
 #include <cstdint>
+#include <memory>
 
 #include "core/cost_model.hpp"
+#include "core/replacement.hpp"
 #include "core/shared_cache.hpp"
 #include "mem/pinning.hpp"
 #include "nic/timing.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/stats.hpp"
+
+namespace utlb::check {
+class AuditReport;
+} // namespace utlb::check
 
 namespace utlb::core {
 
@@ -71,16 +88,36 @@ class InterruptTlb
     sim::StatGroup &stats() { return statsGrp; }
     const sim::StatGroup &stats() const { return statsGrp; }
 
+    /**
+     * Invariant auditor: every process' LRU list names exactly the
+     * lines it has in the cache.
+     */
+    void audit(check::AuditReport &report) const;
+
   private:
     IntrLookup translateImpl(mem::ProcId pid, mem::Vpn vpn);
 
-    /** Unpin the page behind an evicted cache entry. */
+    /** @p pid's LRU list of cached pages, created on first use. */
+    ReplacementPolicy &cachedOf(mem::ProcId pid);
+
+    /** Shed @p pid's least recently used cached page. */
+    std::optional<EvictedEntry> shedLru(mem::ProcId pid,
+                                        ReplacementPolicy &lru);
+
+    /** A line left the cache: drop it from its owner's list and
+     *  unpin its page. */
     void unpinEvicted(const EvictedEntry &ev, IntrLookup &out);
 
     mem::PinFacility *pins;
     SharedUtlbCache *nicCache;
     const HostCosts *costs;
     const nic::NicTimings *nicTimings;
+
+    /** Per-process LRU lists of cached pages (see the file comment). */
+    sim::FlatMap<std::unique_ptr<ReplacementPolicy>> cached;
+    /** The last list cachedOf() returned, and its pid. */
+    ReplacementPolicy *lastList = nullptr;
+    mem::ProcId lastPid = 0;
 
     sim::StatGroup statsGrp{"interrupt_tlb"};
     sim::Counter statLookups{&statsGrp, "lookups",

@@ -91,18 +91,16 @@ void
 PinManager::unlockRangeImpl(Vpn start, std::size_t npages)
 {
     for (std::size_t i = 0; i < npages; ++i) {
-        auto it = locks.find(start + i);
-        if (it == locks.end())
-            continue;
-        if (--it->second == 0)
-            locks.erase(it);
+        std::uint32_t *count = locks.find(start + i);
+        if (count && --*count == 0)
+            locks.erase(start + i);
     }
 }
 
 bool
 PinManager::isLockedImpl(Vpn vpn) const
 {
-    return locks.count(vpn) > 0;
+    return locks.contains(vpn);
 }
 
 bool

@@ -21,12 +21,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "core/bitvector.hpp"
 #include "core/driver.hpp"
 #include "core/replacement.hpp"
 #include "mem/page.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/mutex.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -241,7 +241,8 @@ class PinManager
     mutable std::unique_ptr<sim::Mutex> mu;
     PinBitVector bits;
     std::unique_ptr<ReplacementPolicy> repl;
-    std::unordered_map<mem::Vpn, std::uint32_t> locks;
+    /** vpn -> outstanding-send lock count. */
+    sim::FlatMap<std::uint32_t> locks;
 
     sim::StatGroup statsGrp{"pin_manager"};
     sim::Counter statChecks{&statsGrp, "checks",

@@ -706,25 +706,17 @@ SharedUtlbCache::invalidate(ProcId pid, Vpn vpn)
 }
 
 std::optional<EvictedEntry>
-SharedUtlbCache::evictLruOfProcess(ProcId pid)
+SharedUtlbCache::shed(ProcId pid, Vpn vpn)
 {
-    std::size_t victim = config.entries;
-    for (std::size_t idx = 0; idx < config.entries; ++idx) {
-        if (tagWords[idx] == 0
-            || pidOfPacked(cold[idx].pidVpn) != pid)
-            continue;
-        if (victim == config.entries
-            || cold[idx].lastUse < cold[victim].lastUse)
-            victim = idx;
-    }
-    if (victim == config.entries)
+    std::size_t set = setIndex(pid, vpn);
+    unsigned way = config.assoc;
+    Pfn pfn = mem::kInvalidPfn;
+    probePacked<DirectLoads>(set, pid, vpn, tagKey(pid, vpn), way, pfn);
+    if (way == config.assoc)
         return std::nullopt;
-    EvictedEntry out{pidOfPacked(cold[victim].pidVpn),
-                     vpnOfPacked(cold[victim].pidVpn),
-                     cold[victim].pfn};
-    killWay(victim);
+    killWay(set * config.assoc + way);
     ++statSheds;
-    return out;
+    return EvictedEntry{pid, vpn, pfn};
 }
 
 std::size_t

@@ -213,7 +213,7 @@ class SharedUtlbCache
      * sequential twins, in the same order — the golden-equivalence
      * suite (tests/test_concurrency.cpp) pins that down bit-exactly.
      *
-     * Maintenance operations (clear, evictLruOfProcess, resetStats,
+     * Maintenance operations (clear, shed, resetStats,
      * audit, stats serialization) still require quiescence: call
      * them only when no worker is in an MT entry point and all
      * shards have been absorbed. invalidateProcess() is the
@@ -345,15 +345,14 @@ class SharedUtlbCache
     bool invalidate(mem::ProcId pid, mem::Vpn vpn);
 
     /**
-     * Forcibly remove the least recently used entry belonging to
-     * @p pid (used by the interrupt-based baseline when a pin limit
-     * forces it to shed a cached page). Counted as a shed, not a
-     * capacity eviction: the removal is demanded by the pin budget,
-     * not by cache pressure.
-     * @return the removed entry, or nullopt if the process caches
-     *         nothing.
+     * Forcibly remove (pid, vpn)'s line (used by the interrupt-based
+     * baseline when a pin limit forces it to shed a cached page; the
+     * baseline picks the page, see InterruptTlb). Counted as a shed,
+     * not a capacity eviction or an invalidation: the removal is
+     * demanded by the pin budget, not by cache pressure or coherence.
+     * @return the removed entry, or nullopt if the line is absent.
      */
-    std::optional<EvictedEntry> evictLruOfProcess(mem::ProcId pid);
+    std::optional<EvictedEntry> shed(mem::ProcId pid, mem::Vpn vpn);
 
     /** Drop all translations of a process. @return count dropped. */
     std::size_t invalidateProcess(mem::ProcId pid);
@@ -376,7 +375,7 @@ class SharedUtlbCache
      * Removal taxonomy (the stats JSON relies on this split):
      *  - evictions():     capacity displacements by insert() only;
      *  - sheds():         forced per-process LRU removals via
-     *                     evictLruOfProcess() (pin-budget pressure);
+     *                     shed() (pin-budget pressure);
      *  - invalidations(): explicit coherence drops via invalidate()
      *                     and invalidateProcess().
      * @{

@@ -1,7 +1,10 @@
 #include "core/translation_table.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "check/check.hpp"
@@ -114,110 +117,6 @@ constexpr std::uint64_t kValidBit = std::uint64_t{1} << 63;
 
 } // namespace
 
-// ---- LeafDir --------------------------------------------------------
-
-HostPageTable::DirEntry *
-HostPageTable::LeafDir::find(std::uint64_t key)
-{
-    return const_cast<DirEntry *>(
-        static_cast<const LeafDir *>(this)->find(key));
-}
-
-const HostPageTable::DirEntry *
-HostPageTable::LeafDir::find(std::uint64_t key) const
-{
-    if (slots.empty())
-        return nullptr;
-    std::size_t i = probeStart(key);
-    for (;;) {
-        const Slot &s = slots[i];
-        if (s.key == key)
-            return &s.de;
-        if (s.key == kEmptyKey)
-            return nullptr;
-        i = (i + 1) & (slots.size() - 1);
-    }
-}
-
-HostPageTable::DirEntry &
-HostPageTable::LeafDir::insertNoGrow(std::uint64_t key)
-{
-    std::size_t i = probeStart(key);
-    std::size_t tomb = ~std::size_t{0};
-    for (;;) {
-        Slot &s = slots[i];
-        if (s.key == kEmptyKey) {
-            if (tomb != ~std::size_t{0}) {
-                i = tomb;
-                --tombs;
-            }
-            slots[i].key = key;
-            slots[i].de = DirEntry{};
-            ++live;
-            return slots[i].de;
-        }
-        if (s.key == kTombKey && tomb == ~std::size_t{0})
-            tomb = i;
-        i = (i + 1) & (slots.size() - 1);
-    }
-}
-
-HostPageTable::DirEntry &
-HostPageTable::LeafDir::findOrCreate(std::uint64_t key, bool &inserted)
-{
-    if (DirEntry *de = find(key)) {
-        inserted = false;
-        return *de;
-    }
-    // Keep the load factor (live + tombstones) under 3/4; a
-    // tombstone-heavy table rehashes in place at the same capacity.
-    if ((live + tombs + 1) * 4 >= slots.size() * 3)
-        grow();
-    inserted = true;
-    return insertNoGrow(key);
-}
-
-void
-HostPageTable::LeafDir::erase(std::uint64_t key)
-{
-    if (slots.empty())
-        return;
-    std::size_t i = probeStart(key);
-    for (;;) {
-        Slot &s = slots[i];
-        if (s.key == key) {
-            s.key = kTombKey;
-            s.de = DirEntry{};
-            --live;
-            ++tombs;
-            return;
-        }
-        if (s.key == kEmptyKey)
-            return;
-        i = (i + 1) & (slots.size() - 1);
-    }
-}
-
-void
-HostPageTable::LeafDir::grow()
-{
-    std::size_t new_cap;
-    if (slots.empty())
-        new_cap = 16;
-    else if (live * 2 >= slots.size())
-        new_cap = slots.size() * 2;
-    else
-        new_cap = slots.size();  // tombstone cleanup only
-    std::vector<Slot> old = std::move(slots);
-    slots.assign(new_cap, Slot{});
-    live = 0;
-    tombs = 0;
-    for (Slot &s : old) {
-        if (s.key <= kMaxKey)
-            insertNoGrow(s.key) = std::move(s.de);
-    }
-}
-
 // ---- HostPageTable --------------------------------------------------
 
 HostPageTable::HostPageTable(mem::PhysMemory &host_mem, mem::ProcId pid,
@@ -240,10 +139,16 @@ HostPageTable::HostPageTable(mem::PhysMemory &host_mem, mem::ProcId pid,
 
 HostPageTable::~HostPageTable()
 {
-    dir.forEach([this](std::uint64_t, DirEntry &de) {
+    // Free leaves in ascending index order, so the order later
+    // allocations reuse the frames in does not depend on the hash.
+    std::vector<std::pair<std::uint64_t, Pfn>> leaves;
+    for (const auto &[idx, de] : dir) {
         if (!de.swapped && de.leafFrame != mem::kInvalidPfn)
-            hostMem->freeFrame(de.leafFrame);
-    });
+            leaves.emplace_back(idx, de.leafFrame);
+    }
+    std::sort(leaves.begin(), leaves.end());
+    for (const auto &[idx, frame] : leaves)
+        hostMem->freeFrame(frame);
     if (boardSram)
         boardSram->free("utlb-dir." + std::to_string(procId));
 }
@@ -276,8 +181,8 @@ HostPageTable::entryAddr(const DirEntry &de, Vpn vpn) const
 bool
 HostPageTable::set(Vpn vpn, Pfn pfn)
 {
-    bool inserted = false;
-    DirEntry &de = dir.findOrCreate(dirIndexOf(vpn), inserted);
+    auto [dePtr, inserted] = dir.tryEmplace(dirIndexOf(vpn));
+    DirEntry &de = *dePtr;
     if (inserted) {
         auto frame = hostMem->allocFrame(kKernelPid);
         if (!frame) {
@@ -429,7 +334,7 @@ HostPageTable::audit(check::AuditReport &report) const
     report.component("host-page-table", procId);
 
     std::size_t live = 0;
-    dir.forEach([&](std::uint64_t idx, const DirEntry &de) {
+    for (const auto &[idx, de] : dir) {
         if (de.swapped) {
             report.require(de.leafFrame == mem::kInvalidPfn,
                            "swapped leaf %llu still names frame %llu",
@@ -449,12 +354,12 @@ HostPageTable::audit(check::AuditReport &report) const
                 if (word & kValidBit)
                     ++live;
             }
-            return;
+            continue;
         }
         if (de.leafFrame == mem::kInvalidPfn) {
             report.addf("resident leaf %llu has no frame",
                         static_cast<unsigned long long>(idx));
-            return;
+            continue;
         }
         report.require(hostMem->isAllocated(de.leafFrame),
                        "leaf %llu frame %llu is not allocated",
@@ -475,7 +380,7 @@ HostPageTable::audit(check::AuditReport &report) const
             if (word & kValidBit)
                 ++live;
         }
-    });
+    }
     report.require(live == numValid,
                    "cached valid count %zu != leaf recount %zu",
                    numValid, live);

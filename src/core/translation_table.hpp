@@ -33,6 +33,7 @@
 #include "mem/page.hpp"
 #include "mem/phys_memory.hpp"
 #include "nic/sram.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/stats.hpp"
 
 namespace utlb::check {
@@ -222,71 +223,6 @@ class HostPageTable
         std::vector<std::uint8_t> diskBlock;    //!< contents if swapped
     };
 
-    /**
-     * Flat open-addressed map from leaf index (vpn / kLeafEntries)
-     * to DirEntry: linear probing over a power-of-two slot array,
-     * tombstones on erase. The directory sits on the NIC miss path,
-     * so lookups should cost one multiply and a short contiguous
-     * scan rather than unordered_map's bucket-pointer chase.
-     */
-    class LeafDir
-    {
-      public:
-        DirEntry *find(std::uint64_t key);
-        const DirEntry *find(std::uint64_t key) const;
-
-        /** Locate @p key, default-constructing its entry if absent. */
-        DirEntry &findOrCreate(std::uint64_t key, bool &inserted);
-
-        void erase(std::uint64_t key);
-
-        std::size_t size() const { return live; }
-
-        template <typename Fn>
-        void
-        forEach(Fn &&fn)
-        {
-            for (Slot &s : slots) {
-                if (s.key <= kMaxKey)
-                    fn(s.key, s.de);
-            }
-        }
-
-        template <typename Fn>
-        void
-        forEach(Fn &&fn) const
-        {
-            for (const Slot &s : slots) {
-                if (s.key <= kMaxKey)
-                    fn(s.key, s.de);
-            }
-        }
-
-      private:
-        static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-        static constexpr std::uint64_t kTombKey = ~std::uint64_t{0} - 1;
-        static constexpr std::uint64_t kMaxKey = kTombKey - 1;
-
-        struct Slot {
-            std::uint64_t key = kEmptyKey;
-            DirEntry de;
-        };
-
-        std::size_t probeStart(std::uint64_t key) const
-        {
-            return static_cast<std::size_t>(
-                       key * 0x9E3779B97F4A7C15ull)
-                & (slots.size() - 1);
-        }
-
-        DirEntry &insertNoGrow(std::uint64_t key);
-        void grow();
-
-        std::vector<Slot> slots;
-        std::size_t live = 0;
-        std::size_t tombs = 0;
-    };
-
     std::uint64_t dirIndexOf(mem::Vpn vpn) const
     {
         return vpn / kLeafEntries;
@@ -303,7 +239,9 @@ class HostPageTable
      *  claimed. Kept so teardown can return the region (fleet churn
      *  must not leak SRAM). */
     nic::Sram *boardSram = nullptr;
-    LeafDir dir;
+    /** Leaf index (vpn / kLeafEntries) -> leaf; the directory sits on
+     *  the NIC miss path. */
+    sim::FlatMap<DirEntry> dir;
     std::size_t numValid = 0;
 
     sim::StatGroup statsGrp;

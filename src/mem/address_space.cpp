@@ -1,6 +1,8 @@
 #include "mem/address_space.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "sim/log.hpp"
 
@@ -14,25 +16,28 @@ AddressSpace::~AddressSpace()
 }
 
 std::optional<Pfn>
-AddressSpace::touch(Vpn vpn)
+AddressSpace::touch(Vpn vpn, bool *mapped_now)
 {
-    auto it = table.find(vpn);
-    if (it != table.end())
-        return it->second;
+    if (mapped_now)
+        *mapped_now = false;
+    if (const Pfn *pfn = table.find(vpn))
+        return *pfn;
     auto pfn = physMem->allocFrame(procId);
     if (!pfn)
         return std::nullopt;
-    table.emplace(vpn, *pfn);
+    table[vpn] = *pfn;
+    if (mapped_now)
+        *mapped_now = true;
     return pfn;
 }
 
 std::optional<Pfn>
 AddressSpace::lookup(Vpn vpn) const
 {
-    auto it = table.find(vpn);
-    if (it == table.end())
+    const Pfn *pfn = table.find(vpn);
+    if (!pfn)
         return std::nullopt;
-    return it->second;
+    return *pfn;
 }
 
 std::optional<PhysAddr>
@@ -47,19 +52,24 @@ AddressSpace::translate(VirtAddr va)
 void
 AddressSpace::unmap(Vpn vpn)
 {
-    auto it = table.find(vpn);
-    if (it == table.end())
+    const Pfn *pfn = table.find(vpn);
+    if (!pfn)
         return;
-    physMem->freeFrame(it->second);
-    table.erase(it);
+    physMem->freeFrame(*pfn);
+    table.erase(vpn);
 }
 
 void
 AddressSpace::unmapAll()
 {
+    std::vector<std::pair<Vpn, Pfn>> maps;
+    maps.reserve(table.size());
     for (const auto &[vpn, pfn] : table)
+        maps.emplace_back(vpn, pfn);
+    std::sort(maps.begin(), maps.end());
+    for (const auto &[vpn, pfn] : maps)
         physMem->freeFrame(pfn);
-    table.clear();
+    table = {};
 }
 
 void

@@ -15,10 +15,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "mem/page.hpp"
 #include "mem/phys_memory.hpp"
+#include "sim/flat_map.hpp"
 
 namespace utlb::mem {
 
@@ -49,9 +49,11 @@ class AddressSpace
 
     /**
      * Ensure @p vpn is mapped, allocating a frame on first touch.
+     * If @p mapped_now is non-null it is set to whether this call
+     * created the mapping.
      * @return the frame, or nullopt if physical memory is exhausted.
      */
-    std::optional<Pfn> touch(Vpn vpn);
+    std::optional<Pfn> touch(Vpn vpn, bool *mapped_now = nullptr);
 
     /** Current mapping of @p vpn, or nullopt if unmapped. */
     std::optional<Pfn> lookup(Vpn vpn) const;
@@ -65,7 +67,8 @@ class AddressSpace
     /** Unmap @p vpn and free its frame. No-op if unmapped. */
     void unmap(Vpn vpn);
 
-    /** Unmap everything. */
+    /** Unmap everything, freeing frames in ascending vpn order (so
+     *  the order later allocations reuse them in is fixed). */
     void unmapAll();
 
     /**
@@ -80,7 +83,7 @@ class AddressSpace
   private:
     ProcId procId;
     PhysMemory *physMem;
-    std::unordered_map<Vpn, Pfn> table;
+    sim::FlatMap<Pfn> table;
 };
 
 } // namespace utlb::mem

@@ -1,6 +1,5 @@
 #include "mem/phys_memory.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -13,33 +12,32 @@ using sim::panic;
 
 PhysMemory::PhysMemory(std::size_t frames)
     : bytes(static_cast<std::uint8_t *>(std::calloc(frames, kPageSize))),
-      owners(frames, kNoOwner), handedOut(frames, 0)
+      numFrames(frames)
 {
     if (!bytes && frames != 0)
         panic("cannot allocate %zu frames of host memory", frames);
-    freeList.reserve(frames);
-    // Descending so pop_back yields the lowest free frame first.
-    for (std::size_t i = frames; i-- > 0;)
-        freeList.push_back(static_cast<Pfn>(i));
 }
 
 std::optional<Pfn>
 PhysMemory::allocFrame(ProcId owner)
 {
-    if (freeList.empty())
-        return std::nullopt;
-    Pfn pfn = freeList.back();
-    freeList.pop_back();
-    owners[pfn] = owner;
-    ++numAllocated;
-    ++numAllocs;
-    // Frames read as zero, like DRAM handed out by an OS. A frame
-    // never handed out before is still calloc's zero page.
-    if (handedOut[pfn]) {
+    Pfn pfn;
+    if (!freeList.empty()) {
+        pfn = freeList.back();
+        freeList.pop_back();
+        // Frames read as zero, like DRAM handed out by an OS.
         std::memset(bytes.get() + frameAddr(pfn), 0, kPageSize);
         ++numZeroFills;
+        owners[pfn] = owner;
+    } else if (owners.size() < numFrames) {
+        // Never handed out: still calloc's zero page.
+        pfn = static_cast<Pfn>(owners.size());
+        owners.push_back(owner);
+    } else {
+        return std::nullopt;
     }
-    handedOut[pfn] = 1;
+    ++numAllocated;
+    ++numAllocs;
     return pfn;
 }
 

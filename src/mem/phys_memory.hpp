@@ -28,15 +28,16 @@ inline constexpr ProcId kNoOwner = ~ProcId{0};
  * Host DRAM: a pool of 4 KB frames with owner tracking and byte
  * storage.
  *
- * Frames come from an explicit freelist so that allocation order is
- * deterministic (important for reproducible physical layouts in the
- * trace-driven experiments). A fresh pool hands frames out lowest
- * first; a freed frame goes to the back of the list and is the next
- * one handed out (LIFO reuse).
+ * Allocation order is deterministic (important for reproducible
+ * physical layouts in the trace-driven experiments): a freed frame
+ * goes on a free list and is the next one handed out (LIFO reuse);
+ * with the list empty, never-used frames come from a bump counter,
+ * lowest first.
  *
  * The backing store is one calloc'd block, so a frame that has never
  * been handed out is zero and costs no resident memory until it is
- * written. allocFrame zeroes only a frame it has handed out before.
+ * written. allocFrame zeroes exactly the frames it takes from the
+ * free list, the only ones that can hold old bytes.
  */
 class PhysMemory
 {
@@ -45,19 +46,19 @@ class PhysMemory
     explicit PhysMemory(std::size_t frames);
 
     /** Total number of frames. */
-    std::size_t totalFrames() const { return owners.size(); }
+    std::size_t totalFrames() const { return numFrames; }
 
     /** Capacity in bytes. */
     std::size_t capacityBytes() const
     {
-        return owners.size() * kPageSize;
+        return numFrames * kPageSize;
     }
 
     /** Frames currently allocated. */
     std::size_t allocatedFrames() const { return numAllocated; }
 
     /** Frames still free. */
-    std::size_t freeFrames() const { return owners.size() - numAllocated; }
+    std::size_t freeFrames() const { return numFrames - numAllocated; }
 
     /**
      * Allocate one frame for @p owner. The frame reads as zero: a
@@ -105,13 +106,12 @@ class PhysMemory
 
     /** calloc'd; a frame is zeroed again only when reused. */
     std::unique_ptr<std::uint8_t[], FreeDeleter> bytes;
+    std::size_t numFrames;
+    /** Owner of each frame handed out at least once: frames
+     * [0, owners.size()) have been, the rest are still fresh. */
     std::vector<ProcId> owners;
-    /** Nonzero once a frame has been handed out; same discipline as
-     * owners. Bytes, not vector<bool>: no read-modify-write that
-     * spans neighbouring frames. */
-    std::vector<std::uint8_t> handedOut;
-    /** Pop from the back. Built descending (lowest frame first);
-     * freeFrame appends, so freed frames are reused LIFO. */
+    /** Returned frames; freeFrame appends and allocFrame pops the
+     * back, so they are reused LIFO, before any fresh frame. */
     std::vector<Pfn> freeList;
     std::size_t numAllocated = 0;
     std::uint64_t numAllocs = 0;

@@ -23,11 +23,11 @@ toString(PinStatus s)
 void
 PinFacility::registerSpace(AddressSpace &space)
 {
-    auto [it, inserted] = procs.try_emplace(space.pid());
-    if (!inserted && it->second.space != &space)
+    auto [p, inserted] = procs.tryEmplace(space.pid());
+    if (!inserted && p->space != &space)
         panic("process %u registered twice with different spaces",
               space.pid());
-    it->second.space = &space;
+    p->space = &space;
 }
 
 void
@@ -52,92 +52,80 @@ PinFacility::pinLimit(ProcId pid) const
     return p ? p->limit : 0;
 }
 
-PinFacility::ProcState *
-PinFacility::findProc(ProcId pid)
-{
-    auto it = procs.find(pid);
-    return it == procs.end() ? nullptr : &it->second;
-}
-
-const PinFacility::ProcState *
-PinFacility::findProc(ProcId pid) const
-{
-    auto it = procs.find(pid);
-    return it == procs.end() ? nullptr : &it->second;
-}
-
 std::optional<Pfn>
-PinFacility::pinPage(ProcId pid, Vpn vpn, PinStatus *st)
+PinFacility::pinOne(ProcState *p, Vpn vpn, PinStatus &st,
+                    bool *mapped_now)
 {
     ++statPinOps;
-    auto set_st = [&](PinStatus s) { if (st) *st = s; };
-
-    auto *p = findProc(pid);
     if (!p) {
         ++statFailedPins;
-        set_st(PinStatus::UnknownProcess);
+        st = PinStatus::UnknownProcess;
         return std::nullopt;
     }
 
-    auto it = p->refs.find(vpn);
-    if (it != p->refs.end()) {
-        ++it->second;
-        set_st(PinStatus::Ok);
+    if (std::uint32_t *refs = p->refs.find(vpn)) {
+        ++*refs;
+        st = PinStatus::Ok;
         return p->space->lookup(vpn);
     }
 
     if (p->limit != 0 && p->refs.size() >= p->limit) {
         ++statFailedPins;
-        set_st(PinStatus::LimitExceeded);
+        st = PinStatus::LimitExceeded;
         return std::nullopt;
     }
 
-    auto pfn = p->space->touch(vpn);
+    auto pfn = p->space->touch(vpn, mapped_now);
     if (!pfn) {
         ++statFailedPins;
-        set_st(PinStatus::OutOfMemory);
+        st = PinStatus::OutOfMemory;
         return std::nullopt;
     }
 
-    p->refs.emplace(vpn, 1);
+    p->refs[vpn] = 1;
     ++statPagesPinned;
-    set_st(PinStatus::Ok);
+    st = PinStatus::Ok;
     return pfn;
 }
 
-std::optional<std::vector<Pfn>>
-PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
-                      PinStatus *st)
+std::optional<Pfn>
+PinFacility::pinPage(ProcId pid, Vpn vpn, PinStatus *st)
 {
-    auto *p = findProc(pid);
-    std::vector<Pfn> frames;
-    std::vector<bool> freshly_mapped;
-    frames.reserve(npages);
-    freshly_mapped.reserve(npages);
+    PinStatus s = PinStatus::Ok;
+    auto pfn = pinOne(findProc(pid), vpn, s, nullptr);
+    if (st)
+        *st = s;
+    return pfn;
+}
+
+PinStatus
+PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
+                      PageBuf &frames, PageBuf &mapped)
+{
+    frames.clear();
+    mapped.clear();
+    ProcState *p = findProc(pid);
     for (std::size_t i = 0; i < npages; ++i) {
-        bool was_mapped =
-            p && p->space->lookup(start + i).has_value();
-        PinStatus s = PinStatus::Ok;
-        auto pfn = pinPage(pid, start + i, &s);
+        PinStatus st = PinStatus::Ok;
+        bool fresh = false;
+        auto pfn = pinOne(p, start + i, st, &fresh);
         if (!pfn) {
             // Roll back: all-or-nothing semantics. Pages this call
             // demand-mapped purely to pin them are unmapped again so
             // a failed pin does not strand physical frames.
-            for (std::size_t j = i; j-- > 0;) {
+            for (std::size_t j = i; j-- > 0;)
                 unpinPage(pid, start + j);
-                if (freshly_mapped[j] && !isPinned(pid, start + j))
-                    p->space->unmap(start + j);
-            }
-            if (st)
-                *st = s;
-            return std::nullopt;
+            for (std::size_t k = mapped.size(); k-- > 0;)
+                p->space->unmap(mapped[k]);
+            frames.clear();
+            mapped.clear();
+            return st;
         }
         frames.push_back(*pfn);
-        freshly_mapped.push_back(!was_mapped);
+        if (fresh)
+            mapped.push_back(start + i);
     }
-    if (st)
-        *st = PinStatus::Ok;
-    return frames;
+    return PinStatus::Ok;
 }
 
 PinStatus
@@ -147,11 +135,11 @@ PinFacility::unpinPage(ProcId pid, Vpn vpn)
     auto *p = findProc(pid);
     if (!p)
         return PinStatus::UnknownProcess;
-    auto it = p->refs.find(vpn);
-    if (it == p->refs.end())
+    std::uint32_t *refs = p->refs.find(vpn);
+    if (!refs)
         return PinStatus::NotPinned;
-    if (--it->second == 0) {
-        p->refs.erase(it);
+    if (--*refs == 0) {
+        p->refs.erase(vpn);
         ++statPagesUnpinned;
     }
     return PinStatus::Ok;
@@ -161,7 +149,7 @@ bool
 PinFacility::isPinned(ProcId pid, Vpn vpn) const
 {
     const auto *p = findProc(pid);
-    return p && p->refs.count(vpn) > 0;
+    return p && p->refs.contains(vpn);
 }
 
 std::uint32_t
@@ -170,8 +158,8 @@ PinFacility::pinRefs(ProcId pid, Vpn vpn) const
     const auto *p = findProc(pid);
     if (!p)
         return 0;
-    auto it = p->refs.find(vpn);
-    return it == p->refs.end() ? 0 : it->second;
+    const std::uint32_t *refs = p->refs.find(vpn);
+    return refs ? *refs : 0;
 }
 
 std::size_t
@@ -185,7 +173,7 @@ std::optional<Pfn>
 PinFacility::pinnedFrame(ProcId pid, Vpn vpn) const
 {
     const auto *p = findProc(pid);
-    if (!p || !p->refs.count(vpn))
+    if (!p || !p->refs.contains(vpn))
         return std::nullopt;
     return p->space->lookup(vpn);
 }

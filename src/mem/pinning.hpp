@@ -16,13 +16,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "check/test_tamper.hpp"
 #include "mem/address_space.hpp"
 #include "mem/page.hpp"
+#include "sim/flat_map.hpp"
+#include "sim/small_vector.hpp"
 #include "sim/stats.hpp"
 
 namespace utlb::check {
@@ -42,6 +41,11 @@ enum class PinStatus {
 
 /** Human-readable name of a PinStatus. */
 const char *toString(PinStatus s);
+
+/** Caller-owned list of frame or page numbers that a range pin
+ *  fills; short runs stay inline, and a reused buffer keeps its
+ *  capacity, so steady-state pins allocate nothing. */
+using PageBuf = sim::SmallVector<std::uint64_t, 16>;
 
 /**
  * Kernel pin/unpin service with per-process accounting.
@@ -84,12 +88,15 @@ class PinFacility
     /**
      * Pin a contiguous run of pages all-or-nothing.
      *
-     * On failure no page of the run remains pinned by this call.
-     * @return the frames on success, nullopt otherwise.
+     * On success @p frames holds the run's frames in page order and
+     * @p mapped the pages this call demand-mapped, in page order (a
+     * caller that must undo the pin later unmaps those). On failure
+     * both are left empty, no page of the run remains pinned by this
+     * call, and the pages it demand-mapped are unmapped again.
+     * @return Ok, or why the run could not be pinned.
      */
-    std::optional<std::vector<Pfn>>
-    pinRange(ProcId pid, Vpn start, std::size_t npages,
-             PinStatus *st = nullptr);
+    PinStatus pinRange(ProcId pid, Vpn start, std::size_t npages,
+                       PageBuf &frames, PageBuf &mapped);
 
     /** Drop one pin reference. */
     PinStatus unpinPage(ProcId pid, Vpn vpn);
@@ -140,13 +147,21 @@ class PinFacility
     struct ProcState {
         AddressSpace *space = nullptr;
         std::size_t limit = 0;  //!< pages; 0 = unlimited
-        std::unordered_map<Vpn, std::uint32_t> refs;
+        sim::FlatMap<std::uint32_t> refs;  //!< vpn -> pin refcount
     };
 
-    ProcState *findProc(ProcId pid);
-    const ProcState *findProc(ProcId pid) const;
+    ProcState *findProc(ProcId pid) { return procs.find(pid); }
+    const ProcState *findProc(ProcId pid) const
+    {
+        return procs.find(pid);
+    }
 
-    std::unordered_map<ProcId, ProcState> procs;
+    /** pinPage's body for an already-resolved process (@p p may be
+     *  null: unknown process). */
+    std::optional<Pfn> pinOne(ProcState *p, Vpn vpn, PinStatus &st,
+                              bool *mapped_now);
+
+    sim::FlatMap<ProcState> procs;
 
     sim::StatGroup statsGrp{"pin_facility"};
     sim::Counter statPinOps{&statsGrp, "pin_ops",

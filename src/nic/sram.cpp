@@ -9,8 +9,11 @@ namespace utlb::nic {
 using sim::panic;
 
 Sram::Sram(std::size_t capacity)
-    : bytes(capacity, 0)
+    : cap(capacity),
+      bytes(static_cast<std::uint8_t *>(std::calloc(capacity, 1)))
 {
+    if (!bytes && capacity != 0)
+        panic("cannot allocate %zu bytes of NIC SRAM", capacity);
 }
 
 std::optional<SramAddr>
@@ -47,7 +50,7 @@ Sram::alloc(const std::string &name, std::size_t size)
     }
     // Align regions to 8 bytes.
     std::size_t base = (nextFree + 7) & ~std::size_t{7};
-    if (base + size > bytes.size())
+    if (base + size > cap)
         return std::nullopt;
     nextFree = base + size;
     regions.push_back(Region{name, static_cast<SramAddr>(base), size});
@@ -68,10 +71,7 @@ Sram::free(const std::string &name)
                       + static_cast<std::ptrdiff_t>(i));
         // Scrub: a stale directory must not be readable through a
         // recycled region.
-        std::fill(bytes.begin() + r.base,
-                  bytes.begin() + r.base
-                      + static_cast<std::ptrdiff_t>(r.size),
-                  std::uint8_t{0});
+        std::memset(bytes.get() + r.base, 0, r.size);
         holes.push_back(Hole{r.base, r.size});
         holeBytes += r.size;
         ++statFrees;
@@ -104,9 +104,9 @@ Sram::regionSize(const std::string &name) const
 void
 Sram::checkRange(SramAddr addr, std::size_t len) const
 {
-    if (addr + len > bytes.size())
+    if (addr + len > cap)
         panic("SRAM access [%u, +%zu) beyond capacity %zu",
-              addr, len, bytes.size());
+              addr, len, cap);
 }
 
 void
@@ -114,7 +114,7 @@ Sram::read(SramAddr addr, std::span<std::uint8_t> out) const
 {
     checkRange(addr, out.size());
     ++statReads;
-    std::memcpy(out.data(), bytes.data() + addr, out.size());
+    std::memcpy(out.data(), bytes.get() + addr, out.size());
 }
 
 void
@@ -122,7 +122,7 @@ Sram::write(SramAddr addr, std::span<const std::uint8_t> in)
 {
     checkRange(addr, in.size());
     ++statWrites;
-    std::memcpy(bytes.data() + addr, in.data(), in.size());
+    std::memcpy(bytes.get() + addr, in.data(), in.size());
 }
 
 std::uint32_t
@@ -131,7 +131,7 @@ Sram::readWord(SramAddr addr) const
     checkRange(addr, 4);
     ++statReads;
     std::uint32_t v;
-    std::memcpy(&v, bytes.data() + addr, 4);
+    std::memcpy(&v, bytes.get() + addr, 4);
     return v;
 }
 
@@ -140,13 +140,13 @@ Sram::writeWord(SramAddr addr, std::uint32_t value)
 {
     checkRange(addr, 4);
     ++statWrites;
-    std::memcpy(bytes.data() + addr, &value, 4);
+    std::memcpy(bytes.get() + addr, &value, 4);
 }
 
 void
 Sram::reset()
 {
-    std::fill(bytes.begin(), bytes.end(), 0);
+    std::memset(bytes.get(), 0, cap);
     regions.clear();
     holes.clear();
     holeBytes = 0;

@@ -13,6 +13,8 @@
 #define UTLB_NIC_SRAM_HPP
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -41,6 +43,9 @@ inline constexpr std::size_t kDefaultSramBytes = 1u << 20;
  * thousands of processes exhausts the board in minutes. reset()
  * still wipes everything.
  *
+ * The byte store is calloc'd, like PhysMemory's: SRAM nothing has
+ * written reads as zero and costs no resident host memory.
+ *
  * Thread safety: none. Callers serialize allocation and free — in
  * practice both only happen under the driver's registry mutex
  * (register/unregisterProcess); the translate hot path never
@@ -51,10 +56,10 @@ class Sram
   public:
     explicit Sram(std::size_t capacity = kDefaultSramBytes);
 
-    std::size_t capacity() const { return bytes.size(); }
+    std::size_t capacity() const { return cap; }
     /** Bytes held by live regions plus alignment padding. */
     std::size_t used() const { return nextFree - holeBytes; }
-    std::size_t available() const { return bytes.size() - used(); }
+    std::size_t available() const { return cap - used(); }
 
     /**
      * Allocate @p size bytes for region @p name, reusing a freed
@@ -111,7 +116,13 @@ class Sram
 
     void checkRange(SramAddr addr, std::size_t len) const;
 
-    std::vector<std::uint8_t> bytes;
+    struct FreeDeleter
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    std::size_t cap;
+    std::unique_ptr<std::uint8_t[], FreeDeleter> bytes;
     std::vector<Region> regions;
     std::vector<Hole> holes;
     std::size_t holeBytes = 0;

@@ -23,7 +23,7 @@
  * tenant 0 globally hot. A Translate drawn against a torn-down
  * tenant emits the Attach first and queues the Translate behind it —
  * exactly the re-register-after-teardown pattern the driver's
- * tombstone directory supports.
+ * process directory supports.
  */
 
 #ifndef UTLB_SIM_TENANT_FLEET_HPP

@@ -1,11 +1,8 @@
 #include "tlbsim/simulator.hpp"
 
 #include <chrono>
-#include <list>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -18,6 +15,7 @@
 #include "mem/pinning.hpp"
 #include "nic/sram.hpp"
 #include "nic/timing.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/json.hpp"
 #include "sim/log.hpp"
 
@@ -41,19 +39,35 @@ pageKey(ProcId pid, Vpn vpn)
  * Three-C miss classifier: a seen-set for compulsory misses and a
  * fully-associative LRU shadow cache of equal total capacity for the
  * capacity/conflict split (§6.3 cites Hill's taxonomy).
+ *
+ * Both live in flat storage. One open-addressed map takes every key
+ * ever probed to its shadow node, or to kNotResident once the shadow
+ * has dropped it, so the seen test and the shadow lookup are one
+ * probe. The map is sized once for the trace's distinct pages and
+ * never erases. The shadow's LRU order is a list threaded by index
+ * through a node array of at most @p capacity nodes.
  */
 class MissClassifier
 {
   public:
-    explicit MissClassifier(std::size_t capacity) : cap(capacity) {}
+    MissClassifier(std::size_t capacity, std::size_t distinct_pages)
+        : cap(capacity)
+    {
+        nodeOf.reserve(distinct_pages);
+        nodes.reserve(capacity);
+    }
 
     /** Record a probe; if @p missed, classify it. */
     void
     probe(ProcId pid, Vpn vpn, bool missed, SimResult &res)
     {
         std::uint64_t key = pageKey(pid, vpn);
-        bool first = seen.insert(key).second;
-        bool shadow_hit = touch(key);
+        auto [node, first] = nodeOf.tryEmplace(key);
+        bool shadow_hit = !first && *node != kNotResident;
+        if (shadow_hit)
+            moveToTail(*node);
+        else
+            *node = install(key);
         if (!missed)
             return;
         if (first)
@@ -65,29 +79,67 @@ class MissClassifier
     }
 
   private:
-    /** LRU-touch @p key in the shadow. @return prior residency. */
-    bool
-    touch(std::uint64_t key)
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint32_t kNotResident = kNil;
+
+    struct Node {
+        std::uint64_t key = 0;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+    };
+
+    /** Make @p key the shadow's MRU entry, dropping the LRU one if
+     *  the shadow is full. @return its node. */
+    std::uint32_t
+    install(std::uint64_t key)
     {
-        auto it = index.find(key);
-        if (it != index.end()) {
-            order.splice(order.end(), order, it->second);
-            return true;
+        std::uint32_t n;
+        if (nodes.size() < cap) {
+            n = static_cast<std::uint32_t>(nodes.size());
+            nodes.emplace_back();
+        } else if (cap != 0) {
+            n = head;
+            unlink(n);
+            *nodeOf.find(nodes[n].key) = kNotResident;
+        } else {
+            return kNotResident;
         }
-        order.push_back(key);
-        index.emplace(key, std::prev(order.end()));
-        if (index.size() > cap) {
-            index.erase(order.front());
-            order.pop_front();
-        }
-        return false;
+        nodes[n].key = key;
+        linkTail(n);
+        return n;
+    }
+
+    void
+    moveToTail(std::uint32_t n)
+    {
+        if (n == tail)
+            return;
+        unlink(n);
+        linkTail(n);
+    }
+
+    void
+    unlink(std::uint32_t n)
+    {
+        Node &x = nodes[n];
+        (x.prev != kNil ? nodes[x.prev].next : head) = x.next;
+        (x.next != kNil ? nodes[x.next].prev : tail) = x.prev;
+    }
+
+    void
+    linkTail(std::uint32_t n)
+    {
+        nodes[n].prev = tail;
+        nodes[n].next = kNil;
+        (tail != kNil ? nodes[tail].next : head) = n;
+        tail = n;
     }
 
     std::size_t cap;
-    std::unordered_set<std::uint64_t> seen;
-    std::list<std::uint64_t> order;
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        index;
+    sim::FlatMap<std::uint32_t> nodeOf;
+    std::vector<Node> nodes;  //!< grows to cap, then recycles the LRU
+    std::uint32_t head = kNil;  //!< LRU
+    std::uint32_t tail = kNil;  //!< MRU
 };
 
 /** Abort the run if an audit sweep found violations. */
@@ -164,11 +216,11 @@ runJson(const char *mechanism, const SimConfig &cfg,
     return os.str();
 }
 
-/** Frames needed to replay a trace without running out of DRAM. */
+/** Frames needed to replay a trace of @p shape without running out
+ *  of DRAM. */
 std::size_t
-framesFor(const trace::Trace &trace)
+framesFor(const trace::TraceShape &shape)
 {
-    trace::TraceShape shape = trace::measure(trace);
     // Data pages — including pages only sequential pre-pinning ever
     // touches: with FFT's stride-8 layout, pre-pin waste can reach
     // ~8x the communicated footprint — plus page-table leaves, the
@@ -188,7 +240,8 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
         return res;
     }
 
-    mem::PhysMemory phys_mem(framesFor(trace));
+    trace::TraceShape shape = trace::measure(trace);
+    mem::PhysMemory phys_mem(framesFor(shape));
     mem::PinFacility pins;
     nic::Sram sram(4u << 20);  // generous: sweeps go up to 16 K entries
     nic::NicTimings timings;
@@ -206,31 +259,29 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
         std::unique_ptr<mem::AddressSpace> space;
         std::unique_ptr<core::UserUtlb> utlb;
     };
-    std::unordered_map<ProcId, Proc> procs;
+    sim::FlatMap<Proc> procs;
 
     auto get_utlb = [&](ProcId pid) -> core::UserUtlb & {
-        auto it = procs.find(pid);
-        if (it == procs.end()) {
-            Proc p;
-            p.space =
+        auto [p, fresh] = procs.tryEmplace(pid);
+        if (fresh) {
+            p->space =
                 std::make_unique<mem::AddressSpace>(pid, phys_mem);
-            driver.registerProcess(*p.space);
+            driver.registerProcess(*p->space);
             core::UtlbConfig ucfg;
             ucfg.prefetchEntries = cfg.prefetchEntries;
             ucfg.pin.memLimitPages = cfg.memLimitPages;
             ucfg.pin.policy = cfg.policy;
             ucfg.pin.prepinPages = cfg.prepinPages;
             ucfg.pin.seed = cfg.seed + pid;
-            p.utlb = std::make_unique<core::UserUtlb>(
+            p->utlb = std::make_unique<core::UserUtlb>(
                 driver, cache, timings, pid, ucfg);
-            p.utlb->setTracer(cfg.tracer);
-            root.adopt(p.utlb->stats());
-            it = procs.emplace(pid, std::move(p)).first;
+            p->utlb->setTracer(cfg.tracer);
+            root.adopt(p->utlb->stats());
         }
-        return *it->second.utlb;
+        return *p->utlb;
     };
 
-    MissClassifier classifier(cfg.cache.entries);
+    MissClassifier classifier(cfg.cache.entries, shape.distinctPages);
 
     std::size_t seen = 0;
     auto wall_start = std::chrono::steady_clock::now();
@@ -361,7 +412,8 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
         return res;
     }
 
-    mem::PhysMemory phys_mem(framesFor(trace));
+    trace::TraceShape shape = trace::measure(trace);
+    mem::PhysMemory phys_mem(framesFor(shape));
     mem::PinFacility pins;
     nic::NicTimings timings;
     core::HostCosts costs(cfg.hostProfile);
@@ -373,20 +425,18 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
     root.adopt(intr.stats());
     root.adopt(pins.stats());
 
-    std::unordered_map<ProcId, std::unique_ptr<mem::AddressSpace>>
-        spaces;
+    sim::FlatMap<std::unique_ptr<mem::AddressSpace>> spaces;
     auto ensure_proc = [&](ProcId pid) {
-        if (spaces.count(pid))
+        auto [space, fresh] = spaces.tryEmplace(pid);
+        if (!fresh)
             return;
-        auto space =
-            std::make_unique<mem::AddressSpace>(pid, phys_mem);
-        pins.registerSpace(*space);
+        *space = std::make_unique<mem::AddressSpace>(pid, phys_mem);
+        pins.registerSpace(**space);
         if (cfg.memLimitPages != 0)
             pins.setPinLimit(pid, cfg.memLimitPages);
-        spaces.emplace(pid, std::move(space));
     };
 
-    MissClassifier classifier(cfg.cache.entries);
+    MissClassifier classifier(cfg.cache.entries, shape.distinctPages);
 
     std::size_t seen = 0;
     auto wall_start = std::chrono::steady_clock::now();
@@ -434,6 +484,7 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
         if (cfg.auditEvery != 0 && seen % cfg.auditEvery == 0) {
             check::AuditReport report;
             cache.audit(report);
+            intr.audit(report);
             pins.audit(report);
             dieOnViolations(report, seen);
             ++res.audits;

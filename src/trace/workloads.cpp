@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
+#include "sim/flat_map.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 
@@ -22,17 +22,18 @@ measure(const Trace &trace)
 {
     TraceShape shape;
     shape.lookups = trace.size();
-    std::unordered_set<std::uint64_t> pages;
-    std::unordered_set<ProcId> pids;
+    // Sets: only the keys matter.
+    sim::FlatMap<bool> pages;
+    sim::FlatMap<bool> pids;
     std::size_t page_touches = 0;
     for (const auto &rec : trace) {
-        pids.insert(rec.pid);
+        pids.tryEmplace(rec.pid);
         std::size_t n = pagesSpanned(rec.va, rec.nbytes);
         page_touches += n;
         Vpn first = pageOf(rec.va);
         for (std::size_t i = 0; i < n; ++i) {
-            pages.insert((static_cast<std::uint64_t>(rec.pid) << 40)
-                         | (first + i));
+            pages.tryEmplace((static_cast<std::uint64_t>(rec.pid) << 40)
+                             | (first + i));
         }
         shape.totalBytes += rec.nbytes;
     }

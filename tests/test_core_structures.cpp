@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "check/audit.hpp"
 #include "core/bitvector.hpp"
 #include "core/lookup_tree.hpp"
 #include "core/replacement.hpp"
@@ -149,6 +152,74 @@ TEST(PinBitVector, WordsScannedCrossesWordBoundaries)
     auto res = bv.checkRange(60, 10);  // spans words 0 and 1
     EXPECT_TRUE(res.allPinned);
     EXPECT_EQ(res.wordsScanned, 2u);
+}
+
+TEST(PinBitVector, StoresOnlyTheTouchedSpan)
+{
+    // A process far from vpn 0 pays for the words it touches, not for
+    // the address space below them.
+    PinBitVector bv;
+    const Vpn far = Vpn{5} << 20;
+    bv.set(far + 70);
+    EXPECT_EQ(bv.footprintBytes(), 8u);
+    EXPECT_TRUE(bv.test(far + 70));
+    EXPECT_FALSE(bv.test(70));
+    EXPECT_FALSE(bv.test(far + 6));
+
+    // A set below the base word grows the span downwards.
+    bv.set(far - 1);
+    EXPECT_TRUE(bv.test(far - 1));
+    EXPECT_TRUE(bv.test(far + 70));
+    EXPECT_FALSE(bv.test(far));
+    EXPECT_EQ(bv.count(), 2u);
+    EXPECT_LE(bv.footprintBytes(), 4u * 8);
+    std::vector<Vpn> seen;
+    bv.forEachSet([&](Vpn v) { seen.push_back(v); });
+    EXPECT_EQ(seen, (std::vector<Vpn>{far - 1, far + 70}));
+
+    // Clears outside the span are harmless.
+    bv.clear(3);
+    bv.clear(far << 2);
+    EXPECT_EQ(bv.count(), 2u);
+}
+
+TEST(PinBitVector, RangeScansAcrossTheSpanEdgesMatchASet)
+{
+    // Random pages around a base far from 0, the first of them not
+    // the lowest; queries start below the stored span and end past
+    // it. A std::set is the oracle.
+    utlb::sim::Rng rng(0x5ba5e);
+    for (int round = 0; round < 100; ++round) {
+        const Vpn base = ((1 + rng.below(8)) << 20) + rng.below(4096);
+        PinBitVector bv;
+        std::set<Vpn> pinned;
+        for (std::uint64_t k = 0, n = rng.below(60); k < n; ++k) {
+            Vpn v = base + rng.below(600) - 300;
+            bv.set(v);
+            pinned.insert(v);
+        }
+        ASSERT_EQ(bv.count(), pinned.size());
+        for (int q = 0; q < 20; ++q) {
+            Vpn start = base - 400 + rng.below(800);
+            std::size_t n = 1 + rng.below(900);
+            std::optional<Vpn> firstSet, firstClear;
+            for (Vpn v = start; v < start + n; ++v) {
+                bool in = pinned.count(v) != 0;
+                ASSERT_EQ(bv.test(v), in) << v;
+                if (in && !firstSet)
+                    firstSet = v;
+                if (!in && !firstClear)
+                    firstClear = v;
+            }
+            EXPECT_EQ(bv.firstSetInRange(start, n), firstSet);
+            EXPECT_EQ(bv.firstClearInRange(start, n), firstClear);
+            CheckResult c = bv.checkRange(start, n);
+            EXPECT_EQ(c.allPinned, !firstClear.has_value());
+            if (firstClear) {
+                EXPECT_EQ(c.firstUnpinned, *firstClear);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -473,18 +544,32 @@ TEST_F(SharedCacheTest, InvalidateProcessDropsOnlyThatProcess)
     }
 }
 
-TEST_F(SharedCacheTest, EvictLruOfProcessPicksOldest)
+TEST_F(SharedCacheTest, ShedRemovesNamedLine)
 {
-    SharedUtlbCache c({64, 1, true}, timings);
+    SharedUtlbCache c({64, 2, true}, timings);
     c.insert(1, 1, 10);
     c.insert(1, 2, 20);
-    c.insert(2, 3, 30);
-    c.lookup(1, 1);  // refresh vpn 1; vpn 2 is now process 1's LRU
-    auto ev = c.evictLruOfProcess(1);
+    c.insert(2, 2, 30);
+    auto ev = c.shed(1, 2);
     ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->pid, 1u);
     EXPECT_EQ(ev->vpn, 2u);
-    EXPECT_TRUE(c.peek(2, 3).has_value());
-    EXPECT_FALSE(c.evictLruOfProcess(99).has_value());
+    EXPECT_EQ(ev->pfn, 20u);
+    EXPECT_FALSE(c.peek(1, 2).has_value());
+    // Only the named line goes: same vpn of another process, and
+    // another page of the same process, stay.
+    EXPECT_TRUE(c.peek(2, 2).has_value());
+    EXPECT_TRUE(c.peek(1, 1).has_value());
+    EXPECT_EQ(c.sheds(), 1u);
+    EXPECT_EQ(c.evictions(), 0u);
+    EXPECT_EQ(c.invalidations(), 0u);
+    // Absent lines shed nothing and count nothing.
+    EXPECT_FALSE(c.shed(1, 2).has_value());
+    EXPECT_FALSE(c.shed(99, 1).has_value());
+    EXPECT_EQ(c.sheds(), 1u);
+    utlb::check::AuditReport report;
+    c.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST_F(SharedCacheTest, ReinsertRefreshesWithoutEviction)

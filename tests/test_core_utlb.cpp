@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "check/audit.hpp"
 #include "core/cost_model.hpp"
 #include "core/driver.hpp"
 #include "core/interrupt_baseline.hpp"
@@ -152,6 +153,43 @@ TEST_F(UtlbStack, PinLimitSurfacesWithoutPartialPin)
     EXPECT_EQ(res.pagesDone, 0u);
     EXPECT_EQ(pins.pinnedPages(1), 0u);
     EXPECT_FALSE(driver.pageTable(1).get(0).has_value());
+}
+
+TEST(DriverRollback, LeafOomUndoesOnlyThisIoctl)
+{
+    HostCosts costs;
+    NicTimings timings;
+    PhysMemory physMem(515);
+    PinFacility pins;
+    Sram sram(1 << 20);
+    SharedUtlbCache cache(CacheConfig{256, 1, true}, timings, &sram);
+    UtlbDriver driver(physMem, pins, sram, cache, costs);
+    AddressSpace space(1, physMem);
+    driver.registerProcess(space);
+
+    // Page 0 and its leaf: 512 of the 515 frames stay free.
+    ASSERT_EQ(driver.ioctlPinAndInstall(1, 0, 1).status, PinStatus::Ok);
+    auto pfn0 = driver.pageTable(1).get(0);
+    ASSERT_TRUE(pfn0.has_value());
+    ASSERT_EQ(physMem.freeFrames(), 512u);
+
+    // Pages 1..512 take the last 512 frames, so the leaf for page 512
+    // cannot be allocated and the ioctl fails after pinning.
+    auto res = driver.ioctlPinAndInstall(1, 0, 513);
+    EXPECT_EQ(res.status, PinStatus::OutOfMemory);
+
+    // Only this call is undone: the earlier pin keeps its reference
+    // and its translation, and the pages this call mapped go back.
+    EXPECT_EQ(pins.pinRefs(1, 0), 1u);
+    EXPECT_EQ(driver.pageTable(1).get(0), pfn0);
+    EXPECT_EQ(driver.pageTable(1).validEntries(), 1u);
+    EXPECT_EQ(pins.pinnedPages(1), 1u);
+    EXPECT_EQ(space.mappedPages(), 1u);
+    EXPECT_EQ(physMem.freeFrames(), 512u);
+
+    utlb::check::AuditReport report;
+    driver.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST_F(UtlbStack, GarbageFrameIsAllocatedAndStable)
@@ -503,6 +541,38 @@ TEST_F(UtlbStack, IntrKeepsPinsEqualToCachedEntries)
         intr.translate(1, rng.below(64));
         ASSERT_EQ(pins.pinnedPages(1), small.validEntries());
     }
+}
+
+TEST_F(UtlbStack, IntrShedFollowsRecencyAcrossProcesses)
+{
+    // Two processes under a 3-page budget sharing a cache: a hit
+    // refreshes a page, so the shed takes the least recently used
+    // page of the process that needs the pin, never another's.
+    AddressSpace space2(2, physMem);
+    pins.registerSpace(space2);
+    pins.setPinLimit(1, 3);
+    pins.setPinLimit(2, 3);
+    InterruptTlb intr(pins, cache, costs, timings);
+    for (Vpn v : {0, 1, 2})
+        intr.translate(1, v);
+    intr.translate(2, 0);
+    EXPECT_FALSE(intr.translate(1, 0).miss);  // 1 is now the LRU
+    auto r = intr.translate(1, 3);
+    EXPECT_EQ(r.unpins, 1u);
+    EXPECT_FALSE(cache.peek(1, 1).has_value());
+    EXPECT_FALSE(pins.isPinned(1, 1));
+    for (Vpn v : {0, 2, 3})
+        EXPECT_TRUE(cache.peek(1, v).has_value()) << v;
+    EXPECT_TRUE(cache.peek(2, 0).has_value());
+    EXPECT_EQ(cache.sheds(), 1u);
+
+    r = intr.translate(1, 4);  // next LRU: page 2
+    EXPECT_FALSE(cache.peek(1, 2).has_value());
+    utlb::check::AuditReport report;
+    intr.audit(report);
+    cache.audit(report);
+    pins.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 // ---------------------------------------------------------------------

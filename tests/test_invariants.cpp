@@ -155,9 +155,10 @@ struct TestTamper {
     static void
     zeroPinRefcount(mem::PinFacility &pf, mem::ProcId pid)
     {
-        auto &refs = pf.procs.at(pid).refs;
-        ASSERT_FALSE(refs.empty());
-        refs.begin()->second = 0;
+        auto *proc = pf.procs.find(pid);
+        ASSERT_NE(proc, nullptr);
+        ASSERT_FALSE(proc->refs.empty());
+        proc->refs.begin()->value = 0;
     }
 
     /** Record a zero-count outstanding-send lock. */

@@ -75,6 +75,29 @@ TEST(PhysMemory, FreedFramesAreReused)
     EXPECT_EQ(*pm.allocFrame(2), f);
 }
 
+TEST(PhysMemory, FreshFramesAscendAndFreedFramesReuseLifo)
+{
+    PhysMemory pm(6);
+    for (Pfn want = 0; want < 4; ++want)
+        EXPECT_EQ(*pm.allocFrame(1), want);
+    pm.freeFrame(1);
+    pm.freeFrame(3);
+    pm.freeFrame(0);
+    // Freed frames come back last-freed first, before any fresh one;
+    // each of them, and only them, is zero-filled.
+    EXPECT_EQ(*pm.allocFrame(2), 0u);
+    EXPECT_EQ(*pm.allocFrame(2), 3u);
+    EXPECT_EQ(*pm.allocFrame(2), 1u);
+    EXPECT_EQ(pm.totalZeroFills(), 3u);
+    EXPECT_EQ(*pm.allocFrame(2), 4u);
+    EXPECT_EQ(*pm.allocFrame(2), 5u);
+    EXPECT_EQ(pm.totalZeroFills(), 3u);
+    EXPECT_FALSE(pm.allocFrame(2).has_value());
+    EXPECT_EQ(pm.freeFrames(), 0u);
+    EXPECT_EQ(pm.ownerOf(5), 2u);
+    EXPECT_EQ(pm.ownerOf(3), 2u);
+}
+
 TEST(PhysMemory, ReadWriteRoundTrips)
 {
     PhysMemory pm(2);
@@ -192,6 +215,23 @@ TEST(AddressSpace, DestructorReleasesEverything)
     EXPECT_EQ(pm.allocatedFrames(), 0u);
 }
 
+TEST(AddressSpace, UnmapAllFreesInAscendingVpnOrder)
+{
+    PhysMemory pm(8);
+    AddressSpace as(1, pm);
+    // Touch out of order: vpn 9 -> frame 0, 1 -> 1, 5 -> 2, 3 -> 3.
+    for (Vpn v : {9, 1, 5, 3})
+        as.touch(v);
+    as.unmapAll();
+    EXPECT_EQ(as.mappedPages(), 0u);
+    // Freed in vpn order 1, 3, 5, 9, so reuse (LIFO) starts with the
+    // frame of vpn 9, whatever the map's internal order.
+    EXPECT_EQ(*pm.allocFrame(2), 0u);
+    EXPECT_EQ(*pm.allocFrame(2), 2u);
+    EXPECT_EQ(*pm.allocFrame(2), 3u);
+    EXPECT_EQ(*pm.allocFrame(2), 1u);
+}
+
 TEST(AddressSpace, ByteAccessStraddlesPages)
 {
     PhysMemory pm(8);
@@ -286,16 +326,40 @@ TEST_F(PinFacilityTest, LimitCountsDistinctPages)
 TEST_F(PinFacilityTest, PinRangeIsAllOrNothing)
 {
     pf.setPinLimit(1, 3);
-    PinStatus st;
-    auto frames = pf.pinRange(1, 0, 5, &st);
-    EXPECT_FALSE(frames.has_value());
-    EXPECT_EQ(st, PinStatus::LimitExceeded);
+    PageBuf frames, mapped;
+    EXPECT_EQ(pf.pinRange(1, 0, 5, frames, mapped),
+              PinStatus::LimitExceeded);
+    EXPECT_TRUE(frames.empty());
     EXPECT_EQ(pf.pinnedPages(1), 0u);  // rollback happened
 
-    frames = pf.pinRange(1, 0, 3, &st);
-    ASSERT_TRUE(frames.has_value());
-    EXPECT_EQ(frames->size(), 3u);
+    EXPECT_EQ(pf.pinRange(1, 0, 3, frames, mapped), PinStatus::Ok);
+    EXPECT_EQ(frames.size(), 3u);
     EXPECT_EQ(pf.pinnedPages(1), 3u);
+}
+
+TEST_F(PinFacilityTest, PinRangeReportsAndRollsBackDemandMaps)
+{
+    as.touch(1);           // mapped, not pinned
+    pf.pinPage(1, 2);      // mapped and pinned
+    PageBuf frames, mapped;
+    ASSERT_EQ(pf.pinRange(1, 0, 4, frames, mapped), PinStatus::Ok);
+    EXPECT_EQ(frames.size(), 4u);
+    for (Vpn v = 0; v < 4; ++v)
+        EXPECT_EQ(frames[v], *as.lookup(v));
+    // Only the pages this call mapped are reported.
+    EXPECT_EQ(std::vector<Vpn>(mapped.begin(), mapped.end()),
+              (std::vector<Vpn>{0, 3}));
+
+    // A failing run unmaps what it mapped and nothing else.
+    pf.setPinLimit(1, 6);
+    std::size_t mappedBefore = as.mappedPages();
+    EXPECT_EQ(pf.pinRange(1, 3, 5, frames, mapped),
+              PinStatus::LimitExceeded);
+    EXPECT_TRUE(frames.empty());
+    EXPECT_TRUE(mapped.empty());
+    EXPECT_EQ(as.mappedPages(), mappedBefore);
+    EXPECT_EQ(pf.pinnedPages(1), 4u);
+    EXPECT_EQ(pf.pinRefs(1, 3), 1u);
 }
 
 TEST_F(PinFacilityTest, OutOfMemorySurfaces)

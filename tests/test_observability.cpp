@@ -712,7 +712,7 @@ TEST(RemovalTaxonomyRegression, CountersSeparateCauses)
 
     // Pin-budget shedding is its own category.
     cache.insert(1, 7, 300);
-    ASSERT_TRUE(cache.evictLruOfProcess(1).has_value());
+    ASSERT_TRUE(cache.shed(1, 7).has_value());
     EXPECT_EQ(cache.sheds(), 1u);
     EXPECT_EQ(cache.evictions(), 1u);
     EXPECT_EQ(cache.invalidations(), 1u);

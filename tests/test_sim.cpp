@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, RNG,
- * calibration curves, statistics, and the table formatter.
+ * calibration curves, statistics, the table formatter, and the
+ * open-addressed map.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include "sim/calibration.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/table.hpp"
@@ -346,6 +351,232 @@ TEST(TextTable, RuleSeparatesRows)
     ASSERT_NE(two, std::string::npos);
     EXPECT_LT(one, dash);
     EXPECT_LT(dash, two);
+}
+
+// ---------------------------------------------------------------------
+// FlatMap
+// ---------------------------------------------------------------------
+
+/** A (pid << 40 | vpn) key, the shape whose low bits repeat. */
+std::uint64_t
+pageKey(std::uint64_t pid, std::uint64_t vpn)
+{
+    return pid << 40 | vpn;
+}
+
+TEST(FlatMap, InsertFindErase)
+{
+    FlatMap<int> m;
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.find(7), nullptr);
+    EXPECT_FALSE(m.erase(7));
+
+    auto [v, inserted] = m.tryEmplace(7);
+    ASSERT_TRUE(inserted);
+    EXPECT_EQ(*v, 0);  // value-initialized
+    *v = 70;
+    auto [again, twice] = m.tryEmplace(7);
+    EXPECT_FALSE(twice);
+    EXPECT_EQ(*again, 70);
+    m[8] = 80;
+    EXPECT_EQ(m.size(), 2u);
+    EXPECT_TRUE(m.contains(8));
+
+    EXPECT_TRUE(m.erase(7));
+    EXPECT_FALSE(m.contains(7));
+    EXPECT_FALSE(m.erase(7));
+    EXPECT_EQ(*m.find(8), 80);
+    EXPECT_EQ(m.size(), 1u);
+
+    // Key 0 and the largest legal key are ordinary keys.
+    m[0] = 1;
+    m[FlatMap<int>::kMaxKey] = 2;
+    EXPECT_EQ(*m.find(0), 1);
+    EXPECT_EQ(*m.find(FlatMap<int>::kMaxKey), 2);
+}
+
+TEST(FlatMap, EraseKeepsProbeChainsIntact)
+{
+    // Fill to just under the 3/4 load of 64 slots so probe chains
+    // form, then erase every other key: the survivors must still be
+    // found after the backward shifts, and erased keys must come back.
+    FlatMap<std::uint64_t> m;
+    m.reserve(48);
+    std::size_t cap = m.capacity();
+    for (std::uint64_t k = 0; k < 48; ++k)
+        m[pageKey(k % 4, k)] = k;
+    for (std::uint64_t k = 0; k < 48; k += 2)
+        EXPECT_TRUE(m.erase(pageKey(k % 4, k)));
+    EXPECT_EQ(m.size(), 24u);
+    for (std::uint64_t k = 0; k < 48; ++k) {
+        const std::uint64_t *v = m.find(pageKey(k % 4, k));
+        if (k % 2) {
+            ASSERT_NE(v, nullptr) << k;
+            EXPECT_EQ(*v, k);
+        } else {
+            EXPECT_EQ(v, nullptr) << k;
+        }
+    }
+    for (std::uint64_t k = 0; k < 48; k += 2)
+        EXPECT_TRUE(m.tryEmplace(pageKey(k % 4, k)).second);
+    EXPECT_EQ(m.size(), 48u);
+    EXPECT_EQ(m.capacity(), cap);
+}
+
+TEST(FlatMap, GrowsAndRehashesKeepingEveryKey)
+{
+    FlatMap<std::uint64_t> m;
+    for (std::uint64_t pid = 0; pid < 8; ++pid)
+        for (std::uint64_t vpn = 0; vpn < 2000; ++vpn)
+            m[pageKey(pid, vpn)] = pid * 10000 + vpn;
+    EXPECT_EQ(m.size(), 16000u);
+    EXPECT_EQ(m.capacity() & (m.capacity() - 1), 0u);  // power of two
+    EXPECT_LE(m.size() * 4, m.capacity() * 3);
+    for (std::uint64_t pid = 0; pid < 8; ++pid)
+        for (std::uint64_t vpn = 0; vpn < 2000; ++vpn)
+            ASSERT_EQ(*m.find(pageKey(pid, vpn)), pid * 10000 + vpn);
+}
+
+TEST(FlatMap, ChurnAtConstantSizeNeverGrows)
+{
+    // Insert/erase churn at a constant live count leaves no residue
+    // (no tombstones), so the table neither grows nor rebuilds.
+    FlatMap<int> m;
+    for (std::uint64_t k = 0; k < 6; ++k)
+        m[k] = 1;
+    EXPECT_EQ(m.capacity(), 16u);
+    for (std::uint64_t k = 6; k < 100000; ++k) {
+        m[k] = 1;
+        ASSERT_TRUE(m.erase(k - 6));
+    }
+    EXPECT_EQ(m.size(), 6u);
+    EXPECT_EQ(m.capacity(), 16u);
+    for (std::uint64_t k = 100000 - 6; k < 100000; ++k)
+        EXPECT_TRUE(m.contains(k));
+}
+
+TEST(FlatMap, EraseShiftsChainsAcrossTheWrap)
+{
+    // Keys homed on the last slot of a 16-slot table spill over the
+    // end into slots 0, 1, ...; keys homed on slot 0 queue behind
+    // them. Erasing from the front of that wrapped chain must pull
+    // exactly the entries whose probe path crosses the hole.
+    FlatMap<std::uint64_t> m;
+    m.reserve(12);
+    ASSERT_EQ(m.capacity(), 16u);
+    auto homedAt = [](std::uint64_t slot, std::size_t n) {
+        std::vector<std::uint64_t> keys;
+        for (std::uint64_t k = 0; keys.size() < n; ++k)
+            if ((k * 0x9E3779B97F4A7C15ull) >> 60 == slot)
+                keys.push_back(k);
+        return keys;
+    };
+    std::vector<std::uint64_t> last = homedAt(15, 3);
+    std::vector<std::uint64_t> first = homedAt(0, 2);
+    for (std::uint64_t k : last)
+        m[k] = k + 1;
+    for (std::uint64_t k : first)
+        m[k] = k + 1;
+    std::set<std::uint64_t> live(last.begin(), last.end());
+    live.insert(first.begin(), first.end());
+    for (std::uint64_t gone : {last[0], first[0], last[2]}) {
+        ASSERT_TRUE(m.erase(gone));
+        live.erase(gone);
+        for (std::uint64_t k : last)
+            EXPECT_EQ(m.contains(k), live.count(k) == 1) << k;
+        for (std::uint64_t k : first)
+            EXPECT_EQ(m.contains(k), live.count(k) == 1) << k;
+    }
+    for (std::uint64_t k : live)
+        EXPECT_EQ(*m.find(k), k + 1);
+    EXPECT_EQ(m.size(), live.size());
+}
+
+TEST(FlatMap, RandomChurnMatchesAReferenceMap)
+{
+    // Dense keys in a small table: long, wrapping chains, and erases
+    // that shift every kind of neighbour.
+    FlatMap<std::uint64_t> m;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t k = pageKey(rng.below(2), rng.below(40));
+        if (ref.size() >= 30 || rng.below(2) == 0) {
+            ASSERT_EQ(m.erase(k), ref.erase(k) == 1);
+        } else {
+            m[k] = i;
+            ref[k] = i;
+        }
+        if (i % 97 == 0) {
+            for (std::uint64_t pid = 0; pid < 2; ++pid) {
+                for (std::uint64_t vpn = 0; vpn < 40; ++vpn) {
+                    auto it = ref.find(pageKey(pid, vpn));
+                    const std::uint64_t *v = m.find(pageKey(pid, vpn));
+                    ASSERT_EQ(v != nullptr, it != ref.end());
+                    if (v) {
+                        ASSERT_EQ(*v, it->second);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(m.size(), ref.size());
+    EXPECT_EQ(m.capacity(), 64u);  // sized by the peak, never rebuilt
+}
+
+TEST(FlatMap, ReserveAvoidsRehash)
+{
+    FlatMap<int> m;
+    m.reserve(1000);
+    std::size_t cap = m.capacity();
+    EXPECT_GE(cap * 3, 1000u * 4);
+    for (std::uint64_t k = 0; k < 1000; ++k)
+        m[pageKey(k % 3, k)] = 1;
+    EXPECT_EQ(m.capacity(), cap);
+}
+
+TEST(FlatMap, IteratesEveryLiveKeyOnce)
+{
+    FlatMap<std::uint64_t> m;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    Rng rng(42);
+    for (int i = 0; i < 500; ++i) {
+        std::uint64_t k = pageKey(rng.below(4), rng.below(300));
+        if (rng.below(3) == 0) {
+            EXPECT_EQ(m.erase(k), ref.erase(k) == 1);
+        } else {
+            m[k] = k + 1;
+            ref[k] = k + 1;
+        }
+    }
+    std::map<std::uint64_t, std::uint64_t> seen;
+    for (auto &[key, value] : m)
+        EXPECT_TRUE(seen.emplace(key, value).second) << key;
+    EXPECT_EQ(seen, ref);
+    EXPECT_EQ(m.size(), ref.size());
+
+    const FlatMap<std::uint64_t> &cm = m;
+    std::size_t n = 0;
+    for (const auto &slot : cm)
+        n += slot.value == slot.key + 1;
+    EXPECT_EQ(n, ref.size());
+}
+
+TEST(FlatMap, MoveOnlyValuesSurviveGrowthAndErase)
+{
+    FlatMap<std::unique_ptr<int>> m;
+    for (std::uint64_t k = 0; k < 100; ++k)
+        m[k] = std::make_unique<int>(static_cast<int>(k));
+    for (std::uint64_t k = 0; k < 100; k += 3)
+        m.erase(k);
+    for (std::uint64_t k = 0; k < 100; ++k) {
+        auto *p = m.find(k);
+        if (k % 3 == 0)
+            EXPECT_EQ(p, nullptr);
+        else
+            EXPECT_EQ(**p, static_cast<int>(k));
+    }
+    EXPECT_EQ(m.size(), 66u);
 }
 
 } // namespace

@@ -199,7 +199,7 @@ TEST_F(ChurnStack, TeardownStormUnderConcurrentLoad)
 
 TEST_F(ChurnStack, ReRegisterAfterTeardownKeepsWorking)
 {
-    // The tombstone path: a pid that detaches and re-attaches gets a
+    // The erase-and-reinsert path: a pid that detaches and re-attaches gets a
     // fresh table, fresh SRAM directory, and a clean stat subtree.
     for (int round = 0; round < 3; ++round) {
         AddressSpace space(777, physMem);

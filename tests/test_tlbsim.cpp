@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "core/pin_manager.hpp"
 #include "core/registration_cache.hpp"
@@ -397,6 +398,42 @@ TEST(PinningDifferential, BitmapAndRcacheConvergeToSamePinnedSet)
     auto bitmap_set = run(false);
     auto rcache_set = run(true);
     EXPECT_EQ(bitmap_set, rcache_set);
+}
+
+/** The value of the first counter named @p name in a stats dump. */
+std::uint64_t
+counterIn(const std::string &json, const std::string &name)
+{
+    std::size_t at = json.find("\"" + name + "\"");
+    at = json.find("\"value\":", at);
+    return at == std::string::npos ? ~std::uint64_t{0}
+                                   : std::stoull(json.substr(at + 8));
+}
+
+// Exact goldens recorded from the scan-based shed and the node-based
+// classifier these replays used before they went flat: the bookkeeping
+// may change, the modeled numbers may not.
+TEST(TlbSimGolden, IntrSheddingUnderPinBudget)
+{
+    SimConfig cfg;
+    cfg.cache = {4096, 4, true};
+    cfg.memLimitPages = 1024;
+    auto r = simulateIntr(utlb::trace::generateTrace("lu"), cfg);
+    EXPECT_EQ(r.pagesUnpinned, 8411u);
+    EXPECT_EQ(r.interrupts, 12507u);
+    EXPECT_EQ(r.nicTime, 490417800000);
+    EXPECT_EQ(counterIn(r.statsJson, "sheds"), 4670u);
+}
+
+TEST(TlbSimGolden, UtlbThreeCSplit)
+{
+    SimConfig cfg;
+    cfg.cache = {1024, 1, true};
+    auto r = simulateUtlb(utlb::trace::generateTrace("fft"), cfg);
+    EXPECT_EQ(r.niMissProbes, 20824u);
+    EXPECT_EQ(r.compulsoryMisses, 10802u);
+    EXPECT_EQ(r.capacityMisses, 9986u);
+    EXPECT_EQ(r.conflictMisses, 36u);
 }
 
 } // namespace
