@@ -1,5 +1,6 @@
 #include "mem/phys_memory.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -12,7 +13,7 @@ using sim::panic;
 
 PhysMemory::PhysMemory(std::size_t frames)
     : bytes(static_cast<std::uint8_t *>(std::calloc(frames, kPageSize))),
-      numFrames(frames)
+      numFrames(frames), writtenBits((frames + 63) / 64)
 {
     if (!bytes && frames != 0)
         panic("cannot allocate %zu frames of host memory", frames);
@@ -35,6 +36,10 @@ PhysMemory::allocFrame(ProcId owner)
         owners.push_back(owner);
     } else {
         return std::nullopt;
+    }
+    if (written(pfn)) {
+        writtenBits[pfn / 64].fetch_and(~(std::uint64_t{1} << (pfn % 64)),
+                                        std::memory_order_relaxed);
     }
     ++numAllocated;
     ++numAllocs;
@@ -77,14 +82,41 @@ void
 PhysMemory::read(PhysAddr pa, std::span<std::uint8_t> out) const
 {
     checkRange(pa, out.size());
-    std::memcpy(out.data(), bytes.get() + pa, out.size());
+    // A cache line or less costs no more to read from the store than
+    // the bitmap test would (the host page-table reads on every miss
+    // and pin are 8 bytes), so only longer reads consult the bitmap.
+    if (out.size() <= kStoreReadBytes) {
+        std::memcpy(out.data(), bytes.get() + pa, out.size());
+        return;
+    }
+    for (std::size_t done = 0; done < out.size();) {
+        PhysAddr at = pa + done;
+        std::size_t n = std::min(out.size() - done,
+                                 kPageSize - (at & (kPageSize - 1)));
+        if (written(at >> kPageShift))
+            std::memcpy(out.data() + done, bytes.get() + at, n);
+        else
+            std::memset(out.data() + done, 0, n);
+        done += n;
+    }
 }
 
 void
 PhysMemory::write(PhysAddr pa, std::span<const std::uint8_t> in)
 {
     checkRange(pa, in.size());
+    if (in.empty())
+        return;
     std::memcpy(bytes.get() + pa, in.data(), in.size());
+    // Set only bits still clear: a word whose frames were all written
+    // before stays a read-only cache line for other threads' reads.
+    Pfn last = (pa + in.size() - 1) >> kPageShift;
+    for (Pfn pfn = pa >> kPageShift; pfn <= last; ++pfn) {
+        if (!written(pfn)) {
+            writtenBits[pfn / 64].fetch_or(std::uint64_t{1} << (pfn % 64),
+                                           std::memory_order_relaxed);
+        }
+    }
 }
 
 void

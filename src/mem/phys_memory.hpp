@@ -10,6 +10,7 @@
 #ifndef UTLB_MEM_PHYS_MEMORY_HPP
 #define UTLB_MEM_PHYS_MEMORY_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -38,6 +39,14 @@ inline constexpr ProcId kNoOwner = ~ProcId{0};
  * been handed out is zero and costs no resident memory until it is
  * written. allocFrame zeroes exactly the frames it takes from the
  * free list, the only ones that can hold old bytes.
+ *
+ * A bitmap records which frames have been written since they were
+ * handed out. A frame that has not is all zeros, and a read() longer
+ * than a cache line fills the caller's buffer with zeros without
+ * touching the store: a DMA read of a never-written frame neither
+ * faults its page in nor pulls it through the cache. The bitmap's
+ * words are atomics, so read() may test a bit while another thread's
+ * write() sets one beside it.
  */
 class PhysMemory
 {
@@ -77,16 +86,30 @@ class PhysMemory
     /** True if @p pfn is currently allocated. */
     bool isAllocated(Pfn pfn) const;
 
-    /** Read @p out.size() bytes starting at physical address @p pa. */
+    /** Reads up to this long go straight to the store. */
+    static constexpr std::size_t kStoreReadBytes = 64;
+
+    /**
+     * Read @p out.size() bytes starting at physical address @p pa.
+     * A frame not written since allocFrame reads as zeros; in a read
+     * longer than kStoreReadBytes its bytes are not touched.
+     */
     void read(PhysAddr pa, std::span<std::uint8_t> out) const;
 
-    /** Write @p in to physical memory starting at @p pa. */
+    /**
+     * Write @p in to physical memory starting at @p pa, marking the
+     * frames it covers written.
+     * @pre those frames have been handed out at least once (a fresh
+     *      frame is handed out as never written).
+     */
     void write(PhysAddr pa, std::span<const std::uint8_t> in);
 
     /**
      * Make frame @p pfn resident without changing its bytes: one
      * atomic no-op write to its first byte, so the host takes the
-     * write fault now rather than on the first data access.
+     * write fault now rather than on the first data access. It does
+     * not count as a write: a never-written frame still reads as
+     * zeros without being touched.
      */
     void populate(Pfn pfn);
 
@@ -98,6 +121,14 @@ class PhysMemory
 
   private:
     void checkRange(PhysAddr pa, std::size_t len) const;
+
+    /** True if @p pfn has been written since it was handed out. */
+    bool
+    written(Pfn pfn) const
+    {
+        return writtenBits[pfn / 64].load(std::memory_order_relaxed)
+            >> (pfn % 64) & 1;
+    }
 
     struct FreeDeleter
     {
@@ -113,6 +144,12 @@ class PhysMemory
     /** Returned frames; freeFrame appends and allocFrame pops the
      * back, so they are reused LIFO, before any fresh frame. */
     std::vector<Pfn> freeList;
+    /** Bit pfn % 64 of word pfn / 64: frame pfn has been written
+     *  since allocFrame last handed it out. Relaxed is enough: a
+     *  thread can only rely on a frame's bytes after synchronising
+     *  with the thread that wrote them (the driver mutex, the one
+     *  event-loop thread), and that orders the bit too. */
+    std::vector<std::atomic<std::uint64_t>> writtenBits;
     std::size_t numAllocated = 0;
     std::uint64_t numAllocs = 0;
     std::uint64_t numFrees = 0;

@@ -80,13 +80,15 @@ Network::send(Packet pkt)
     Tick rx_done = rx_start + wire;
     rxBusyUntil[dst] = rx_done;
 
-    events->schedule(rx_done, [this, dst,
-                               pkt = std::move(pkt)]() mutable {
+    auto deliver = [this, dst, pkt = std::move(pkt)] {
         ++numDelivered;
         numBytes += pkt.wireBytes();
         if (handlers[dst])
             handlers[dst](pkt);
-    });
+    };
+    static_assert(sim::EventFn::storedInline<decltype(deliver)>,
+                  "a delivery must fit the event's inline storage");
+    events->schedule(rx_done, std::move(deliver));
 }
 
 } // namespace utlb::net

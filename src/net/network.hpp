@@ -56,8 +56,9 @@ class Network
     void attach(NodeId node, PacketHandler handler);
 
     /**
-     * Transmit @p pkt from its header's src to dst. The packet is
-     * copied; delivery is scheduled on the event queue.
+     * Transmit @p pkt from its header's src to dst. The packet moves
+     * into its delivery event (stored inline, no allocation), which
+     * hands it to the destination's handler by reference.
      */
     void send(Packet pkt);
 

@@ -36,7 +36,7 @@ struct PacketHeader {
     std::uint32_t ackSeq = 0;     //!< for Ack: cumulative ack
 
     // VMMC addressing.
-    std::uint32_t transferId = 0; //!< sender-unique transfer tag
+    std::uint32_t transferId = 0; //!< Data: unique per sending node
     std::uint32_t exportId = 0;   //!< receiver buffer handle
     std::uint64_t offset = 0;     //!< byte offset in that buffer
     std::uint32_t totalBytes = 0; //!< full transfer length

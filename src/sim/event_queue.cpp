@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "check/audit.hpp"
@@ -16,7 +17,17 @@ EventQueue::schedule(Tick when, EventFn fn)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick));
     }
-    heap.push(Entry{when, nextSeq++, std::move(fn)});
+    std::uint32_t slot;
+    if (!freeSlots.empty()) {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        fns[slot] = std::move(fn);
+    } else {
+        slot = static_cast<std::uint32_t>(fns.size());
+        fns.push_back(std::move(fn));
+    }
+    heap.push_back(Entry{when, nextSeq++, slot});
+    std::push_heap(heap.begin(), heap.end(), Later{});
 }
 
 Tick
@@ -32,7 +43,7 @@ std::uint64_t
 EventQueue::runUntil(Tick horizon)
 {
     std::uint64_t count = 0;
-    while (!heap.empty() && heap.top().when <= horizon) {
+    while (!heap.empty() && heap.front().when <= horizon) {
         step();
         ++count;
     }
@@ -46,9 +57,13 @@ EventQueue::step()
 {
     if (heap.empty())
         return false;
-    // Copy out before pop: the callback may schedule new events.
-    Entry e = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    Entry e = heap.back();
+    heap.pop_back();
+    // Move the callable out before running it: it may schedule new
+    // events, which can reuse its slot or grow the slot array.
+    EventFn fn = std::move(fns[e.slot]);
+    freeSlots.push_back(e.slot);
     UTLB_ASSERT(e.when >= curTick,
                 "event %llu fires at %llu, before the current tick "
                 "%llu",
@@ -57,15 +72,16 @@ EventQueue::step()
                 static_cast<unsigned long long>(curTick));
     curTick = e.when;
     ++numFired;
-    e.fn();
+    fn();
     return true;
 }
 
 void
 EventQueue::clear()
 {
-    while (!heap.empty())
-        heap.pop();
+    heap.clear();
+    fns.clear();
+    freeSlots.clear();
 }
 
 void
@@ -73,7 +89,7 @@ EventQueue::audit(check::AuditReport &report) const
 {
     report.component("event-queue");
     if (!heap.empty()) {
-        const Entry &next = heap.top();
+        const Entry &next = heap.front();
         report.require(next.when >= curTick,
                        "next event (seq %llu) is scheduled at %llu, "
                        "in the past of tick %llu",
@@ -95,6 +111,11 @@ EventQueue::audit(check::AuditReport &report) const
                    static_cast<unsigned long long>(numFired),
                    heap.size(),
                    static_cast<unsigned long long>(nextSeq));
+    // Each callable slot holds exactly one pending event or is free.
+    report.require(heap.size() + freeSlots.size() == fns.size(),
+                   "%zu pending + %zu free slots do not account for "
+                   "%zu callable slots",
+                   heap.size(), freeSlots.size(), fns.size());
 }
 
 } // namespace utlb::sim

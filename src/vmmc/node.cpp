@@ -35,9 +35,8 @@ VmmcNode::VmmcNode(net::NodeId id, net::Network &network_ref,
       statsGrp("node" + std::to_string(id))
 {
     network->attach(id, [this](const Packet &pkt) {
-        auto delivered = link.onPacket(pkt);
-        if (delivered)
-            onPacket(*delivered);
+        if (link.onPacket(pkt))
+            onPacket(pkt);
     });
     statsGrp.adopt(cache.stats());
     statsGrp.adopt(utlbDriver.stats());
@@ -457,9 +456,6 @@ VmmcNode::serveFetch(ProcState &p, const nic::Command &cmd)
     pkt.hdr.fetchBytes = cmd.nbytes;
     pkt.hdr.replyExportId = reply_id;
     pkt.hdr.replyOffset = 0;
-    // The requester names the reply transfer; combined with its node
-    // id this is unique at the depositing side.
-    pkt.hdr.transferId = nextTransferId++;
     // Request processing: one firmware pass, no data DMA.
     Tick t = nicTimings->cacheHitCost;
     events->after(t, [this, pkt = std::move(pkt)]() mutable {
@@ -482,9 +478,10 @@ VmmcNode::serveFetchRequest(const net::PacketHeader &hdr)
         std::min<std::uint64_t>(hdr.fetchBytes, max_bytes));
     if (nbytes == 0)
         return;
+    // The reply is a transfer from this node, named like its stores.
     streamOut(e.pid, e.va + hdr.offset, nbytes, hdr.src,
               hdr.replyExportId, hdr.replyOffset, nbytes,
-              hdr.transferId);
+              nextTransferId++);
 }
 
 void
@@ -521,17 +518,20 @@ VmmcNode::depositData(const Packet &pkt)
     }
 
     statBytesDeposited += pkt.payload.size();
-    TransferKey key{hdr.exportId, hdr.src, hdr.transferId};
-    depositProgress[key] += pkt.payload.size();
+    std::uint64_t key = transferKey(hdr.src, hdr.transferId);
+    auto [progress, fresh] = depositProgress.tryEmplace(key);
+    if (fresh)
+        progress->exportId = hdr.exportId;
+    progress->bytes += pkt.payload.size();
 
     ExportId id = hdr.exportId;
     std::uint32_t total = hdr.totalBytes;
     events->after(t, [this, id, key, total] {
         lastDeposit = events->now();
-        auto it = depositProgress.find(key);
-        if (it == depositProgress.end() || it->second < total)
+        const Progress *done = depositProgress.find(key);
+        if (!done || done->bytes < total)
             return;
-        depositProgress.erase(it);
+        depositProgress.erase(key);
         ++statCompleted;
         ExportEntry &entry = exports[id];
         if (entry.transient) {
@@ -616,12 +616,12 @@ VmmcNode::audit(check::AuditReport &report) const
         // pins on demand but takes no eviction lock, and the NIC
         // fault path re-pins if the target was evicted (§4.1).
     }
-    for (const auto &[key, progress] : depositProgress) {
-        ExportId id = std::get<0>(key);
+    for (const auto &slot : depositProgress) {
+        ExportId id = slot.value.exportId;
         report.require(id < exports.size() && exports[id].live,
                        "in-flight transfer targets dead export %u",
                        id);
-        report.require(progress > 0,
+        report.require(slot.value.bytes > 0,
                        "in-flight transfer to export %u recorded "
                        "zero bytes",
                        id);

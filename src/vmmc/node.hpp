@@ -26,10 +26,8 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +46,7 @@
 #include "nic/sram.hpp"
 #include "nic/timing.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/flat_map.hpp"
 #include "vmmc/reliable.hpp"
 
 namespace utlb::vmmc {
@@ -264,9 +263,22 @@ class VmmcNode
         bool live = false;
     };
 
-    /** Identifies one in-flight transfer at the receiver. */
-    using TransferKey =
-        std::tuple<ExportId, net::NodeId, std::uint32_t>;
+    /** Bytes of one in-flight transfer deposited so far. */
+    struct Progress {
+        std::uint64_t bytes = 0;
+        ExportId exportId = 0;
+    };
+
+    /**
+     * Identifies one in-flight transfer at the receiver: every data
+     * transfer (a store or a fetch reply) is named by the node that
+     * sends its bytes, so (sender, transfer id) is unique.
+     */
+    static std::uint64_t
+    transferKey(net::NodeId src, std::uint32_t transfer_id)
+    {
+        return std::uint64_t{src} << 32 | transfer_id;
+    }
 
     ProcState &proc(mem::ProcId pid);
 
@@ -331,7 +343,8 @@ class VmmcNode
 
     std::unordered_map<mem::ProcId, ProcState> procs;
     std::vector<ExportEntry> exports;
-    std::map<TransferKey, std::uint64_t> depositProgress;
+    /** In-flight transfers by transferKey(). */
+    sim::FlatMap<Progress> depositProgress;
     std::uint32_t nextTransferId = 1;
     DeliverCallback onDeliver;
 

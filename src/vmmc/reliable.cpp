@@ -12,8 +12,20 @@ ReliableEndpoint::ReliableEndpoint(NodeId self, net::Network &network,
                                    sim::EventQueue &event_queue,
                                    sim::Tick retry_timeout)
     : selfId(self), net(&network), events(&event_queue),
-      timeout(retry_timeout)
+      timeout(retry_timeout), senders(network.nodes()),
+      expectedSeq(network.nodes(), 0)
 {
+}
+
+ReliableEndpoint::SenderChannel &
+ReliableEndpoint::sender(NodeId peer)
+{
+    if (peer >= senders.size())
+        sim::panic("node %u has no link to nonexistent node %u", selfId,
+                   peer);
+    SenderChannel &ch = senders[peer];
+    ch.open = true;
+    return ch;
 }
 
 void
@@ -22,7 +34,7 @@ ReliableEndpoint::sendReliable(Packet pkt)
     if (pkt.hdr.type == PacketType::Ack)
         sim::panic("acks are sent by the protocol, not callers");
     NodeId peer = pkt.hdr.dst;
-    SenderChannel &ch = senders[peer];
+    SenderChannel &ch = sender(peer);
     pkt.hdr.src = selfId;
     pkt.hdr.seq = ch.nextSeq++;
     ch.inflight.push_back(pkt);
@@ -33,7 +45,7 @@ ReliableEndpoint::sendReliable(Packet pkt)
 void
 ReliableEndpoint::armTimer(NodeId peer)
 {
-    SenderChannel &ch = senders[peer];
+    SenderChannel &ch = sender(peer);
     if (ch.timerArmed || ch.inflight.empty())
         return;
     ch.timerArmed = true;
@@ -43,7 +55,7 @@ ReliableEndpoint::armTimer(NodeId peer)
 void
 ReliableEndpoint::onTimeout(NodeId peer)
 {
-    SenderChannel &ch = senders[peer];
+    SenderChannel &ch = sender(peer);
     ch.timerArmed = false;
     if (ch.inflight.empty())
         return;
@@ -68,7 +80,7 @@ ReliableEndpoint::sendAck(NodeId peer, std::uint32_t cumulative)
     net->send(std::move(ack));
 }
 
-std::optional<Packet>
+bool
 ReliableEndpoint::onPacket(const Packet &pkt)
 {
     if (pkt.hdr.dst != selfId)
@@ -76,7 +88,7 @@ ReliableEndpoint::onPacket(const Packet &pkt)
                    pkt.hdr.dst, selfId);
 
     if (pkt.hdr.type == PacketType::Ack) {
-        SenderChannel &ch = senders[pkt.hdr.src];
+        SenderChannel &ch = sender(pkt.hdr.src);
         // Cumulative: everything up to and including ackSeq is
         // delivered. Guard against stale acks from retransmits.
         while (!ch.inflight.empty()
@@ -84,45 +96,47 @@ ReliableEndpoint::onPacket(const Packet &pkt)
             ch.inflight.pop_front();
             ++ch.baseSeq;
         }
-        return std::nullopt;
+        return false;
     }
 
-    ReceiverChannel &ch = receivers[pkt.hdr.src];
-    if (pkt.hdr.seq == ch.expectedSeq) {
-        ++ch.expectedSeq;
+    if (pkt.hdr.src >= expectedSeq.size())
+        sim::panic("packet from nonexistent node %u", pkt.hdr.src);
+    std::uint32_t &expected = expectedSeq[pkt.hdr.src];
+    if (pkt.hdr.seq == expected) {
+        ++expected;
         sendAck(pkt.hdr.src, pkt.hdr.seq);
-        return pkt;
+        return true;
     }
-    if (pkt.hdr.seq < ch.expectedSeq) {
+    if (pkt.hdr.seq < expected) {
         // Duplicate of something already delivered; re-ack so the
         // sender can advance if our ack was lost.
         ++numDuplicates;
-        sendAck(pkt.hdr.src, ch.expectedSeq - 1);
-        return std::nullopt;
+        sendAck(pkt.hdr.src, expected - 1);
+        return false;
     }
     // Out of order (a predecessor was dropped): go-back-N discards.
     ++numOutOfOrder;
-    if (ch.expectedSeq > 0)
-        sendAck(pkt.hdr.src, ch.expectedSeq - 1);
-    return std::nullopt;
+    if (expected > 0)
+        sendAck(pkt.hdr.src, expected - 1);
+    return false;
 }
 
 void
 ReliableEndpoint::remapPeer(NodeId old_peer, NodeId new_peer)
 {
-    auto it = senders.find(old_peer);
-    if (it == senders.end())
+    if (old_peer >= senders.size() || !senders[old_peer].open)
         return;
     ++numRemaps;
-    std::deque<Packet> pending = std::move(it->second.inflight);
-    senders.erase(it);
+    std::deque<Packet> pending = std::move(senders[old_peer].inflight);
+    // The old channel closes and restarts from sequence 0 if reused.
+    senders[old_peer] = SenderChannel{};
     // Re-issue the window to the new peer as fresh traffic; its
     // receiver channel starts from its own expected sequence.
-    SenderChannel &ch = senders[new_peer];
+    SenderChannel &ch = sender(new_peer);
     for (Packet &pkt : pending) {
         pkt.hdr.dst = new_peer;
         pkt.hdr.seq = ch.nextSeq++;
-        ch.inflight.push_back(pkt);
+        ch.inflight.push_back(std::move(pkt));
         net->send(ch.inflight.back());
     }
     armTimer(new_peer);
@@ -132,7 +146,7 @@ std::size_t
 ReliableEndpoint::unackedPackets() const
 {
     std::size_t total = 0;
-    for (const auto &[peer, ch] : senders)
+    for (const SenderChannel &ch : senders)
         total += ch.inflight.size();
     return total;
 }

@@ -17,8 +17,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/packet.hpp"
@@ -46,16 +45,18 @@ class ReliableEndpoint
 
     /**
      * Send @p pkt reliably: stamps the channel sequence number,
-     * records it for retransmission, and transmits.
+     * records it for retransmission (the one copy the link keeps),
+     * and transmits.
      */
     void sendReliable(net::Packet pkt);
 
     /**
      * Feed every arriving packet through here.
-     * @return a packet to deliver up-stack (in-order data), or
-     *         nullopt (ack, duplicate, or out-of-order).
+     * @return true if @p pkt is in-order data to deliver up-stack,
+     *         false if the link consumed it (ack, duplicate, or
+     *         out-of-order).
      */
-    std::optional<net::Packet> onPacket(const net::Packet &pkt);
+    bool onPacket(const net::Packet &pkt);
 
     /**
      * Dynamic node remapping (§4.1): retarget the channel to
@@ -84,11 +85,13 @@ class ReliableEndpoint
         std::uint32_t baseSeq = 0;          //!< oldest unacked
         std::deque<net::Packet> inflight;   //!< baseSeq..nextSeq-1
         bool timerArmed = false;
+        /** Used since the last remap away from this peer; remapPeer
+         *  only moves an open channel. */
+        bool open = false;
     };
 
-    struct ReceiverChannel {
-        std::uint32_t expectedSeq = 0;
-    };
+    /** The channel to @p peer, opened if it was not. */
+    SenderChannel &sender(net::NodeId peer);
 
     void armTimer(net::NodeId peer);
     void onTimeout(net::NodeId peer);
@@ -99,8 +102,10 @@ class ReliableEndpoint
     sim::EventQueue *events;
     sim::Tick timeout;
 
-    std::unordered_map<net::NodeId, SenderChannel> senders;
-    std::unordered_map<net::NodeId, ReceiverChannel> receivers;
+    /** Channels indexed by peer node id. */
+    std::vector<SenderChannel> senders;
+    /** Next in-order sequence number expected from each peer. */
+    std::vector<std::uint32_t> expectedSeq;
 
     std::uint64_t numRetransmits = 0;
     std::uint64_t numDuplicates = 0;

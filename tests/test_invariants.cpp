@@ -148,7 +148,7 @@ struct TestTamper {
     warpClock(sim::EventQueue &q)
     {
         ASSERT_FALSE(q.heap.empty());
-        q.curTick = q.heap.top().when + 1;
+        q.curTick = q.heap.front().when + 1;
     }
 
     /** Zero one kernel pin refcount while keeping the page listed. */

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <array>
 #include <numeric>
 #include <vector>
@@ -153,6 +156,115 @@ TEST(PhysMemory, PopulateKeepsContents)
 
     auto g = *pm.allocFrame(1);
     pm.populate(g);
+    pm.read(frameAddr(g), out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
+}
+
+/** Minor plus major page faults this process has taken so far. */
+long
+pageFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt + ru.ru_majflt;
+}
+
+TEST(PhysMemory, NeverWrittenFrameReadsAsZerosWithoutFaulting)
+{
+    constexpr std::size_t kFrames = 512;
+    PhysMemory pm(kFrames);
+    for (std::size_t i = 0; i < kFrames; ++i)
+        ASSERT_TRUE(pm.allocFrame(1).has_value());
+    std::vector<std::uint8_t> out(kPageSize, 0xAB);  // resident now
+    std::size_t nonzero = 0;
+    long before = pageFaults();
+    for (Pfn f = 0; f < kFrames; ++f) {
+        pm.read(frameAddr(f), out);
+        nonzero += static_cast<std::size_t>(
+            std::count_if(out.begin(), out.end(),
+                          [](std::uint8_t b) { return b != 0; }));
+        out[0] = 0xAB;
+    }
+    [[maybe_unused]] long faults = pageFaults() - before;
+    EXPECT_EQ(nonzero, 0u);
+#ifndef __SANITIZE_THREAD__
+    // Reading the store would fault in up to one page per frame; the
+    // clean frames are never touched. (ThreadSanitizer's memset
+    // resets and refaults its own shadow pages, so its count says
+    // nothing about the store.)
+    EXPECT_LT(faults, static_cast<long>(kFrames / 8));
+#endif
+}
+
+TEST(PhysMemory, ReadStraddlingWrittenAndCleanFrames)
+{
+    PhysMemory pm(3);
+    Pfn a = *pm.allocFrame(1);
+    Pfn b = *pm.allocFrame(1);
+    Pfn c = *pm.allocFrame(1);
+    ASSERT_EQ(b, a + 1);
+    ASSERT_EQ(c, b + 1);
+    std::vector<std::uint8_t> tail(100), head(50);
+    std::iota(tail.begin(), tail.end(), std::uint8_t{1});
+    std::iota(head.begin(), head.end(), std::uint8_t{150});
+    pm.write(frameAddr(b) - tail.size(), tail);  // end of a
+    pm.write(frameAddr(c), head);                // start of c
+
+    // [a's last 200 bytes: 100 zeros, then tail][b: clean][c: head...]
+    std::vector<std::uint8_t> out(200 + kPageSize + 80, 0xEE);
+    pm.read(frameAddr(b) - 200, out);
+    std::vector<std::uint8_t> want(out.size(), 0);
+    std::copy(tail.begin(), tail.end(), want.begin() + 100);
+    std::copy(head.begin(), head.end(), want.begin() + 200 + kPageSize);
+    EXPECT_EQ(out, want);
+}
+
+TEST(PhysMemory, WrittenFreedAndReallocatedFrameReadsAsZeros)
+{
+    PhysMemory pm(2);
+    Pfn f = *pm.allocFrame(1);
+    pm.write(frameAddr(f), std::vector<std::uint8_t>(kPageSize, 0x77));
+    pm.freeFrame(f);
+    ASSERT_EQ(*pm.allocFrame(2), f);
+    std::vector<std::uint8_t> out(kPageSize, 1);
+    pm.read(frameAddr(f), out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
+
+    // A later partial write shows through; the rest stays zero.
+    std::array<std::uint8_t, 4> bytes{5, 6, 7, 8};
+    pm.write(frameAddr(f) + 50, bytes);
+    pm.read(frameAddr(f), out);
+    std::vector<std::uint8_t> want(kPageSize, 0);
+    std::copy(bytes.begin(), bytes.end(), want.begin() + 50);
+    EXPECT_EQ(out, want);
+}
+
+TEST(PhysMemory, CleanReadsKeepZeroFillAndPopulateMeanings)
+{
+    PhysMemory pm(3);
+    Pfn f = *pm.allocFrame(1);
+    Pfn g = *pm.allocFrame(1);
+    std::vector<std::uint8_t> out(kPageSize);
+    // Reading clean frames is not a zero fill.
+    pm.read(frameAddr(f), out);
+    EXPECT_EQ(pm.totalZeroFills(), 0u);
+    // populate() changes no bytes and is not a write: a clean frame
+    // still reads as zeros, a written one keeps its contents.
+    std::vector<std::uint8_t> pattern(kPageSize);
+    std::iota(pattern.begin(), pattern.end(), std::uint8_t{3});
+    pm.write(frameAddr(g), pattern);
+    pm.populate(f);
+    pm.populate(g);
+    pm.read(frameAddr(f), out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
+    pm.read(frameAddr(g), out);
+    EXPECT_EQ(out, pattern);
+    // Every reuse of a freed frame is one zero fill, written or not.
+    pm.freeFrame(f);
+    pm.freeFrame(g);
+    ASSERT_EQ(*pm.allocFrame(2), g);
+    ASSERT_EQ(*pm.allocFrame(2), f);
+    EXPECT_EQ(pm.totalZeroFills(), 2u);
     pm.read(frameAddr(g), out);
     EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
 }

@@ -140,12 +140,12 @@ class ReliableRig
           a(0, net, eq), b(1, net, eq)
     {
         net.attach(0, [this](const Packet &p) {
-            if (auto d = a.onPacket(p))
-                aGot.push_back(*d);
+            if (a.onPacket(p))
+                aGot.push_back(p);
         });
         net.attach(1, [this](const Packet &p) {
-            if (auto d = b.onPacket(p))
-                bGot.push_back(*d);
+            if (b.onPacket(p))
+                bGot.push_back(p);
         });
     }
 

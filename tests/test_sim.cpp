@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -101,6 +104,149 @@ TEST(EventQueue, ClearDropsPendingEvents)
     eq.clear();
     eq.run();
     EXPECT_EQ(fired, 0);
+}
+
+TEST(EventQueue, MoveOnlyCallableSchedulesAndFires)
+{
+    EventQueue eq;
+    int got = 0;
+    auto owned = std::make_unique<int>(42);
+    eq.schedule(5, [&got, p = std::move(owned)] { got = *p; });
+    eq.after(7, [&got, p = std::make_unique<int>(7)] { got += *p; });
+    eq.run();
+    EXPECT_EQ(got, 49);
+    EXPECT_EQ(eq.now(), 7u);
+}
+
+/** Counts its copies and moves. */
+struct CopyCounter {
+    static inline int copies = 0;
+    static inline int moves = 0;
+    int *fired;
+
+    explicit CopyCounter(int *f) : fired(f) {}
+    CopyCounter(const CopyCounter &o) : fired(o.fired) { ++copies; }
+    CopyCounter(CopyCounter &&o) noexcept : fired(o.fired) { ++moves; }
+    CopyCounter &operator=(const CopyCounter &) = delete;
+    CopyCounter &operator=(CopyCounter &&) = delete;
+    void operator()() const { ++*fired; }
+};
+
+/** Same, too large for the inline buffer. */
+struct BigCopyCounter : CopyCounter {
+    char big[2 * EventFn::kInlineBytes] = {};
+    using CopyCounter::CopyCounter;
+};
+
+TEST(EventQueue, CallablesAreMovedNeverCopied)
+{
+    static_assert(EventFn::storedInline<CopyCounter>);
+    static_assert(!EventFn::storedInline<BigCopyCounter>);
+    CopyCounter::copies = CopyCounter::moves = 0;
+    EventQueue eq;
+    int fired = 0;
+    eq.schedule(1, CopyCounter(&fired));
+    eq.after(2, CopyCounter(&fired));
+    eq.schedule(3, BigCopyCounter(&fired));
+    eq.after(4, BigCopyCounter(&fired));
+    // Callbacks that schedule from inside a firing event, so slots
+    // are reused and the slot array grows under a running callback.
+    eq.schedule(0, [&] {
+        for (int i = 0; i < 40; ++i)
+            eq.after(static_cast<Tick>(i % 3), CopyCounter(&fired));
+    });
+    while (eq.step()) {
+    }
+    EXPECT_EQ(fired, 44);
+    EXPECT_EQ(CopyCounter::copies, 0);
+    EXPECT_GT(CopyCounter::moves, 0);
+}
+
+TEST(EventQueue, ClearDestroysPendingCallables)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    eq.schedule(10, [token] {});
+    eq.schedule(20, [token, big = std::array<char, 256>{}] {});
+    EXPECT_EQ(token.use_count(), 3);
+    eq.clear();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+/** Deterministic 64-bit mix for the same-tick stress. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 31;
+    x *= 0x7fb5d329728ea185ull;
+    x ^= x >> 27;
+    x *= 0x81dadef4bc2dd44dull;
+    return x ^ (x >> 33);
+}
+
+/** Delays of the events that event @p id schedules when it fires:
+ *  mostly 0, so most land on the tick that is firing. */
+std::vector<Tick>
+childDelays(int id)
+{
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(id));
+    std::vector<Tick> out(1 + h % 2);
+    for (std::size_t k = 0; k < out.size(); ++k)
+        out[k] = ((h >> (8 + 4 * k)) & 7) == 0 ? 1 + (h >> 20) % 3 : 0;
+    return out;
+}
+
+TEST(EventQueue, SameTickEventsFromCallbacksFireInScheduleOrder)
+{
+    constexpr int kEvents = 10000;
+    constexpr int kRoots = 8;
+
+    // The queue under test.
+    EventQueue eq;
+    std::vector<int> got;
+    int nextId = kRoots;
+    std::function<void(int)> fire = [&](int id) {
+        got.push_back(id);
+        for (Tick d : childDelays(id)) {
+            if (nextId == kEvents)
+                break;
+            int child = nextId++;
+            eq.after(d, [&fire, child] { fire(child); });
+        }
+    };
+    for (int r = 0; r < kRoots; ++r)
+        eq.schedule(static_cast<Tick>(r / 3), [&fire, r] { fire(r); });
+    eq.run();
+
+    // Reference: pending events in schedule order; the next to fire
+    // is the first one holding the smallest time (a stable sort).
+    struct Pending {
+        Tick when;
+        int id;
+    };
+    std::vector<Pending> pending;
+    std::vector<int> want;
+    for (int r = 0; r < kRoots; ++r)
+        pending.push_back({static_cast<Tick>(r / 3), r});
+    int refNext = kRoots;
+    while (!pending.empty()) {
+        auto it = std::min_element(
+            pending.begin(), pending.end(),
+            [](const Pending &a, const Pending &b) { return a.when < b.when; });
+        Pending p = *it;
+        pending.erase(it);
+        want.push_back(p.id);
+        for (Tick d : childDelays(p.id)) {
+            if (refNext == kEvents)
+                break;
+            pending.push_back({p.when + d, refNext++});
+        }
+    }
+
+    ASSERT_EQ(want.size(), static_cast<std::size_t>(kEvents));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(eq.fired(), static_cast<std::uint64_t>(kEvents));
 }
 
 TEST(Rng, DeterministicForEqualSeeds)

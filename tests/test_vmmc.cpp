@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "mem/page.hpp"
@@ -23,6 +25,7 @@ using utlb::mem::pageOf;
 using utlb::mem::VirtAddr;
 using utlb::sim::Tick;
 using utlb::sim::ticksToUs;
+using utlb::sim::usToTicks;
 
 /** Fill a process buffer with a recognizable pattern. */
 std::vector<std::uint8_t>
@@ -617,6 +620,222 @@ TEST_F(VmmcRig, PrintStatsReportsActivity)
     EXPECT_NE(text.find("link.acksSent"), std::string::npos);
     EXPECT_NE(text.find("---- node 0 ----"), std::string::npos);
     EXPECT_NE(text.find("---- node 1 ----"), std::string::npos);
+}
+
+} // namespace
+
+// Event-order goldens: the exact tick, event count, link-protocol
+// counters and per-transfer completion times of lossy, redirected and
+// failed-over runs. perfbench's vmmc_stores is loss-free and
+// fetch-free, so only these pin the order in which same-tick events
+// fire under retransmission. The expected strings were recorded from
+// the simulator before the event queue stopped copying callbacks;
+// any change to them is a change to the modeled machine.
+namespace {
+
+using utlb::net::NodeId;
+
+/** Records every completed transfer, in completion order. */
+class CompletionLog
+{
+  public:
+    explicit CompletionLog(Cluster &cl) : cluster(cl)
+    {
+        for (NodeId n = 0; n < cl.size(); ++n) {
+            cl.node(n).setDeliverCallback(
+                [this, n](ExportId id, std::uint64_t bytes) {
+                    text << " n" << n << ":e" << id << ':' << bytes << '@'
+                         << cluster.node(n).lastDepositTime();
+                });
+        }
+    }
+
+    /** Final tick, fired events, per-node link and deposit state, and
+     *  the completions. */
+    std::string
+    signature()
+    {
+        std::ostringstream os;
+        os << "tick=" << cluster.clock().now()
+           << " fired=" << cluster.clock().fired();
+        for (NodeId n = 0; n < cluster.size(); ++n) {
+            VmmcNode &node = cluster.node(n);
+            ReliableEndpoint &link = node.reliable();
+            os << " n" << n << "{rtx=" << link.retransmissions()
+               << " to=" << link.timeouts()
+               << " dup=" << link.duplicatesDropped()
+               << " ooo=" << link.outOfOrderDropped()
+               << " acks=" << link.acksSent()
+               << " done=" << node.transfersCompleted()
+               << " last=" << node.lastDepositTime() << '}';
+        }
+        os << " |" << text.str();
+        return os.str();
+    }
+
+  private:
+    Cluster &cluster;
+    std::ostringstream text;
+};
+
+/** Read back [va, +n) of @p pid on @p node. */
+std::vector<std::uint8_t>
+readBack(VmmcNode &node, utlb::mem::ProcId pid, VirtAddr va, std::size_t n)
+{
+    std::vector<std::uint8_t> got(n);
+    node.space(pid).readBytes(va, got);
+    return got;
+}
+
+TEST(VmmcGolden, LossySendsAndFetchesBothWays)
+{
+    ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.lossProbability = 0.2;
+    cfg.seed = 0x5eed17;
+    cfg.node.memoryFrames = 4096;
+    cfg.node.cache = {1024, 1, true};
+    Cluster cluster(cfg);
+    VmmcNode &a = cluster.node(0);
+    VmmcNode &b = cluster.node(1);
+    a.createProcess(1);
+    b.createProcess(2);
+    CompletionLog log(cluster);
+
+    // b exports 16 pages (the upper half pre-written, for fetches); a
+    // exports 8 pages for b's stores.
+    auto remote = pattern(8 * kPageSize, 201);
+    b.space(2).writeBytes(addrOf(20) + 8 * kPageSize, remote);
+    auto exp_b = b.exportBuffer(2, addrOf(20), 16 * kPageSize);
+    auto exp_a = a.exportBuffer(1, addrOf(200), 8 * kPageSize);
+    ASSERT_TRUE(exp_b && exp_a);
+    ImportSlot to_b = a.importBuffer(1, 1, *exp_b);
+    ImportSlot to_a = b.importBuffer(2, 0, *exp_a);
+
+    auto out_a = pattern(5 * kPageSize, 17);
+    auto out_b = pattern(3 * kPageSize, 99);
+    a.space(1).writeBytes(addrOf(100) + 300, out_a);
+    b.space(2).writeBytes(addrOf(400) + 1000, out_b);
+
+    // Stores and fetches in flight together, in both directions: b's
+    // stores into a and a's fetch replies from b arrive at a from the
+    // same peer.
+    ASSERT_TRUE(a.send(1, addrOf(100) + 300, 3 * kPageSize, to_b, 100));
+    ASSERT_TRUE(a.fetch(1, addrOf(300), 2 * kPageSize + 512, to_b,
+                        8 * kPageSize));
+    ASSERT_TRUE(b.send(2, addrOf(400) + 1000, 2 * kPageSize + 77, to_a,
+                       0));
+    cluster.runFor(usToTicks(40.0));
+    ASSERT_TRUE(a.send(1, addrOf(100) + 300 + 3 * kPageSize,
+                       2 * kPageSize, to_b, 100 + 3 * kPageSize));
+    ASSERT_TRUE(b.send(2, addrOf(400) + 1000 + 2 * kPageSize + 77,
+                       kPageSize - 77, to_a, 2 * kPageSize + 77));
+    ASSERT_TRUE(a.fetch(1, addrOf(310), 4 * kPageSize, to_b,
+                        12 * kPageSize));
+    cluster.run();
+
+    auto sent = readBack(b, 2, addrOf(20) + 100, out_a.size());
+    EXPECT_EQ(sent, out_a);
+    EXPECT_EQ(readBack(a, 1, addrOf(200), out_b.size()), out_b);
+    auto fetched = readBack(a, 1, addrOf(300), 2 * kPageSize + 512);
+    EXPECT_TRUE(std::equal(fetched.begin(), fetched.end(), remote.begin()));
+    auto fetched2 = readBack(a, 1, addrOf(310), 4 * kPageSize);
+    EXPECT_TRUE(std::equal(fetched2.begin(), fetched2.end(),
+                           remote.begin() + 4 * kPageSize));
+    EXPECT_EQ(a.reliable().unackedPackets(), 0u);
+    EXPECT_EQ(b.reliable().unackedPackets(), 0u);
+    EXPECT_EQ(log.signature(),
+              "tick=2560078195 fired=124"
+              " n0{rtx=4 to=3 dup=1 ooo=13 acks=26 done=4 last=1727475187}"
+              " n1{rtx=18 to=4 dup=0 ooo=1 acks=10 done=2 last=1547905639}"
+              " | n0:e0:4019@192465742 n0:e0:8269@201825939"
+              " n1:e0:8192@549705639 n1:e0:12288@1547905639"
+              " n0:e1:8704@1574727819 n0:e2:16384@1701625187");
+}
+
+TEST(VmmcGolden, RedirectedStores)
+{
+    ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.lossProbability = 0.2;
+    cfg.seed = 0xd1ec7;
+    cfg.node.memoryFrames = 4096;
+    cfg.node.cache = {1024, 1, true};
+    Cluster cluster(cfg);
+    VmmcNode &a = cluster.node(0);
+    VmmcNode &b = cluster.node(1);
+    a.createProcess(1);
+    b.createProcess(2);
+    CompletionLog log(cluster);
+
+    auto exp = b.exportBuffer(2, addrOf(20), 4 * kPageSize);
+    ASSERT_TRUE(exp);
+    ImportSlot slot = a.importBuffer(1, 1, *exp);
+    auto first = pattern(3 * kPageSize, 5);
+    auto second = pattern(2 * kPageSize, 66);
+    a.space(1).writeBytes(addrOf(100) + 64, first);
+    a.space(1).writeBytes(addrOf(120), second);
+
+    ASSERT_TRUE(b.redirect(*exp, addrOf(90) + 256));
+    ASSERT_TRUE(a.send(1, addrOf(100) + 64, first.size(), slot, 512));
+    cluster.run();
+    ASSERT_TRUE(b.unredirect(*exp));
+    ASSERT_TRUE(a.send(1, addrOf(120), second.size(), slot, kPageSize));
+    cluster.run();
+
+    EXPECT_EQ(readBack(b, 2, addrOf(90) + 256 + 512, first.size()), first);
+    EXPECT_EQ(readBack(b, 2, addrOf(20) + kPageSize, second.size()),
+              second);
+    EXPECT_EQ(log.signature(),
+              "tick=1634712781 fired=29"
+              " n0{rtx=1 to=1 dup=0 ooo=0 acks=0 done=0 last=0}"
+              " n1{rtx=0 to=0 dup=0 ooo=0 acks=6 done=2 last=1255506765}"
+              " | n1:e0:12288@573996992 n1:e0:8192@1221109773");
+}
+
+TEST(VmmcGolden, RemapFailoverUnderLoss)
+{
+    ClusterConfig cfg;
+    cfg.nodes = 3;
+    cfg.lossProbability = 0.2;
+    cfg.seed = 0xfa11;
+    cfg.node.memoryFrames = 4096;
+    Cluster cluster(cfg);
+    VmmcNode &sender = cluster.node(0);
+    VmmcNode &primary = cluster.node(1);
+    VmmcNode &standby = cluster.node(2);
+    sender.createProcess(1);
+    primary.createProcess(2);
+    standby.createProcess(2);
+    CompletionLog log(cluster);
+
+    auto exp = primary.exportBuffer(2, addrOf(20), 8 * kPageSize);
+    ASSERT_EQ(standby.exportBuffer(2, addrOf(20), 8 * kPageSize), exp);
+    ImportSlot slot = sender.importBuffer(1, 1, *exp);
+    auto data = pattern(6 * kPageSize + 100, 91);
+    sender.space(1).writeBytes(addrOf(100), data);
+
+    // The primary's port dies with the transfer on the wire; the
+    // sender times out against it, then fails over to the standby and
+    // sends one more transfer there.
+    cluster.network().setNodeDown(1, true);
+    ASSERT_TRUE(sender.send(1, addrOf(100), data.size(), slot, 0));
+    cluster.runFor(usToTicks(1500.0));
+    EXPECT_EQ(sender.remapImports(1, 1, 2), 1u);
+    cluster.runFor(usToTicks(20.0));
+    ASSERT_TRUE(sender.send(1, addrOf(100), kPageSize, slot,
+                            7 * kPageSize));
+    cluster.run();
+
+    EXPECT_EQ(readBack(standby, 2, addrOf(20), data.size()), data);
+    EXPECT_EQ(standby.transfersCompleted(), 2u);
+    EXPECT_EQ(primary.bytesDeposited(), 0u);
+    EXPECT_EQ(log.signature(),
+              "tick=3500000000 fired=56"
+              " n0{rtx=30 to=5 dup=0 ooo=0 acks=0 done=0 last=0}"
+              " n1{rtx=0 to=0 dup=0 ooo=0 acks=0 done=0 last=0}"
+              " n2{rtx=0 to=0 dup=0 ooo=11 acks=12 done=2 last=3087271992}"
+              " | n2:e0:24676@3006401880 n2:e0:4096@3087271992");
 }
 
 } // namespace
