@@ -129,6 +129,10 @@ class JsonReporter
      */
     void setWorkerThreads(unsigned n) { workerThreads = n; }
 
+    /** Record the command line (settings included) that reproduces
+     *  this document; written as a top-level "command" field. */
+    void setCommand(std::string cmd) { command = std::move(cmd); }
+
     /** Where the document will be (or was) written. */
     std::string
     path() const
@@ -172,6 +176,8 @@ class JsonReporter
         w.beginObject();
         w.field("schema", "utlb-bench-v1");
         w.field("bench", benchName);
+        if (!command.empty())
+            w.field("command", command);
         // Wall-clock from reporter construction to write(): how long
         // the harness itself took (not a modeled quantity).
         w.field("wall_ns",
@@ -224,6 +230,7 @@ class JsonReporter
     std::chrono::steady_clock::time_point start;
     std::vector<Point> points;
     unsigned workerThreads = 1;
+    std::string command;
     bool written = false;
 };
 

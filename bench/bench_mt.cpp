@@ -42,8 +42,10 @@
  *
  * UTLB_MT_MS bounds the per-cell budget (default 300 ms);
  * UTLB_MT_THREADS caps the sweep (default 4). BENCH_mt.json records
- * threads, aggregate pages/sec, and scaling_efficiency (pages/sec at
- * N threads over N x the 1-thread rate). Every MT cell also records
+ * threads, aggregate pages/sec, scaling_efficiency (pages/sec at
+ * N threads over N x the 1-thread rate), and the driver mutex's
+ * contended and parked lock() calls per page over the timed region
+ * (sim::Mutex counters, wall-clock only). Every MT cell also records
  * host_cores and an oversubscribed flag; when worker threads exceed
  * the host's cores the efficiency figure would only measure the
  * scheduler's time-slicing, so it is omitted entirely (the flag tells
@@ -128,7 +130,10 @@ emitCell(bench::JsonReporter &json, sim::TextTable &table,
         {"ns_per_page", cell.nsPerPage()},
         {"modeled_us_per_page", cell.modeledUsPerPage()},
         {"host_cores", static_cast<double>(cores)},
-        {"oversubscribed", oversub ? 1.0 : 0.0}};
+        {"oversubscribed", oversub ? 1.0 : 0.0},
+        {"driver_lock_contended_per_page",
+         cell.perPage(cell.driverContended)},
+        {"driver_lock_parks_per_page", cell.perPage(cell.driverParks)}};
     if (!oversub && base > 0)
         metrics.emplace_back("scaling_efficiency", eff);
     for (const auto &m : extra)
@@ -156,6 +161,9 @@ main()
 
     bench::JsonReporter json("mt");
     json.setWorkerThreads(nmax);
+    json.setCommand("UTLB_MT_MS=" + sim::TextTable::num(ms, 0)
+                    + " UTLB_MT_THREADS=" + std::to_string(nmax)
+                    + " bench/bench_mt");
     sim::TextTable table("multi-thread wall clock ("
                          + sim::TextTable::num(ms, 0) + " ms/cell, "
                          + std::to_string(nmax) + " threads max, "

@@ -180,6 +180,10 @@ struct MtCell {
     double wallNs = 0;
     std::uint64_t pages = 0;
     utlb::sim::Tick modeled = 0;
+    /** Driver-mutex lock() calls in the timed region that found it
+     *  held, and those that then parked (sim::Mutex counters). */
+    std::uint64_t driverContended = 0;
+    std::uint64_t driverParks = 0;
 
     double pagesPerSec() const
     {
@@ -196,6 +200,13 @@ struct MtCell {
         return pages > 0
             ? utlb::sim::ticksToUs(modeled)
                 / static_cast<double>(pages)
+            : 0.0;
+    }
+    /** @p count per translated page of the timed region. */
+    double perPage(std::uint64_t count) const
+    {
+        return pages > 0
+            ? static_cast<double>(count) / static_cast<double>(pages)
             : 0.0;
     }
 };
@@ -391,6 +402,8 @@ runMtCell(const MtScenario &sc, MtStack &stack, unsigned nworkers,
 
     while (ready.load(std::memory_order_acquire) < nworkers) {
     }
+    const std::uint64_t contended0 = stack.driver.lockContended();
+    const std::uint64_t parks0 = stack.driver.lockParks();
     auto t0 = std::chrono::steady_clock::now();
     go.store(true, std::memory_order_release);
     std::this_thread::sleep_for(
@@ -407,6 +420,8 @@ runMtCell(const MtScenario &sc, MtStack &stack, unsigned nworkers,
     cell.pages = totalPages.load();
     cell.modeled =
         static_cast<utlb::sim::Tick>(totalModeled.load());
+    cell.driverContended = stack.driver.lockContended() - contended0;
+    cell.driverParks = stack.driver.lockParks() - parks0;
     return cell;
 }
 

@@ -53,6 +53,14 @@ annotations cannot express:
                          handoff is invisible to it), and no
                          discarded try_lock().
 
+  padded-lock-array      An array of locks (sim::Spinlock /
+                         sim::Mutex: a C array, a `Lock[]` buffer,
+                         or a std::array/vector/deque of them) must
+                         pad each lock to its own cache line with
+                         sim::CachePadded<T>. Unpadded, neighbouring
+                         locks share a line and workers taking
+                         different locks still false-share it.
+
 The analysis is a comment/string-aware token scan, not a full
 parse: rules are written so the real tree is clean and every
 fixture in tests/lint/ is caught. False positives in new code can
@@ -310,6 +318,13 @@ STD_MUTEX_RE = re.compile(
 STD_CONDVAR_RE = re.compile(r"\bstd::condition_variable(?:_any)?\b")
 DISCARDED_TRYLOCK_RE = re.compile(
     r"^\s*[\w\.\->\(\)\[\]]*(?:\.|->)try_lock\s*\(\s*\)\s*;\s*$")
+# A lock type directly followed by an array bound (`Spinlock[]`,
+# `Mutex locks[8]`) or directly inside a sequence container. Wrapped
+# in CachePadded<...> the type is followed by `>`, so it never matches.
+LOCK_TYPE = r"\b(?:sim::)?(?:Spinlock|Mutex)\b"
+UNPADDED_LOCK_ARRAY_RE = re.compile(
+    LOCK_TYPE + r"\s*(?:\w+\s*)?\["
+    r"|\b(?:std::)?(?:array|vector|deque)\s*<\s*" + LOCK_TYPE)
 
 
 def lint_file(path, rel, text, force_src=False):
@@ -464,6 +479,16 @@ def lint_file(path, rel, text, force_src=False):
             report(lineno, "scoped-guard",
                    "try_lock() result discarded; the caller cannot "
                    "know whether it holds the lock")
+
+    # --- padded-lock-array ---------------------------------------
+    for idx, text_line in enumerate(lines):
+        lineno = idx + 1
+        if UNPADDED_LOCK_ARRAY_RE.search(text_line):
+            report(lineno, "padded-lock-array",
+                   "array of unpadded locks; neighbouring locks share "
+                   "a cache line, so workers taking different locks "
+                   "still contend on it -- wrap the element in "
+                   "sim::CachePadded<T>")
 
     return findings
 

@@ -2,8 +2,8 @@
 # Wall-clock performance run: Release build, then the hot-path
 # harness (translate() vs translateRange() translations/sec), the
 # multi-thread sweep, and a batched tlbsim replay. Copies
-# BENCH_hotpath.json to the repo root so the checked-in baseline can
-# be refreshed in place.
+# BENCH_hotpath.json and BENCH_mt.json to the repo root so the
+# checked-in baselines can be refreshed in place.
 # Usage: scripts/perf.sh [build-dir]
 set -e
 cd "$(dirname "$0")/.."
@@ -57,6 +57,7 @@ step "tlbsim --batch replay (radix)"
     --stats-json "$OUT/tlbsim_batch_radix.json"
 
 cp "$OUT/BENCH_hotpath.json" BENCH_hotpath.json
+cp "$OUT/BENCH_mt.json" BENCH_mt.json
 step "done"
 # Surface which packed tag-compare kernel the run dispatched to
 # (host_info.simd): throughput is only comparable between runs that
@@ -64,4 +65,4 @@ step "done"
 SIMD=$(python3 -c "import json; \
 print(json.load(open('BENCH_hotpath.json'))['host_info']['simd'])")
 echo "simd kernel: $SIMD (host_info.simd)"
-echo "results in $OUT (incl. BENCH_mt.json); baseline refreshed at BENCH_hotpath.json"
+echo "results in $OUT; baselines refreshed at BENCH_hotpath.json and BENCH_mt.json"

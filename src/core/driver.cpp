@@ -76,7 +76,8 @@ UtlbDriver::unregisterProcess(ProcId pid)
 bool
 UtlbDriver::isRegistered(ProcId pid) const
 {
-    return findEntry(pid) != nullptr;
+    sim::LockGuard lk(mu);
+    return dir.contains(pid);
 }
 
 // Quiescent-only accessor (class comment): hands out a reference that
@@ -101,11 +102,45 @@ UtlbDriver::pageTableShared(ProcId pid)
     return e ? e->table.get() : nullptr;
 }
 
+// The Session methods run while their Session's LockGuard member
+// holds the driver mutex; assertHeld() carries that fact into each
+// body for the static analysis.
+IoctlResult
+UtlbDriver::Session::pinAndInstall(ProcId pid, Vpn start,
+                                   std::size_t npages)
+{
+    drv->mu.assertHeld();
+    return drv->recordLocked(drv->pinAndInstallLocked(pid, start, npages));
+}
+
+IoctlResult
+UtlbDriver::Session::unpinAndInvalidate(ProcId pid, Vpn start,
+                                        std::size_t npages)
+{
+    drv->mu.assertHeld();
+    return drv->recordLocked(
+        drv->unpinAndInvalidateLocked(pid, start, npages));
+}
+
+IoctlResult
+UtlbDriver::Session::pinAtIndex(ProcId pid, Vpn vpn, UtlbIndex index)
+{
+    drv->mu.assertHeld();
+    return drv->recordLocked(drv->pinAtIndexLocked(pid, vpn, index));
+}
+
+IoctlResult
+UtlbDriver::Session::unpinIndex(ProcId pid, Vpn vpn, UtlbIndex index)
+{
+    drv->mu.assertHeld();
+    return drv->recordLocked(drv->unpinIndexLocked(pid, vpn, index));
+}
+
 IoctlResult
 UtlbDriver::ioctlPinAndInstall(ProcId pid, Vpn start, std::size_t npages)
 {
-    sim::LockGuard lk(mu);
-    return recordLocked(pinAndInstallLocked(pid, start, npages));
+    Session s(*this);
+    return s.pinAndInstall(pid, start, npages);
 }
 
 IoctlResult
@@ -162,8 +197,8 @@ IoctlResult
 UtlbDriver::ioctlUnpinAndInvalidate(ProcId pid, Vpn start,
                                     std::size_t npages)
 {
-    sim::LockGuard lk(mu);
-    return recordLocked(unpinAndInvalidateLocked(pid, start, npages));
+    Session s(*this);
+    return s.unpinAndInvalidate(pid, start, npages);
 }
 
 IoctlResult
@@ -223,8 +258,8 @@ UtlbDriver::nicTable(ProcId pid)
 IoctlResult
 UtlbDriver::ioctlPinAtIndex(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    sim::LockGuard lk(mu);
-    return recordLocked(pinAtIndexLocked(pid, vpn, index));
+    Session s(*this);
+    return s.pinAtIndex(pid, vpn, index);
 }
 
 IoctlResult
@@ -257,8 +292,8 @@ UtlbDriver::pinAtIndexLocked(ProcId pid, Vpn vpn, UtlbIndex index)
 IoctlResult
 UtlbDriver::ioctlUnpinIndex(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    sim::LockGuard lk(mu);
-    return recordLocked(unpinIndexLocked(pid, vpn, index));
+    Session s(*this);
+    return s.unpinIndex(pid, vpn, index);
 }
 
 IoctlResult

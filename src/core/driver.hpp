@@ -59,6 +59,10 @@ struct IoctlResult {
  * physical allocator, and the host page tables those bodies reach.
  * Splitting it per address space measured no faster on 4 cores
  * (docs/performance.md), so the driver stays one critical section.
+ * A caller that issues several ioctls back to back (the pin
+ * manager's evict-then-pin slow path) holds the mutex once through
+ * a Session instead of once per ioctl. Lock order: a PinManager's
+ * mutex, then the driver mutex, then PinBudget's.
  *
  * Accessors that hand out references (pageTable, nicTable,
  * pinFacility, stats, audit) are not locked: use them only after
@@ -76,6 +80,48 @@ class UtlbDriver
 
     UtlbDriver(const UtlbDriver &) = delete;
     UtlbDriver &operator=(const UtlbDriver &) = delete;
+
+    /**
+     * One hold of the driver mutex spanning several ioctls. Each
+     * call still counts and costs as its own ioctl (statIoctls, the
+     * latency histograms, the returned IoctlResult), so a session
+     * changes wall-clock locking only, never a modeled number. The
+     * ioctl entry points below are one-call sessions. Every other
+     * worker's pin path waits while a session is open, so keep it to
+     * a run of ioctls and the caller's bookkeeping between them.
+     */
+    class UTLB_SCOPED_CAPABILITY Session
+    {
+      public:
+        explicit Session(UtlbDriver &d) UTLB_ACQUIRE(d.mu)
+            : drv(&d), lk(d.mu)
+        {}
+
+        ~Session() UTLB_RELEASE() {}
+
+        Session(const Session &) = delete;
+        Session &operator=(const Session &) = delete;
+
+        /** ioctlPinAndInstall() under this session's hold. */
+        IoctlResult pinAndInstall(mem::ProcId pid, mem::Vpn start,
+                                  std::size_t npages);
+
+        /** ioctlUnpinAndInvalidate() under this session's hold. */
+        IoctlResult unpinAndInvalidate(mem::ProcId pid, mem::Vpn start,
+                                       std::size_t npages);
+
+        /** ioctlPinAtIndex() under this session's hold. */
+        IoctlResult pinAtIndex(mem::ProcId pid, mem::Vpn vpn,
+                               UtlbIndex index);
+
+        /** ioctlUnpinIndex() under this session's hold. */
+        IoctlResult unpinIndex(mem::ProcId pid, mem::Vpn vpn,
+                               UtlbIndex index);
+
+      private:
+        UtlbDriver *drv;
+        sim::LockGuard lk;
+    };
 
     /** The always-pinned garbage frame (§4.2). */
     mem::Pfn garbageFrame() const { return garbagePfn; }
@@ -100,7 +146,8 @@ class UtlbDriver
      */
     void unregisterProcess(mem::ProcId pid);
 
-    /** True if @p pid is registered. */
+    /** True if @p pid is registered. Takes the driver mutex, so it
+     *  is safe while other tenants (un)register. */
     bool isRegistered(mem::ProcId pid) const;
 
     /** The process' Hierarchical-UTLB page table. */
@@ -112,8 +159,9 @@ class UtlbDriver
      * tenant's register/unregister rehashing the directory (fleet
      * churn does exactly that mid-translate). The returned object is
      * heap-stable and outlives the lock; it stays valid until @p pid
-     * itself unregisters, which miss-path callers — the process' own
-     * view — preclude by construction.
+     * itself unregisters. UserUtlb resolves its table here once, at
+     * construction, and every owner destroys the view before
+     * unregistering its pid.
      * @return nullptr if @p pid is not registered.
      */
     HostPageTable *pageTableShared(mem::ProcId pid);
@@ -182,6 +230,19 @@ class UtlbDriver
     }
     /** @} */
 
+    /**
+     * @name Driver-mutex contention (sim::Mutex counters)
+     *
+     * Wall-clock observability, deliberately outside the stats tree
+     * so modeled stats dumps stay comparable across runs: lock()
+     * calls that found the mutex held, and those that then parked.
+     * Safe to read at any time.
+     * @{
+     */
+    std::uint64_t lockContended() const { return mu.contended(); }
+    std::uint64_t lockParks() const { return mu.parked(); }
+    /** @} */
+
     /** The driver's statistics subtree. */
     sim::StatGroup &stats() { return statsGrp; }
     const sim::StatGroup &stats() const { return statsGrp; }
@@ -227,7 +288,7 @@ class UtlbDriver
     const DirEntry *findEntry(mem::ProcId pid) const;
     /** @} */
 
-    /** @name Locked ioctl bodies (wrappers recordLocked and unlock) @{ */
+    /** @name Locked ioctl bodies (Session records and unlocks) @{ */
     IoctlResult pinAndInstallLocked(mem::ProcId pid, mem::Vpn start,
                                     std::size_t npages)
         UTLB_REQUIRES(mu);
@@ -241,8 +302,9 @@ class UtlbDriver
                                  UtlbIndex index) UTLB_REQUIRES(mu);
     /** @} */
 
-    /** The driver mutex (class comment). */
-    sim::Mutex mu;
+    /** The driver mutex (class comment); mutable for the locked
+     *  const query isRegistered(). */
+    mutable sim::Mutex mu;
 
     mem::PhysMemory *hostMem;
     mem::PinFacility *pins;

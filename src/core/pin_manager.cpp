@@ -104,7 +104,7 @@ PinManager::isLockedImpl(Vpn vpn) const
 }
 
 bool
-PinManager::evictOne(EnsureResult &res)
+PinManager::evictOne(UtlbDriver::Session &drv, EnsureResult &res)
 {
     ++statPolicyVictims;
     auto victim = repl->victim(
@@ -121,8 +121,7 @@ PinManager::evictOne(EnsureResult &res)
                 static_cast<unsigned long long>(*victim));
 
     // Unpin one page at a time (§6.5).
-    IoctlResult io =
-        driver->ioctlUnpinAndInvalidate(procId, *victim, 1);
+    IoctlResult io = drv.unpinAndInvalidate(procId, *victim, 1);
     res.cost += io.cost;
     res.unpinCost += io.cost;
     ++res.unpinIoctls;
@@ -142,6 +141,11 @@ PinManager::evictOne(EnsureResult &res)
 bool
 PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
 {
+    // One driver-mutex hold for the evictions and the pin. Lock
+    // order: this manager's mutex (held by the caller), the driver,
+    // then PinBudget inside limitFor().
+    UtlbDriver::Session drv(*driver);
+
     // Make room under the effective budget first: the library's own
     // limit, tightened by the fleet quota when one is configured.
     // (A WeightedShare limit moves with churn, so it is re-read on
@@ -157,7 +161,7 @@ PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
     }
     if (limit != 0) {
         while (bits.count() + npages > limit) {
-            if (!evictOne(res))
+            if (!evictOne(drv, res))
                 return false;
             if (quotaBound)
                 ++statQuotaThrottles;
@@ -165,8 +169,7 @@ PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
     }
 
     while (true) {
-        IoctlResult io = driver->ioctlPinAndInstall(procId, start,
-                                                    npages);
+        IoctlResult io = drv.pinAndInstall(procId, start, npages);
         res.cost += io.cost;
         res.pinCost += io.cost;
         ++res.pinIoctls;
@@ -183,7 +186,7 @@ PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
             || io.status == PinStatus::OutOfMemory) {
             // The kernel's limit may be tighter than the library's
             // notion; evict and retry.
-            if (!evictOne(res))
+            if (!evictOne(drv, res))
                 return false;
             continue;
         }

@@ -215,12 +215,17 @@ class PinManager
     bool isLockedImpl(mem::Vpn vpn) const;
 
     /**
-     * Evict one victim page to free budget.
+     * Evict one victim page to free budget, unpinning it through
+     * @p drv (the caller's driver session).
      * @return false if nothing is evictable.
      */
-    bool evictOne(EnsureResult &res);
+    bool evictOne(UtlbDriver::Session &drv, EnsureResult &res);
 
-    /** Pin a contiguous run of currently-unpinned pages. */
+    /**
+     * Pin a contiguous run of currently-unpinned pages. The evictions
+     * that make room and the pin that follows share one driver
+     * session (one driver-mutex hold).
+     */
     bool pinRun(mem::Vpn start, std::size_t npages, EnsureResult &res);
 
     /**

@@ -284,9 +284,9 @@ SharedUtlbCache::enableConcurrent()
     // seqlock version, writers bump that version under the set's
     // stripe lock. The paper's sweep runs 1-, 2-, and 4-way (§3.2).
     seqs = std::make_unique<sim::SeqCount[]>(numSets);
-    stripes = std::make_unique<sim::Spinlock[]>(
-        (numSets + kSetsPerStripe - 1) / kSetsPerStripe);
     numStripes = (numSets + kSetsPerStripe - 1) / kSetsPerStripe;
+    stripes = std::make_unique<sim::CachePadded<sim::Spinlock>[]>(
+        numStripes);
 }
 
 SharedUtlbCache::Shard

@@ -545,7 +545,7 @@ class SharedUtlbCache
 
     sim::Spinlock &stripeOf(std::size_t set)
     {
-        return stripes[set >> kSetsPerStripeLog2];
+        return stripes[set >> kSetsPerStripeLog2].value;
     }
 
     /** Next LRU stamp for a concurrent worker (refills its block). */
@@ -576,8 +576,13 @@ class SharedUtlbCache
 
     std::uint64_t useClock = 0;
 
-    /** Stripe locks; non-null only once enableConcurrent() ran. */
-    std::unique_ptr<sim::Spinlock[]> stripes;
+    /**
+     * Stripe locks, one cache line each (a hit's LRU stamp takes its
+     * stripe, so unpadded stripes would false-share across workers
+     * hitting disjoint sets); non-null only once enableConcurrent()
+     * ran.
+     */
+    std::unique_ptr<sim::CachePadded<sim::Spinlock>[]> stripes;
     std::size_t numStripes = 0;
 
     /** Per-set seqlock versions; non-null alongside stripes. */

@@ -7,7 +7,8 @@ namespace utlb::core {
 using mem::Vpn;
 
 MissOutcome
-serviceMiss(UtlbDriver &driver, SharedUtlbCache &cache,
+serviceMiss(UtlbDriver &driver, HostPageTable &table,
+            SharedUtlbCache &cache,
             const nic::NicTimings &timings, mem::ProcId pid, Vpn vpn,
             std::size_t width,
             std::vector<std::optional<mem::Pfn>> &runBuf,
@@ -15,12 +16,6 @@ serviceMiss(UtlbDriver &driver, SharedUtlbCache &cache,
             SharedUtlbCache::Shard *shard, sim::Tracer *tracer)
 {
     MissOutcome mo;
-    // Locked resolve: fleet churn registers/unregisters other
-    // tenants in the driver while this miss is in flight.
-    HostPageTable *tablePtr = driver.pageTableShared(pid);
-    if (!tablePtr)
-        sim::panic("serviceMiss for unregistered process %u", pid);
-    HostPageTable &table = *tablePtr;
     table.readRun(vpn, width, runBuf);
     auto &run = runBuf;
 
@@ -110,9 +105,12 @@ UserUtlb::UserUtlb(UtlbDriver &drv, SharedUtlbCache &cache,
                    const nic::NicTimings &t, mem::ProcId pid,
                    const UtlbConfig &config)
     : driver(&drv), nicCache(&cache), timings(&t), procId(pid),
-      cfg(config), pinMgr(drv, pid, config.pin),
+      hostTable(drv.pageTableShared(pid)), cfg(config),
+      pinMgr(drv, pid, config.pin),
       statsGrp("proc" + std::to_string(pid))
 {
+    if (!hostTable)
+        sim::panic("UserUtlb for unregistered process %u", pid);
     if (cfg.prefetchEntries == 0)
         sim::fatal("prefetchEntries must be >= 1");
     statsGrp.adopt(pinMgr.stats());
@@ -178,10 +176,10 @@ UserUtlb::nicTranslateImpl(Vpn vpn)
 
     out.miss = true;
     ++statMisses;
-    MissOutcome mo = serviceMiss(*driver, *nicCache, *timings, procId,
-                                 vpn, cfg.prefetchEntries, runBuf,
-                                 repairBuf, shard ? &*shard : nullptr,
-                                 tracer);
+    MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
+                                 *timings, procId, vpn,
+                                 cfg.prefetchEntries, runBuf, repairBuf,
+                                 shard ? &*shard : nullptr, tracer);
     if (mo.fault) {
         out.fault = true;
         ++statFaults;
@@ -197,10 +195,10 @@ void
 UserUtlb::syncServicePage(Vpn vpn, sim::Tick probeCost, mem::Pfn &slot,
                           Translation &tr)
 {
-    MissOutcome mo = serviceMiss(*driver, *nicCache, *timings, procId,
-                                 vpn, cfg.prefetchEntries, runBuf,
-                                 repairBuf, shard ? &*shard : nullptr,
-                                 nullptr);
+    MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
+                                 *timings, procId, vpn,
+                                 cfg.prefetchEntries, runBuf, repairBuf,
+                                 shard ? &*shard : nullptr, nullptr);
     if (mo.fault) {
         ++statFaults;
         ++tr.faults;
@@ -477,9 +475,10 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
     // fill k completes at postTick + cost, independent of its
     // siblings, and the time it overlapped the walk is hidden.
     for (const PendingFill &p : asyncPending) {
-        MissOutcome mo = serviceMiss(*driver, *nicCache, *timings,
-                                     procId, p.vpn, p.width, runBuf,
-                                     repairBuf, &*shard, nullptr);
+        MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
+                                     *timings, procId, p.vpn, p.width,
+                                     runBuf, repairBuf, &*shard,
+                                     nullptr);
         if (mo.fault) {
             ++statFaults;
             ++tr.faults;

@@ -100,9 +100,12 @@ struct MissOutcome {
 
 /**
  * Service a Shared UTLB-Cache miss for (pid, vpn): DMA up to
- * @p width consecutive host-table entries, repair an invalid first
- * entry by interrupting the host (the §3.1 fault path), and install
- * every valid entry fetched. @p runBuf / @p repairBuf are caller
+ * @p width consecutive entries of @p table (pid's host page table),
+ * repair an invalid first entry by interrupting the host (the §3.1
+ * fault path, a pin ioctl through @p driver), and install every
+ * valid entry fetched. No driver lock is taken unless the fault path
+ * runs: @p table must stay registered for the call, which the
+ * process' own view guarantees. @p runBuf / @p repairBuf are caller
  * scratch (the miss path must not allocate); @p shard selects the
  * concurrent install path; @p tracer may be null.
  *
@@ -112,7 +115,8 @@ struct MissOutcome {
  * the neighbours already transferred are installed — and counted —
  * exactly once.
  */
-MissOutcome serviceMiss(UtlbDriver &driver, SharedUtlbCache &cache,
+MissOutcome serviceMiss(UtlbDriver &driver, HostPageTable &table,
+                        SharedUtlbCache &cache,
                         const nic::NicTimings &timings, mem::ProcId pid,
                         mem::Vpn vpn, std::size_t width,
                         std::vector<std::optional<mem::Pfn>> &runBuf,
@@ -247,6 +251,13 @@ class UserUtlb
     SharedUtlbCache *nicCache;
     const nic::NicTimings *timings;
     mem::ProcId procId;
+    /**
+     * This process' host page table, resolved once at construction
+     * (UtlbDriver::pageTableShared), so a NIC miss takes no driver
+     * lock. Valid until procId unregisters, which its owner does
+     * only after destroying this view.
+     */
+    HostPageTable *hostTable;
     UtlbConfig cfg;
     PinManager pinMgr;
     sim::Tracer *tracer = nullptr;

@@ -10,21 +10,53 @@
  * capability, sim::LockGuard the scoped holder the analysis tracks.
  * Project rule (enforced by scripts/concurrency_lint.py): code under
  * src/ uses these, never a bare std::mutex.
+ *
+ * sim::Mutex also spins briefly before it parks: the critical
+ * sections it guards here (a driver ioctl body, a pin-budget update)
+ * run for a few hundred cycles, while a futex sleep and wake costs
+ * several thousand, so a waiter that parks waits far longer than the
+ * holder holds (docs/performance.md, "Driver mutex: spin, then
+ * park").
  */
 
 #ifndef UTLB_SIM_MUTEX_HPP
 #define UTLB_SIM_MUTEX_HPP
 
+#include <atomic>
+#include <cstdint>
 #include <mutex>
 
 #include "sim/annotations.hpp"
+#include "sim/spinlock.hpp"
 
 namespace utlb::sim {
 
-/** A std::mutex the thread-safety analysis can see. */
+/**
+ * A std::mutex the thread-safety analysis can see, which spins a
+ * bounded number of try_lock() attempts before parking the waiter.
+ *
+ * Two relaxed counters record contention where it happens, touched
+ * only on the slow path: contended() counts lock() calls whose first
+ * try_lock() failed, parked() those whose spin ran out and fell back
+ * to the blocking lock. An uncontended lock() is one try_lock() and
+ * touches neither.
+ */
 class UTLB_CAPABILITY("mutex") Mutex
 {
   public:
+    /**
+     * try_lock() attempts before a contended lock() parks. With a
+     * pause between attempts, 256 of them last about 5 us on a
+     * 4-core AVX2 VM, about twice the ~2.3 us a parked waiter waited
+     * there, so a waiter never spins much longer than parking would
+     * have cost it. Measured on perfbench mt_shared (two workers
+     * on the driver mutex): parking at once never left the slow
+     * regime, any bound from 64 to 4096 halved wall time per probe
+     * in a third to a half of the runs, and an unbounded spin did not
+     * (docs/performance.md has the runs).
+     */
+    static constexpr unsigned kSpinAttempts = 256;
+
     Mutex() = default;
 
     Mutex(const Mutex &) = delete;
@@ -33,6 +65,15 @@ class UTLB_CAPABILITY("mutex") Mutex
     void
     lock() UTLB_ACQUIRE()
     {
+        if (m.try_lock())
+            return;
+        contendedCount.fetch_add(1, std::memory_order_relaxed);
+        for (unsigned i = 0; i < kSpinAttempts; ++i) {
+            cpuRelax();
+            if (m.try_lock())
+                return;
+        }
+        parkedCount.fetch_add(1, std::memory_order_relaxed);
         m.lock();
     }
 
@@ -48,8 +89,31 @@ class UTLB_CAPABILITY("mutex") Mutex
         return m.try_lock();
     }
 
+    /**
+     * Tell the static analysis the caller holds this mutex through a
+     * scope it cannot see into (a sim::LockGuard member of an object
+     * the caller owns). No runtime check.
+     */
+    void assertHeld() const UTLB_ASSERT_CAPABILITY(this) {}
+
+    /** lock() calls that found the mutex held (lifetime count). */
+    std::uint64_t
+    contended() const
+    {
+        return contendedCount.load(std::memory_order_relaxed);
+    }
+
+    /** Contended lock() calls that parked after the spin. */
+    std::uint64_t
+    parked() const
+    {
+        return parkedCount.load(std::memory_order_relaxed);
+    }
+
   private:
     std::mutex m;
+    std::atomic<std::uint64_t> contendedCount{0};
+    std::atomic<std::uint64_t> parkedCount{0};
 };
 
 /** Scoped Mutex holder (the annotated std::lock_guard). */

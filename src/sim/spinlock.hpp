@@ -26,6 +26,27 @@
 
 namespace utlb::sim {
 
+/** The spin-wait hint: a `pause` on x86, nothing elsewhere. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/**
+ * A T on its own 64-byte cache line. Locks or counters that sit in
+ * an array indexed by keys different workers own must be padded, or
+ * neighbouring elements share a line and every write by one worker
+ * invalidates the others' copies (false sharing). The concurrency
+ * lint's `padded-lock-array` rule flags unpadded lock arrays.
+ */
+template <typename T>
+struct alignas(64) CachePadded {
+    T value;
+};
+
 class UTLB_CAPABILITY("spinlock") Spinlock
 {
   public:
@@ -38,11 +59,8 @@ class UTLB_CAPABILITY("spinlock") Spinlock
     lock() UTLB_ACQUIRE()
     {
         while (flag.test_and_set(std::memory_order_acquire)) {
-            while (flag.test(std::memory_order_relaxed)) {
-#if defined(__x86_64__) || defined(__i386__)
-                __builtin_ia32_pause();
-#endif
-            }
+            while (flag.test(std::memory_order_relaxed))
+                cpuRelax();
         }
     }
 

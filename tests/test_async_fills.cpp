@@ -398,8 +398,9 @@ TEST(ServiceMissRepair, SpliceKeepsNeighboursAndCountsOnce)
 
     std::vector<std::optional<utlb::mem::Pfn>> runBuf, repairBuf;
     MissOutcome mo =
-        serviceMiss(st.driver, st.cache, st.timings, 1, 100, 8,
-                    runBuf, repairBuf, nullptr, nullptr);
+        serviceMiss(st.driver, st.driver.pageTable(1), st.cache,
+                    st.timings, 1, 100, 8, runBuf, repairBuf, nullptr,
+                    nullptr);
 
     EXPECT_TRUE(mo.fault);
     EXPECT_TRUE(mo.ok);
@@ -435,8 +436,9 @@ TEST(ServiceMissRepair, EmptyRunStillChargesSingleFetch)
 
     std::vector<std::optional<utlb::mem::Pfn>> runBuf, repairBuf;
     MissOutcome mo =
-        serviceMiss(st.driver, st.cache, st.timings, 1, 5000, 8,
-                    runBuf, repairBuf, nullptr, nullptr);
+        serviceMiss(st.driver, st.driver.pageTable(1), st.cache,
+                    st.timings, 1, 5000, 8, runBuf, repairBuf, nullptr,
+                    nullptr);
 
     EXPECT_TRUE(mo.fault);
     EXPECT_TRUE(mo.ok);

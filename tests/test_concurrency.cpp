@@ -537,4 +537,114 @@ TEST(ConcurrentStack, ParallelProcessesTranslateCoherently)
     }
 }
 
+// ---------------------------------------------------------------------
+// Driver sessions: evict-then-pin under one driver-mutex hold, racing
+// tenant churn
+// ---------------------------------------------------------------------
+
+TEST(ConcurrentStack, EvictThenPinSessionsRaceTenantChurn)
+{
+    // Two views under a 64-page pin budget sweep 512 pages each, so
+    // almost every lookup evicts and then pins inside one driver
+    // session while the other view does the same. A third thread
+    // registers, translates through and unregisters short-lived
+    // tenants, rehashing the driver directory the views' miss path
+    // no longer locks. Every translation must name the frame its
+    // page is mapped to, and the stack must audit clean afterwards.
+    constexpr unsigned kViews = 2;
+    constexpr std::size_t kPages = 512;
+    constexpr int kCalls = 1500;
+    constexpr int kChurnCycles = 150;
+
+    utlb::mem::PhysMemory phys(8192);
+    utlb::mem::PinFacility pins;
+    utlb::nic::Sram sram(4u << 20);
+    utlb::nic::NicTimings timings;
+    HostCosts costs(HostProfile::PentiumIINT);
+    SharedUtlbCache cache(CacheConfig{1024, 4, true}, timings, &sram);
+    UtlbDriver driver(phys, pins, sram, cache, costs);
+
+    std::vector<std::unique_ptr<utlb::mem::AddressSpace>> spaces;
+    std::vector<std::unique_ptr<UserUtlb>> views;
+    for (unsigned t = 0; t < kViews; ++t) {
+        auto pid = static_cast<utlb::mem::ProcId>(t + 1);
+        spaces.push_back(
+            std::make_unique<utlb::mem::AddressSpace>(pid, phys));
+        driver.registerProcess(*spaces.back());
+        UtlbConfig ucfg;
+        ucfg.concurrent = true;
+        ucfg.prefetchEntries = 4;
+        ucfg.pin.memLimitPages = 64;
+        views.push_back(std::make_unique<UserUtlb>(
+            driver, cache, timings, pid, ucfg));
+    }
+
+    std::atomic<bool> stop{false};
+    std::thread churn([&] {
+        UtlbConfig ucfg;
+        ucfg.concurrent = true;
+        ucfg.prefetchEntries = 4;
+        for (int i = 0; i < kChurnCycles
+                        && !stop.load(std::memory_order_acquire);
+             ++i) {
+            auto pid = static_cast<utlb::mem::ProcId>(100 + i % 8);
+            utlb::mem::AddressSpace space(pid, phys);
+            driver.registerProcess(space);
+            {
+                UserUtlb view(driver, cache, timings, pid, ucfg);
+                Translation tr =
+                    view.translateRange(0, 4 * utlb::mem::kPageSize);
+                EXPECT_TRUE(tr.ok) << "churn tenant " << pid;
+            }
+            driver.unregisterProcess(pid);
+        }
+    });
+
+    std::vector<std::thread> workers;
+    std::vector<std::size_t> unpins(kViews, 0);
+    for (unsigned t = 0; t < kViews; ++t) {
+        workers.emplace_back([&, t] {
+            UserUtlb &u = *views[t];
+            const utlb::mem::AddressSpace &space = *spaces[t];
+            Rng rng(0x5e55 + t);
+            for (int call = 0; call < kCalls; ++call) {
+                Vpn start = rng.below(kPages);
+                std::size_t n = 1 + rng.below(8);
+                Translation tr = u.translateRange(
+                    start * utlb::mem::kPageSize,
+                    n * utlb::mem::kPageSize);
+                ASSERT_TRUE(tr.ok) << "view " << t << " call " << call;
+                ASSERT_EQ(tr.pageAddrs.size(), n);
+                unpins[t] += tr.pagesUnpinned;
+                // Only this thread maps pages into its own space, so
+                // reading it here races nothing.
+                for (std::size_t i = 0; i < n; ++i) {
+                    auto pfn = space.lookup(start + i);
+                    ASSERT_TRUE(pfn.has_value());
+                    ASSERT_EQ(tr.pageAddrs[i],
+                              utlb::mem::frameAddr(*pfn))
+                        << "view " << t << " vpn " << start + i;
+                }
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    stop.store(true, std::memory_order_release);
+    churn.join();
+
+    for (unsigned t = 0; t < kViews; ++t) {
+        // The budget really forced evict-then-pin sessions.
+        EXPECT_GT(unpins[t], static_cast<std::size_t>(kCalls))
+            << "view " << t;
+        views[t]->flushShardStats();
+    }
+    AuditReport report;
+    cache.audit(report);
+    driver.audit(report);
+    for (auto &v : views)
+        v->pinManager().audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
 } // namespace

@@ -9,16 +9,20 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "sim/calibration.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/mutex.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/table.hpp"
@@ -723,6 +727,67 @@ TEST(FlatMap, MoveOnlyValuesSurviveGrowthAndErase)
             EXPECT_EQ(**p, static_cast<int>(k));
     }
     EXPECT_EQ(m.size(), 66u);
+}
+
+// ---------------------------------------------------------------------------
+// Mutex: spin, then park; contention counters
+// ---------------------------------------------------------------------------
+
+TEST(Mutex, UncontendedLockTouchesNoCounter)
+{
+    Mutex mu;
+    for (int i = 0; i < 1000; ++i) {
+        LockGuard g(mu);
+    }
+    EXPECT_EQ(mu.contended(), 0u);
+    EXPECT_EQ(mu.parked(), 0u);
+}
+
+TEST(Mutex, HammeringThreadsKeepMutualExclusionAndCountContention)
+{
+    constexpr int kThreads = 4;
+    constexpr int kIters = 50000;
+    Mutex mu;
+    long counter = 0; // plain: a lost update means broken exclusion
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            while (!go.load(std::memory_order_acquire)) {
+            }
+            for (int i = 0; i < kIters; ++i) {
+                LockGuard g(mu);
+                ++counter;
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(counter, static_cast<long>(kThreads) * kIters);
+    EXPECT_GT(mu.contended(), 0u);
+    EXPECT_LE(mu.parked(), mu.contended());
+}
+
+TEST(Mutex, WaiterParksOnceItsSpinRunsOut)
+{
+    // The holder keeps the lock until the waiter has counted its
+    // park (the count precedes the blocking lock), so the waiter
+    // records exactly one contended lock and one park.
+    Mutex mu;
+    std::thread waiter;
+    {
+        LockGuard g(mu);
+        waiter = std::thread([&] { LockGuard w(mu); });
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (mu.parked() == 0
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    }
+    waiter.join();
+    EXPECT_EQ(mu.contended(), 1u);
+    EXPECT_EQ(mu.parked(), 1u);
 }
 
 } // namespace

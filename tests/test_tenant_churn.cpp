@@ -216,4 +216,33 @@ TEST_F(ChurnStack, ReRegisterAfterTeardownKeepsWorking)
     EXPECT_EQ(statTreeTables(), kStableTenants);
 }
 
+TEST_F(ChurnStack, IsRegisteredIsSafeDuringChurn)
+{
+    // isRegistered() probes the driver directory, which every
+    // register/unregister may rehash. A reader thread queries it
+    // throughout a churn storm: the stable tenants must always read
+    // registered, and the query must not race the rehash (the test
+    // runs under TSan in CI).
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> wrong{0};
+    std::thread reader([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+            for (unsigned i = 0; i < kStableTenants; ++i)
+                if (!driver.isRegistered(static_cast<ProcId>(i + 1)))
+                    wrong.fetch_add(1, std::memory_order_relaxed);
+            for (ProcId pid = 2000; pid < 2004; ++pid)
+                (void)driver.isRegistered(pid);
+        }
+    });
+
+    for (int i = 0; i < 300; ++i)
+        churnCycle(static_cast<ProcId>(2000 + i % 4));
+    stop.store(true, std::memory_order_release);
+    reader.join();
+
+    EXPECT_EQ(wrong.load(std::memory_order_relaxed), 0u);
+    for (ProcId pid = 2000; pid < 2004; ++pid)
+        EXPECT_FALSE(driver.isRegistered(pid));
+}
+
 } // namespace
