@@ -34,6 +34,10 @@ step "tlbsim --audit-every sweep"
 # The interrupt baseline under a 4 MB pin budget sheds on most misses.
 "$BUILD"/src/tlbsim/tlbsim lu --mode intr --entries 4096 --assoc 4 \
     --memlimit 1024 --audit-every 500 > /dev/null
+# fft spans ~85 K vpns: many page-table leaves, unpin churn under the
+# budget, and pre-pin rollback.
+"$BUILD"/src/tlbsim/tlbsim fft --entries 1024 --memlimit 1024 \
+    --prepin 8 --audit-every 500 > /dev/null
 echo "audit sweeps clean"
 
 # --- Stage 4: clang-tidy --------------------------------------------

@@ -33,6 +33,11 @@ PinFacility::registerSpace(AddressSpace &space)
 void
 PinFacility::unregisterProcess(ProcId pid)
 {
+    ProcState *p = findProc(pid);
+    if (!p)
+        return;
+    if (p->pinned != 0)
+        p->space->clearPins();
     procs.erase(pid);
 }
 
@@ -63,29 +68,35 @@ PinFacility::pinOne(ProcState *p, Vpn vpn, PinStatus &st,
         return std::nullopt;
     }
 
-    if (std::uint32_t *refs = p->refs.find(vpn)) {
-        ++*refs;
+    AddressSpace::Pte &e = p->space->entry(vpn);
+    if (e.pins != 0) {
+        ++e.pins;
         st = PinStatus::Ok;
-        return p->space->lookup(vpn);
+        return e.frame();
     }
 
-    if (p->limit != 0 && p->refs.size() >= p->limit) {
+    // The limit is checked before the page is demand-mapped, so a
+    // rejected pin allocates no frame.
+    if (p->limit != 0 && p->pinned >= p->limit) {
         ++statFailedPins;
         st = PinStatus::LimitExceeded;
         return std::nullopt;
     }
 
-    auto pfn = p->space->touch(vpn, mapped_now);
-    if (!pfn) {
+    bool fresh = !e.mapped();
+    if (fresh && !p->space->mapFresh(e)) {
         ++statFailedPins;
         st = PinStatus::OutOfMemory;
         return std::nullopt;
     }
+    if (mapped_now)
+        *mapped_now = fresh;
 
-    p->refs[vpn] = 1;
+    e.pins = 1;
+    ++p->pinned;
     ++statPagesPinned;
     st = PinStatus::Ok;
-    return pfn;
+    return e.frame();
 }
 
 std::optional<Pfn>
@@ -135,47 +146,53 @@ PinFacility::unpinPage(ProcId pid, Vpn vpn)
     auto *p = findProc(pid);
     if (!p)
         return PinStatus::UnknownProcess;
-    std::uint32_t *refs = p->refs.find(vpn);
-    if (!refs)
+    AddressSpace::Pte *e = p->space->find(vpn);
+    if (!e || e->pins == 0)
         return PinStatus::NotPinned;
-    if (--*refs == 0) {
-        p->refs.erase(vpn);
+    if (--e->pins == 0) {
+        --p->pinned;
         ++statPagesUnpinned;
     }
     return PinStatus::Ok;
 }
 
+const AddressSpace::Pte *
+PinFacility::pinnedEntry(ProcId pid, Vpn vpn) const
+{
+    const auto *p = findProc(pid);
+    if (!p)
+        return nullptr;
+    const AddressSpace::Pte *e = p->space->find(vpn);
+    return e && e->pins != 0 ? e : nullptr;
+}
+
 bool
 PinFacility::isPinned(ProcId pid, Vpn vpn) const
 {
-    const auto *p = findProc(pid);
-    return p && p->refs.contains(vpn);
+    return pinnedEntry(pid, vpn) != nullptr;
 }
 
 std::uint32_t
 PinFacility::pinRefs(ProcId pid, Vpn vpn) const
 {
-    const auto *p = findProc(pid);
-    if (!p)
-        return 0;
-    const std::uint32_t *refs = p->refs.find(vpn);
-    return refs ? *refs : 0;
+    const AddressSpace::Pte *e = pinnedEntry(pid, vpn);
+    return e ? e->pins : 0;
 }
 
 std::size_t
 PinFacility::pinnedPages(ProcId pid) const
 {
     const auto *p = findProc(pid);
-    return p ? p->refs.size() : 0;
+    return p ? p->pinned : 0;
 }
 
 std::optional<Pfn>
 PinFacility::pinnedFrame(ProcId pid, Vpn vpn) const
 {
-    const auto *p = findProc(pid);
-    if (!p || !p->refs.contains(vpn))
+    const AddressSpace::Pte *e = pinnedEntry(pid, vpn);
+    if (!e)
         return std::nullopt;
-    return p->space->lookup(vpn);
+    return e->frame();
 }
 
 void
@@ -185,21 +202,22 @@ PinFacility::audit(check::AuditReport &report) const
         report.component("pin-facility", pid);
         report.require(p.space != nullptr,
                        "registered process has no address space");
-        // No refs.size() <= limit check here: setPinLimit() allows
+        // No pinned <= limit check here: setPinLimit() allows
         // lowering the limit below the current count, so that state
         // is legal. Budget overflow is PinManager::audit's job (its
         // budget is fixed at construction).
-        for (const auto &[vpn, refcount] : p.refs) {
-            report.require(refcount > 0,
-                           "page %llu carries a zero pin refcount",
-                           static_cast<unsigned long long>(vpn));
-            if (!p.space)
-                continue;
-            auto pfn = p.space->lookup(vpn);
-            report.require(pfn.has_value(),
-                           "pinned page %llu has no mapping",
-                           static_cast<unsigned long long>(vpn));
-        }
+        //
+        // No per-page checks either: a pin count lives in the page's
+        // own table entry, so "a pinned page has a positive refcount
+        // and a mapping" holds by construction (a zero count is an
+        // unpinned page, and AddressSpace asserts it never unmaps a
+        // pinned one). What can drift is the per-process total.
+        if (!p.space)
+            continue;
+        std::size_t counted = p.space->countPinned();
+        report.require(counted == p.pinned,
+                       "%zu pinned pages counted, %zu page-table "
+                       "entries pinned", p.pinned, counted);
     }
 }
 

@@ -4,11 +4,11 @@
  *
  * The paper's only OS requirement is "a device driver that accesses
  * the OS page-pinning and unpinning facility" (§1). This class is
- * that facility: it refcounts pins per (process, virtual page),
- * enforces an optional per-process pin limit (the 4 MB / 16 MB
- * constraints of §6.2 and §6.5), and guarantees a pinned page's frame
- * stays resident (we model that by simply never reclaiming mapped
- * frames; the invariant tests check pinned mappings are stable).
+ * that facility: it refcounts pins per (process, virtual page) in the
+ * process' page-table entries, enforces an optional per-process pin
+ * limit (the 4 MB / 16 MB constraints of §6.2 and §6.5), and
+ * guarantees a pinned page's frame stays resident (the address space
+ * refuses to unmap a pinned page).
  */
 
 #ifndef UTLB_MEM_PINNING_HPP
@@ -135,20 +135,25 @@ class PinFacility
     const sim::StatGroup &stats() const { return statsGrp; }
 
     /**
-     * Invariant auditor: every pin reference is positive, no process
-     * exceeds its pin limit, and every pinned page has a stable
-     * mapping to an allocated frame (the facility's core guarantee).
+     * Invariant auditor: every registered process has an address
+     * space, and its count of pinned pages equals the number of its
+     * page-table entries with a nonzero pin count.
      */
     void audit(check::AuditReport &report) const;
 
   private:
     friend struct check::TestTamper;
 
+    /** A registered process. Its per-page pin refcounts live in its
+     *  address space's page-table entries (AddressSpace::Pte::pins). */
     struct ProcState {
         AddressSpace *space = nullptr;
-        std::size_t limit = 0;  //!< pages; 0 = unlimited
-        sim::FlatMap<std::uint32_t> refs;  //!< vpn -> pin refcount
+        std::size_t limit = 0;   //!< pages; 0 = unlimited
+        std::size_t pinned = 0;  //!< entries with pins > 0
     };
+
+    /** The entry of a pinned page of @p pid, or nullptr. */
+    const AddressSpace::Pte *pinnedEntry(ProcId pid, Vpn vpn) const;
 
     ProcState *findProc(ProcId pid) { return procs.find(pid); }
     const ProcState *findProc(ProcId pid) const

@@ -18,8 +18,10 @@
 #ifndef UTLB_SIM_JSON_HPP
 #define UTLB_SIM_JSON_HPP
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -29,30 +31,37 @@
 
 namespace utlb::sim {
 
-/** Render @p s as a double-quoted JSON string with full escaping. */
+/** Append @p s to @p out as a double-quoted JSON string with full
+ *  escaping. */
 inline void
-jsonEscape(std::ostream &os, std::string_view s)
+jsonEscape(std::string &out, std::string_view s)
 {
-    os << '"';
-    for (unsigned char c : s) {
+    out += '"';
+    std::size_t run = 0;  // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (c < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << static_cast<char>(c);
-            }
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default: {
+            static const char hex[] = "0123456789abcdef";
+            const char esc[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                hex[c & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
-    os << '"';
+    out.append(s, run, s.size() - run);
+    out += '"';
 }
 
 /**
@@ -61,13 +70,24 @@ jsonEscape(std::ostream &os, std::string_view s)
  * Inside an object use the field() overloads (key + value) and the
  * keyed beginObject/beginArray; inside an array use the value()
  * overloads and the unkeyed begin calls.
+ *
+ * Output collects in a string and reaches the stream in blocks of
+ * about kFlushBytes, and in full as soon as the top-level object or
+ * array is closed, so a caller may read or extend the stream right
+ * after the last close.
  */
 class JsonWriter
 {
   public:
+    /** Buffered bytes that trigger a write to the stream. */
+    static constexpr std::size_t kFlushBytes = 64 * 1024;
+
     explicit JsonWriter(std::ostream &os, bool pretty = true)
         : out(&os), prettyPrint(pretty)
     {}
+
+    /** Writes out whatever an unfinished document left buffered. */
+    ~JsonWriter() { flush(); }
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
@@ -86,7 +106,7 @@ class JsonWriter
     field(std::string_view key, std::string_view v)
     {
         prefix(&key);
-        jsonEscape(*out, v);
+        jsonEscape(buf, v);
     }
 
     void
@@ -99,7 +119,7 @@ class JsonWriter
     field(std::string_view key, std::uint64_t v)
     {
         prefix(&key);
-        *out << v;
+        writeUint(v);
     }
 
     void
@@ -113,7 +133,7 @@ class JsonWriter
     field(std::string_view key, bool v)
     {
         prefix(&key);
-        *out << (v ? "true" : "false");
+        buf += v ? "true" : "false";
     }
     /** @} */
 
@@ -126,14 +146,14 @@ class JsonWriter
     rawField(std::string_view key, std::string_view json)
     {
         prefix(&key);
-        *out << json;
+        buf += json;
     }
 
     void
     rawValue(std::string_view json)
     {
         prefix(nullptr);
-        *out << json;
+        buf += json;
     }
     /** @} */
 
@@ -142,14 +162,14 @@ class JsonWriter
     value(std::string_view v)
     {
         prefix(nullptr);
-        jsonEscape(*out, v);
+        jsonEscape(buf, v);
     }
 
     void
     value(std::uint64_t v)
     {
         prefix(nullptr);
-        *out << v;
+        writeUint(v);
     }
 
     void
@@ -170,6 +190,14 @@ class JsonWriter
     };
 
     void
+    writeUint(std::uint64_t v)
+    {
+        char tmp[20];
+        auto [end, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
+        buf.append(tmp, end);
+    }
+
+    void
     writeDouble(double v)
     {
         // JSON has no NaN/Infinity literal; empty-histogram min/max
@@ -177,29 +205,40 @@ class JsonWriter
         // a token every parser rejects.
         if (!std::isfinite(v))
             v = 0.0;
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.12g", v);
-        *out << buf;
+        char tmp[32];
+        int n = std::snprintf(tmp, sizeof(tmp), "%.12g", v);
+        buf.append(tmp, static_cast<std::size_t>(n));
+    }
+
+    void
+    flush()
+    {
+        if (buf.empty())
+            return;
+        out->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
     }
 
     void
     prefix(const std::string_view *key)
     {
+        if (buf.size() >= kFlushBytes)
+            flush();
         if (!depth.empty()) {
             Level &top = depth.back();
             if ((top.kind == '{') != (key != nullptr))
                 panic("JsonWriter: %s used inside %c",
                       key ? "keyed write" : "bare value", top.kind);
             if (top.hasItems)
-                *out << ',';
+                buf += ',';
             top.hasItems = true;
             newlineIndent();
         } else if (emitted) {
             panic("JsonWriter: multiple top-level values");
         }
         if (key) {
-            jsonEscape(*out, *key);
-            *out << (prettyPrint ? ": " : ":");
+            jsonEscape(buf, *key);
+            buf += prettyPrint ? ": " : ":";
         }
         emitted = true;
     }
@@ -208,7 +247,7 @@ class JsonWriter
     open(char kind, const std::string_view *key)
     {
         prefix(key);
-        *out << kind;
+        buf += kind;
         depth.push_back(Level{kind, false});
     }
 
@@ -223,7 +262,9 @@ class JsonWriter
         depth.pop_back();
         if (hadItems)
             newlineIndent();
-        *out << closer;
+        buf += closer;
+        if (depth.empty())
+            flush();
     }
 
     void
@@ -231,15 +272,15 @@ class JsonWriter
     {
         if (!prettyPrint)
             return;
-        *out << '\n';
-        for (std::size_t i = 0; i < depth.size(); ++i)
-            *out << "  ";
+        buf += '\n';
+        buf.append(2 * depth.size(), ' ');
     }
 
     std::ostream *out;
     bool prettyPrint;
     bool emitted = false;
     std::vector<Level> depth;
+    std::string buf;  //!< output not yet handed to *out
 };
 
 } // namespace utlb::sim

@@ -300,7 +300,7 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
             // accrues are identical to the per-page branch below (the
             // golden-equivalence test holds both against each other);
             // the classifier is replayed from the recorded miss
-            // indices, which match the interleaved peek outcomes.
+            // indices, which match the per-page probe outcomes.
             core::Translation t = utlb.translateRange(rec.va,
                                                       rec.nbytes);
             if (warm) {
@@ -361,16 +361,12 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
 
             bool any_miss = false;
             for (std::size_t i = 0; i < npages; ++i) {
-                // Classification must see the probe outcome before
-                // the lookup's side effects, so peek first.
-                bool would_hit =
-                    cache.peek(rec.pid, start + i).has_value();
-                if (warm)
-                    classifier.probe(rec.pid, start + i, !would_hit,
-                                     res);
-
+                // The classifier keeps its own shadow state and never
+                // reads the cache, so the probe's own miss bit is all
+                // it needs.
                 core::NicLookup nl = utlb.nicTranslate(start + i);
                 if (warm) {
+                    classifier.probe(rec.pid, start + i, nl.miss, res);
                     ++res.probes;
                     res.nicTime += nl.cost;
                     if (nl.miss) {
@@ -452,13 +448,9 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
         bool any_miss = false;
         Vpn start = pageOf(rec.va);
         for (std::size_t i = 0; i < npages; ++i) {
-            bool would_hit =
-                cache.peek(rec.pid, start + i).has_value();
-            if (warm)
-                classifier.probe(rec.pid, start + i, !would_hit, res);
-
             core::IntrLookup lk = intr.translate(rec.pid, start + i);
             if (warm) {
+                classifier.probe(rec.pid, start + i, lk.miss, res);
                 ++res.probes;
                 res.nicTime += lk.cost;
                 if (lk.miss) {

@@ -151,14 +151,23 @@ struct TestTamper {
         q.curTick = q.heap.front().when + 1;
     }
 
-    /** Zero one kernel pin refcount while keeping the page listed. */
+    /** Zero one page-table entry's pin count while the facility
+     *  still counts the page as pinned. */
     static void
     zeroPinRefcount(mem::PinFacility &pf, mem::ProcId pid)
     {
         auto *proc = pf.procs.find(pid);
         ASSERT_NE(proc, nullptr);
-        ASSERT_FALSE(proc->refs.empty());
-        proc->refs.begin()->value = 0;
+        ASSERT_NE(proc->space, nullptr);
+        for (auto &[key, leaf] : proc->space->leaves) {
+            for (mem::AddressSpace::Pte &e : leaf->ptes) {
+                if (e.pins != 0) {
+                    e.pins = 0;
+                    return;
+                }
+            }
+        }
+        FAIL() << "process " << pid << " has no pinned page";
     }
 
     /** Record a zero-count outstanding-send lock. */

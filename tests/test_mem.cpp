@@ -13,6 +13,7 @@
 #include <numeric>
 #include <vector>
 
+#include "check/check.hpp"
 #include "mem/address_space.hpp"
 #include "mem/page.hpp"
 #include "mem/phys_memory.hpp"
@@ -342,6 +343,25 @@ TEST(AddressSpace, UnmapAllFreesInAscendingVpnOrder)
     EXPECT_EQ(*pm.allocFrame(2), 2u);
     EXPECT_EQ(*pm.allocFrame(2), 3u);
     EXPECT_EQ(*pm.allocFrame(2), 1u);
+
+    // The same across many page-table leaves: vpns on both sides of
+    // 64-, 512- and 1024-page boundaries, and far above 2^20, touched
+    // out of order. Frames recorded from the hash-map page table.
+    PhysMemory pm2(32);
+    AddressSpace wide(1, pm2);
+    const Vpn vpns[] = {(Vpn{1} << 20) + 512, 1023, 64, Vpn{1} << 36,
+                        0, (Vpn{1} << 20) - 1, 511, 1024,
+                        (Vpn{1} << 20) + 511, 63, 512, Vpn{1} << 20,
+                        (Vpn{1} << 36) - 1, 2047, 2048};
+    for (Vpn v : vpns)
+        wide.touch(v);
+    wide.unmapAll();
+    EXPECT_EQ(wide.mappedPages(), 0u);
+    std::vector<Pfn> reuse;
+    for (std::size_t i = 0; i < std::size(vpns); ++i)
+        reuse.push_back(*pm2.allocFrame(2));
+    EXPECT_EQ(reuse, (std::vector<Pfn>{3, 12, 0, 8, 11, 5, 14, 13, 7,
+                                       1, 10, 6, 2, 9, 4}));
 }
 
 TEST(AddressSpace, ByteAccessStraddlesPages)
@@ -564,5 +584,41 @@ TEST_F(PinFacilityTest, UnregisterProcessDropsItsState)
     EXPECT_FALSE(pf.pinPage(1, 6, &st).has_value());
     EXPECT_EQ(st, PinStatus::UnknownProcess);
 }
+
+TEST_F(PinFacilityTest, ReregisteringAfterUnregisterLeavesNoPins)
+{
+    pf.pinPage(1, 5);
+    pf.pinPage(1, 5);
+    pf.pinPage(1, 700);
+    pf.unregisterProcess(1);
+    pf.registerSpace(as);
+    EXPECT_EQ(pf.pinnedPages(1), 0u);
+    EXPECT_FALSE(pf.isPinned(1, 5));
+    EXPECT_EQ(pf.pinRefs(1, 5), 0u);
+    EXPECT_FALSE(pf.pinnedFrame(1, 700).has_value());
+    EXPECT_EQ(pf.unpinPage(1, 700), PinStatus::NotPinned);
+    // The mappings survive; only the pins went.
+    EXPECT_EQ(as.mappedPages(), 2u);
+    ASSERT_TRUE(pf.pinPage(1, 5).has_value());
+    EXPECT_EQ(pf.pinRefs(1, 5), 1u);
+    EXPECT_EQ(pf.pinnedPages(1), 1u);
+    EXPECT_EQ(pf.unpinPage(1, 5), PinStatus::Ok);
+    as.unmapAll();  // nothing is pinned, so nothing trips the check
+    EXPECT_EQ(as.mappedPages(), 0u);
+}
+
+// Unmapping a page the facility still holds pinned is a checked
+// error; the check only exists where UTLB_ASSERT is live.
+#if UTLB_CHECK_LEVEL >= 1
+TEST_F(PinFacilityTest, UnmappingPinnedPageTripsCheck)
+{
+    ASSERT_TRUE(pf.pinPage(1, 9).has_value());
+    EXPECT_DEATH(as.unmap(9), "pinned");
+    EXPECT_DEATH(as.unmapAll(), "pinned");
+    ASSERT_EQ(pf.unpinPage(1, 9), PinStatus::Ok);
+    as.unmap(9);
+    EXPECT_FALSE(as.lookup(9).has_value());
+}
+#endif
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -311,6 +312,137 @@ TEST(JsonWriter, NonFiniteDoublesBecomeZero)
     JValue v = JParser::parse(os.str());
     EXPECT_EQ(v.at("inf").num, 0.0);
     EXPECT_EQ(v.at("nan").num, 0.0);
+}
+
+/** A nested document exercising every kind of write. */
+void
+writeGoldenDoc(sim::JsonWriter &w)
+{
+    w.beginObject();
+    w.field("str", "q\"b\\s/\b\f\n\r\t\x01\x1f\x7f\xc3\xa9");
+    w.field("cstr", static_cast<const char *>("plain"));
+    w.field("zero", std::uint64_t{0});
+    w.field("max", ~std::uint64_t{0});
+    w.field("yes", true);
+    w.field("no", false);
+    w.field("pi", 3.14159265358979);
+    w.field("tiny", -1.25e-300);
+    w.field("big", 6.02214076e23);
+    w.field("whole", 1024.0);
+    w.field("inf", std::numeric_limits<double>::infinity());
+    w.field("ninf", -std::numeric_limits<double>::infinity());
+    w.field("nan", std::numeric_limits<double>::quiet_NaN());
+    w.rawField("raw", "{\"k\": [1, 2]}");
+    w.beginObject("empty_obj");
+    w.endObject();
+    w.beginArray("empty_arr");
+    w.endArray();
+    w.beginArray("list");
+    w.value("e\"l");
+    w.value(std::uint64_t{7});
+    w.value(0.1);
+    w.rawValue("null");
+    w.beginArray();
+    w.beginObject();
+    w.field("deep", std::uint64_t{3});
+    w.endObject();
+    w.endArray();
+    w.endArray();
+    w.endObject();
+}
+
+// Recorded from the ostream-at-a-time writer: the buffered writer
+// must reproduce it byte for byte.
+TEST(JsonWriter, PrettyOutputIsByteIdentical)
+{
+    std::ostringstream os;
+    sim::JsonWriter w(os);
+    writeGoldenDoc(w);
+    const std::string want =
+        "{\n"
+        "  \"str\": \"q\\\"b\\\\s/\\b\\f\\n\\r\\t"
+        "\\u0001\\u001f\x7f\xc3\xa9\",\n"
+        "  \"cstr\": \"plain\",\n"
+        "  \"zero\": 0,\n"
+        "  \"max\": 18446744073709551615,\n"
+        "  \"yes\": true,\n"
+        "  \"no\": false,\n"
+        "  \"pi\": 3.14159265359,\n"
+        "  \"tiny\": -1.25e-300,\n"
+        "  \"big\": 6.02214076e+23,\n"
+        "  \"whole\": 1024,\n"
+        "  \"inf\": 0,\n"
+        "  \"ninf\": 0,\n"
+        "  \"nan\": 0,\n"
+        "  \"raw\": {\"k\": [1, 2]},\n"
+        "  \"empty_obj\": {},\n"
+        "  \"empty_arr\": [],\n"
+        "  \"list\": [\n"
+        "    \"e\\\"l\",\n"
+        "    7,\n"
+        "    0.1,\n"
+        "    null,\n"
+        "    [\n"
+        "      {\n"
+        "        \"deep\": 3\n"
+        "      }\n"
+        "    ]\n"
+        "  ]\n"
+        "}";
+    EXPECT_EQ(os.str(), want);
+}
+
+TEST(JsonWriter, CompactOutputIsByteIdentical)
+{
+    std::ostringstream os;
+    sim::JsonWriter w(os, false);
+    writeGoldenDoc(w);
+    const std::string want =
+        "{\"str\":\"q\\\"b\\\\s/\\b\\f\\n\\r\\t"
+        "\\u0001\\u001f\x7f\xc3\xa9\","
+        "\"cstr\":\"plain\",\"zero\":0,\"max\":18446744073709551615,"
+        "\"yes\":true,\"no\":false,\"pi\":3.14159265359,"
+        "\"tiny\":-1.25e-300,\"big\":6.02214076e+23,\"whole\":1024,"
+        "\"inf\":0,\"ninf\":0,\"nan\":0,\"raw\":{\"k\": [1, 2]},"
+        "\"empty_obj\":{},\"empty_arr\":[],\"list\":[\"e\\\"l\",7,"
+        "0.1,null,[{\"deep\":3}]]}";
+    EXPECT_EQ(os.str(), want);
+}
+
+// runJson() and dumpJson() read or extend the stream right after the
+// top-level close, while the writer is still alive.
+TEST(JsonWriter, StreamIsCompleteAtTopLevelClose)
+{
+    for (bool pretty : {true, false}) {
+        std::ostringstream os;
+        sim::JsonWriter w(os, pretty);
+        w.beginObject();
+        w.field("a", std::uint64_t{1});
+        w.endObject();
+        EXPECT_EQ(os.str(), pretty ? "{\n  \"a\": 1\n}" : "{\"a\":1}");
+        os << '\n';
+        EXPECT_EQ(os.str().back(), '\n');
+    }
+}
+
+// The tracer's Chrome output is one long compact-able document: its
+// bytes must reach the stream in blocks while it is still open.
+TEST(JsonWriter, LargeDocumentReachesStreamBeforeItCloses)
+{
+    for (bool pretty : {true, false}) {
+        std::ostringstream os;
+        sim::JsonWriter w(os, pretty);
+        w.beginObject();
+        w.beginArray("events");
+        const std::string pad(100, 'x');
+        for (int i = 0; i < 1001; ++i)
+            w.value(pad);  // > 100 KB in all
+        EXPECT_GE(os.str().size(), 64u * 1024);
+        w.endArray();
+        w.endObject();
+        JValue v = JParser::parse(os.str());
+        EXPECT_EQ(v.at("events").arr.size(), 1001u);
+    }
 }
 
 // ---------------------------------------------------------------------

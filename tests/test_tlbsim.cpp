@@ -436,4 +436,25 @@ TEST(TlbSimGolden, UtlbThreeCSplit)
     EXPECT_EQ(r.conflictMisses, 36u);
 }
 
+TEST(TlbSimGolden, IntrThreeCSplit)
+{
+    SimConfig cfg;
+    cfg.cache = {4096, 4, true};
+    cfg.memLimitPages = 1024;
+    auto r = simulateIntr(utlb::trace::generateTrace("lu"), cfg);
+    EXPECT_EQ(r.niMissProbes, 12507u);
+    EXPECT_EQ(r.compulsoryMisses, 12507u);
+    EXPECT_EQ(r.capacityMisses, 0u);
+    EXPECT_EQ(r.conflictMisses, 0u);
+
+    // Every lu miss is a first touch, so also pin a cell whose misses
+    // split three ways.
+    cfg.cache = {1024, 1, true};
+    r = simulateIntr(utlb::trace::generateTrace("fft"), cfg);
+    EXPECT_EQ(r.niMissProbes, 20824u);
+    EXPECT_EQ(r.compulsoryMisses, 10802u);
+    EXPECT_EQ(r.capacityMisses, 9986u);
+    EXPECT_EQ(r.conflictMisses, 36u);
+}
+
 } // namespace
