@@ -20,7 +20,7 @@
  *                    repins pages, so the PinManager mutex and the
  *                    coherence-invalidate path carry the load;
  *   mt_warm_assoc4   the warm disjoint sweep at 4-way associativity:
- *                    page-at-a-time lookupMT through the per-set
+ *                    page-at-a-time lookup() through the per-set
  *                    seqlock way search;
  *   mt_miss_overlap  capacity-miss streams with asynchronous fills:
  *                    misses post modeled outstanding fills and the

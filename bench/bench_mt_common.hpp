@@ -14,7 +14,7 @@
  *   shared    every worker sweeps the same vpn range under its own
  *             pid. Same sets, different tags: a direct-mapped set
  *             ping-pongs between processes, keeping the stripe
- *             locks, miss DMAs, and insertMT evictions contended —
+ *             locks, miss DMAs, and concurrent evictions contended —
  *             the worst-case coherence cell.
  *
  * Timing protocol: workers warm their buffers, park on a start flag,
@@ -88,7 +88,7 @@ inline constexpr MtScenario kMtPinChurn{"mt_pin_churn", 512, 64, 8192,
 /**
  * Warm 4-way associative cell: the disjoint all-hits sweep through
  * the seqlock way-search path (translateRange goes page-at-a-time
- * through lookupMT when assoc > 1).
+ * through lookup() when assoc > 1).
  */
 inline constexpr MtScenario kMtWarmAssoc4{"mt_warm_assoc4", 512, 64,
                                           8192, 1, false, 4};

@@ -31,7 +31,14 @@ annotations cannot express:
                          stat counters (statXxx/statsGrp); the use
                          clock is touched only through atomic_ref;
                          recency stamps (`lastUse`) are written only
-                         from nextStamp(sh) stamp blocks.
+                         from nextStamp(sh) stamp blocks. A
+                         `// utlb-lint: mt-shard-scope` marker holds
+                         the rest of its enclosing brace block (a
+                         function or class body) to the same rules:
+                         the concurrent lock policy's hooks in
+                         shared_cache.cpp carry it, since the
+                         operation bodies that call them are shared
+                         with the single-threaded policy.
 
   memory-order           src/ is relaxed/acquire/release only:
                          memory_order_seq_cst is banned (nothing in
@@ -100,6 +107,7 @@ CONTROL_KEYWORDS = {
 
 ALLOW_RE = re.compile(r"utlb-lint:\s*allow\(([\w\-, ]+)\)")
 HELPER_RE = re.compile(r"utlb-lint:\s*seqlock-read-helper\b")
+SHARD_SCOPE_RE = re.compile(r"utlb-lint:\s*mt-shard-scope\b")
 EXPECT_RE = re.compile(r"utlb-lint-expect:\s*([\w\-]+)")
 
 
@@ -122,6 +130,7 @@ def strip_comments_and_strings(text):
     allows = {}   # line (1-based) -> set of allowed rules
     expects = []  # rules named by utlb-lint-expect comments
     helpers = []  # lines carrying the seqlock-read-helper marker
+    scopes = []   # lines carrying the mt-shard-scope marker
     i, n = 0, len(text)
     line = 1
     state = "code"  # code | line_comment | block_comment | dq | sq
@@ -167,6 +176,8 @@ def strip_comments_and_strings(text):
                 expects.extend(EXPECT_RE.findall(comment))
                 if HELPER_RE.search(comment):
                     helpers.append(line)
+                if SHARD_SCOPE_RE.search(comment):
+                    scopes.append(line)
                 comment_buf = []
             if ended:
                 state = "code"
@@ -207,7 +218,28 @@ def strip_comments_and_strings(text):
         expects.extend(EXPECT_RE.findall(comment))
         if HELPER_RE.search(comment):
             helpers.append(line)
-    return "".join(out), allows, expects, helpers
+        if SHARD_SCOPE_RE.search(comment):
+            scopes.append(line)
+    return "".join(out), allows, expects, helpers, scopes
+
+
+def rest_of_block(code, line):
+    """The (1-based) lines from @line to the close of the brace block
+    enclosing the start of that line."""
+    lines = code.split("\n")
+    depth = sum(l.count("{") - l.count("}") for l in lines[:line - 1])
+    target = depth
+    scope = set()
+    for idx in range(line - 1, len(lines)):
+        scope.add(idx + 1)
+        for ch in lines[idx]:
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth < target:
+                    return scope
+    return scope
 
 
 FUNC_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\($")
@@ -328,7 +360,8 @@ UNPADDED_LOCK_ARRAY_RE = re.compile(
 
 
 def lint_file(path, rel, text, force_src=False):
-    code, allows, _, helper_lines = strip_comments_and_strings(text)
+    code, allows, _, helper_lines, scope_lines = \
+        strip_comments_and_strings(text)
     lines = code.split("\n")
     func_of = function_of_lines(code)
     # A seqlock-read-helper marker subjects the whole enclosing
@@ -353,6 +386,9 @@ def lint_file(path, rel, text, force_src=False):
         while hi < nlines and func_of.get(hi + 1) == f:
             hi += 1
         helper_scope.update(range(lo, hi + 1))
+    shard_scope = set()
+    for l in scope_lines:
+        shard_scope |= rest_of_block(code, l)
     in_src = force_src or rel.replace(os.sep, "/").startswith("src/")
     is_guard_impl = rel in GUARD_IMPL_FILES and not force_src
     findings = []
@@ -415,17 +451,20 @@ def lint_file(path, rel, text, force_src=False):
     for idx, text_line in enumerate(lines):
         lineno = idx + 1
         func = func_of.get(lineno)
-        if not func or not func.endswith("MT"):
+        if not (func and func.endswith("MT")) \
+                and lineno not in shard_scope:
             continue
         if STAT_MEMBER_RE.search(text_line):
             report(lineno, "mt-shard-discipline",
-                   "shared stat counter touched in a *MT method; "
+                   "shared stat counter touched on the concurrent "
+                   "hot path (*MT method or mt-shard-scope block); "
                    "accumulate into the caller's Shard and fold "
                    "with absorbShard()")
         if USECLOCK_RE.search(text_line) \
                 and "atomic_ref" not in text_line:
             report(lineno, "mt-shard-discipline",
-                   "direct use-clock access in a *MT method; stamps "
+                   "direct use-clock access on the concurrent hot "
+                   "path (*MT method or mt-shard-scope block); stamps "
                    "come from nextStamp(sh) blocks carved off the "
                    "clock with atomic_ref")
         m = LASTUSE_WRITE_RE.search(text_line)
@@ -548,7 +587,7 @@ def run_self_test(fixture_dir):
     for path in fixtures:
         with open(path) as f:
             text = f.read()
-        _, _, expects, _ = strip_comments_and_strings(text)
+        _, _, expects, _, _ = strip_comments_and_strings(text)
         rel = os.path.basename(path)
         if not expects:
             print("FAIL %s: fixture declares no utlb-lint-expect "

@@ -57,11 +57,13 @@ storeRelaxed(T &field, T value)
  * @name Load policies for the shared packed-probe helper
  *
  * probePacked() is the single way-scan authority; these policies are
- * the only thing that differs between the sequential and seqlock
- * read paths. DirectLoads issues plain loads and the SIMD tag
- * compare — legal only single-threaded or under the set's stripe
- * lock. RelaxedLoads issues relaxed atomic loads exclusively, the
- * contract for code running inside a seqlock read section
+ * the only thing that differs between its read paths. DirectLoads
+ * issues plain loads and the SIMD tag compare — the unlocked path.
+ * LockedLoads issues plain loads but never reads past the set (the
+ * vector kernels overread into the next set, which may belong to
+ * another stripe's writer) — legal under the set's stripe lock.
+ * RelaxedLoads issues relaxed atomic loads exclusively, the contract
+ * for code running inside a seqlock read section
  * (scripts/concurrency_lint.py checks the marked helpers).
  * @{
  */
@@ -80,6 +82,14 @@ struct DirectLoads {
     static Pfn pfn(C &c)
     {
         return c.pfn;
+    }
+};
+
+struct LockedLoads : DirectLoads {
+    static unsigned matchMask(std::uint64_t *tags, unsigned n,
+                              std::uint64_t key)
+    {
+        return simd::detail::matchScalar(tags, n, key);
     }
 };
 
@@ -176,105 +186,6 @@ SharedUtlbCache::probePacked(std::size_t set, ProcId pid, Vpn vpn,
     return config.assoc;
 }
 
-CacheProbe
-SharedUtlbCache::lookup(ProcId pid, Vpn vpn)
-{
-    CacheProbe probe;
-    std::size_t set = setIndex(pid, vpn);
-    unsigned way = config.assoc;
-    Pfn pfn = mem::kInvalidPfn;
-    unsigned probes = probePacked<DirectLoads>(set, pid, vpn,
-                                               tagKey(pid, vpn), way,
-                                               pfn);
-    // The firmware probes ways sequentially (§6.3); the first probe
-    // is the published constant hit cost, each further way adds
-    // perWayProbeCost.
-    probe.cost = timings->cacheHitCost
-        + Tick{probes > 0 ? probes - 1 : 0} * timings->perWayProbeCost;
-    statProbeLatency.sample(sim::ticksToUs(probe.cost));
-    if (way != config.assoc) {
-        probe.hit = true;
-        probe.pfn = pfn;
-        cold[set * config.assoc + way].lastUse = ++useClock;
-        ++statHits;
-    } else {
-        ++statMisses;
-    }
-    return probe;
-}
-
-RunHits
-SharedUtlbCache::lookupRun(ProcId pid, Vpn start, std::size_t n,
-                           Pfn *pfns, LineRef *first_hit)
-{
-    // A cost-model restriction, not a structural one: RunHits models
-    // one shared perHitCost, which only holds when every hit is a
-    // single-way probe. Associative callers take the page-at-a-time
-    // path, whose per-page probe counts price each way probed.
-    UTLB_ASSERT(config.assoc == 1,
-                "lookupRun requires a direct-mapped cache (RunHits "
-                "carries a single shared per-hit probe cost)");
-    RunHits out;
-    out.perHitCost = timings->cacheHitCost;
-
-    // Consecutive vpns map to consecutive sets (the index is a sum
-    // modulo numSets), so the run walks the packed arrays with an
-    // increment instead of re-hashing every page; with assoc == 1
-    // the way index is the set index.
-    std::size_t set = setIndex(pid, start);
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-        Cold &c = cold[set];
-        if (tagWords[set] != tagKey(pid, start + i)
-            || c.pidVpn != packPidVpn(pid, start + i))
-            break;  // first miss: record nothing, caller re-probes
-        c.lastUse = ++useClock;
-        pfns[i] = c.pfn;
-        if (i == 0 && first_hit) {
-            first_hit->set = static_cast<std::uint32_t>(set);
-            first_hit->way = 0;
-        }
-        if (++set == numSets)
-            set = 0;
-    }
-
-    out.hits = i;
-    if (i > 0) {
-        out.cost = static_cast<Tick>(i) * out.perHitCost;
-        statHits += i;
-        statProbeLatency.sampleN(sim::ticksToUs(out.perHitCost), i);
-    }
-    return out;
-}
-
-bool
-SharedUtlbCache::hitViaRef(LineRef &ref, ProcId pid, Vpn vpn,
-                           CacheProbe &out)
-{
-    if (ref.way == LineRef::kNoWay)
-        return false;
-    std::size_t idx =
-        std::size_t{ref.set} * config.assoc + ref.way;
-    Cold &c = cold[idx];
-    // Revalidate the packed word first (0 = reclaimed), then the
-    // full tags: any churn since the mint is a clean miss.
-    if (tagWords[idx] != tagKey(pid, vpn)
-        || c.pidVpn != packPidVpn(pid, vpn))
-        return false;
-    // A ref pins the exact way that served the original hit (for
-    // refs minted by lookupRun, always way 0 of a direct-mapped
-    // set), so the modeled firmware re-probe charges that way's
-    // probe depth.
-    out.hit = true;
-    out.pfn = c.pfn;
-    out.cost = timings->cacheHitCost
-        + Tick{ref.way} * timings->perWayProbeCost;
-    c.lastUse = ++useClock;
-    ++statHits;
-    statProbeLatency.sample(sim::ticksToUs(out.cost));
-    return true;
-}
-
 void
 SharedUtlbCache::enableConcurrent()
 {
@@ -308,278 +219,488 @@ SharedUtlbCache::absorbShard(Shard &sh)
     statProbeLatency.absorb(sh.probeLatency);
 }
 
-std::uint64_t
-SharedUtlbCache::nextStamp(Shard &sh)
-{
-    if (sh.stampNext == sh.stampEnd) {
-        // One shared-clock RMW buys kStampBlock local stamps. The
-        // base is the pre-add clock, so a lone worker draws exactly
-        // the 1, 2, 3, ... sequence of the sequential ++useClock.
-        std::uint64_t base =
-            std::atomic_ref<std::uint64_t>(useClock).fetch_add(
-                kStampBlock, std::memory_order_relaxed);
-        sh.stampNext = base + 1;
-        sh.stampEnd = base + kStampBlock + 1;
-    }
-    return sh.stampNext++;
-}
-
-unsigned
-SharedUtlbCache::probeSetMT(std::size_t set, ProcId pid, Vpn vpn,
-                            std::uint64_t key, unsigned &way,
-                            Pfn &pfn, Shard &sh)
-{
-    sim::SeqCount &seq = seqs[set];
-    for (unsigned attempt = 0; attempt < kSeqlockMaxRetries;
-         ++attempt) {
-        std::uint32_t v = seq.readBegin();
-        unsigned probes = probePacked<RelaxedLoads>(set, pid, vpn,
-                                                    key, way, pfn);
-        if (!seq.readRetry(v))
-            return probes;
-        ++sh.seqRetries;
-    }
-    // Writers are hammering this set; take their lock instead of
-    // spinning forever (the readers' progress guarantee). Under it
-    // the scan cannot race anything.
-    sim::SpinGuard g(stripeOf(set));
-    return scanWaysLocked(set, pid, vpn, key, way, pfn);
-}
-
 unsigned
 SharedUtlbCache::scanWaysLocked(std::size_t set, ProcId pid, Vpn vpn,
                                 std::uint64_t key, unsigned &way,
                                 Pfn &pfn)
 {
-    return probePacked<DirectLoads>(set, pid, vpn, key, way, pfn);
+    return probePacked<LockedLoads>(set, pid, vpn, key, way, pfn);
 }
 
-void
-SharedUtlbCache::stampWayMT(std::size_t set, unsigned way, ProcId pid,
-                            Vpn vpn, Shard &sh)
-{
-    sim::SpinGuard g(stripeOf(set));
-    stampLineLocked(set, way, pid, vpn, sh);
-}
+/**
+ * The single-threaded lock policy: plain loads and stores, the SIMD
+ * way scan, ++useClock stamps, and the global counters. Legal only
+ * when no other thread touches the cache.
+ */
+struct SharedUtlbCache::Unlocked {
+    /** The way scan writers use (no lock to hold here). */
+    using ScanLoads = DirectLoads;
 
-void
-SharedUtlbCache::stampLineLocked(std::size_t set, unsigned way,
-                                 ProcId pid, Vpn vpn, Shard &sh)
-{
-    std::size_t idx = set * config.assoc + way;
-    Cold &c = cold[idx];
-    // If a writer reclaimed the way since the optimistic read, the
-    // (already-consistent) hit simply leaves no recency mark — a
-    // stamp here would resurrect a dead or foreign way. The tag word
-    // distinguishes "same tags, still live" from "killed, cold tags
-    // stale".
-    if (tagWords[idx] == tagKey(pid, vpn)
-        && c.pidVpn == packPidVpn(pid, vpn))
-        c.lastUse = nextStamp(sh);
-}
+    SharedUtlbCache &c;
 
+    unsigned probe(std::size_t set, ProcId pid, Vpn vpn,
+                   std::uint64_t key, unsigned &way, Pfn &pfn)
+    {
+        return c.probePacked<DirectLoads>(set, pid, vpn, key, way, pfn);
+    }
+    /** Direct-mapped probe of line @p idx (way index == set index). */
+    bool probeLine(std::size_t idx, ProcId pid, Vpn vpn, Pfn &pfn)
+    {
+        Cold &l = c.cold[idx];
+        if (c.tagWords[idx] != tagKey(pid, vpn)
+            || l.pidVpn != packPidVpn(pid, vpn))
+            return false;
+        pfn = l.pfn;
+        return true;
+    }
+    bool reprobe(const LineRef &ref, ProcId pid, Vpn vpn, Pfn &pfn)
+    {
+        return probeLine(ref.set, pid, vpn, pfn);
+    }
+    void mint(LineRef &) {}
+    void stampHit(std::size_t set, unsigned way, ProcId, Vpn)
+    {
+        c.cold[set * c.config.assoc + way].lastUse = nextStamp();
+    }
+    std::uint64_t nextStamp() { return ++c.useClock; }
+    template <class F>
+    auto exclusive(std::size_t, F &&f) { return f(); }
+    void writeBegin(std::size_t) {}
+    void writeEnd(std::size_t) {}
+    template <class T>
+    static void put(T &field, T value) { field = value; }
+
+    void probed(Tick cost, bool hit)
+    {
+        c.statProbeLatency.sample(sim::ticksToUs(cost));
+        ++(hit ? c.statHits : c.statMisses);
+    }
+    void hitRun(Tick cost, std::size_t n)
+    {
+        c.statHits += n;
+        c.statProbeLatency.sampleN(sim::ticksToUs(cost), n);
+    }
+    void inserted() { ++c.statInserts; }
+    void refreshed() { ++c.statRefreshes; }
+    void evicted(bool cross)
+    {
+        if (cross)
+            ++c.statCrossEvictions;
+        ++c.statEvictions;
+    }
+    void retired(std::size_t n) { c.statInvalidations += n; }
+};
+
+/**
+ * The concurrent lock policy (enableConcurrent()): seqlock-validated
+ * optimistic probes, the stripe lock and a version bump around every
+ * tag write, recency stamps from the worker's stamp block, and
+ * statistics into the worker's Shard.
+ */
+struct SharedUtlbCache::Striped {
+    /** The way scan writers use, under the stripe lock. */
+    using ScanLoads = LockedLoads;
+
+    SharedUtlbCache &c;
+    /** The worker's shard; null on the shardless removal paths. */
+    Shard *sh = nullptr;
+    /** The set version the last probe() validated at. */
+    std::uint32_t seen = 0;
+
+    /**
+     * Removals (invalidate, invalidateProcess) run from the unpin and
+     * teardown paths, which own no shard: the coherence count is a
+     * relaxed RMW on the shared counter, since absorbShard() may be
+     * writing its neighbours at the same time.
+     */
+    void retired(std::size_t n)
+    {
+        if (n)
+            c.statInvalidations.addRelaxed(n);
+    }
+
+    // Everything below runs on a worker's probe and install path.
+    // utlb-lint: mt-shard-scope
+
+    /**
+     * Seqlock-validated way scan: relaxed atomic reads, retried on a
+     * torn version; after kSeqlockMaxRetries torn reads it takes the
+     * stripe lock instead (the readers' progress guarantee). Records
+     * the version the scan is valid at in `seen`.
+     */
+    unsigned probe(std::size_t set, ProcId pid, Vpn vpn,
+                   std::uint64_t key, unsigned &way, Pfn &pfn)
+    {
+        sim::SeqCount &seq = c.seqs[set];
+        for (unsigned attempt = 0; attempt < kSeqlockMaxRetries;
+             ++attempt) {
+            std::uint32_t v = seq.readBegin();
+            unsigned probes = c.probePacked<RelaxedLoads>(set, pid, vpn,
+                                                          key, way, pfn);
+            if (!seq.readRetry(v)) {
+                seen = v;
+                return probes;
+            }
+            ++sh->seqRetries;
+        }
+        sim::SpinGuard g(c.stripeOf(set));
+        seen = seq.value();
+        return c.scanWaysLocked(set, pid, vpn, key, way, pfn);
+    }
+    bool probeLine(std::size_t idx, ProcId pid, Vpn vpn, Pfn &pfn)
+    {
+        unsigned way = 0;
+        probe(idx, pid, vpn, tagKey(pid, vpn), way, pfn);
+        return way == 0;
+    }
+    /**
+     * Lock-free: the ref holds only while the set's version still
+     * equals the one it was minted at, so any tag write in the set
+     * since (an eviction may have reclaimed the way) or a torn read
+     * is a clean miss and the caller re-probes.
+     */
+    bool reprobe(const LineRef &ref, ProcId pid, Vpn vpn, Pfn &pfn)
+    {
+        sim::SeqCount &seq = c.seqs[ref.set];
+        Cold &l = c.cold[ref.set];
+        const std::uint32_t v = seq.readBegin();
+        const bool live = v == ref.version
+            && loadRelaxed(c.tagWords[ref.set]) == tagKey(pid, vpn)
+            && loadRelaxed(l.pidVpn) == packPidVpn(pid, vpn);
+        pfn = loadRelaxed(l.pfn);
+        return !seq.readRetry(v) && live;
+    }
+    /** The minted version is the validated snapshot's: it is even,
+     *  and it stands until the next tag write in the set. */
+    void mint(LineRef &ref) { ref.version = seen; }
+    /**
+     * Stamp a hit under the stripe lock, re-validating the way first:
+     * if a writer reclaimed or retagged it since the optimistic read,
+     * the (already-returned) hit keeps its snapshot semantics and
+     * leaves no recency mark — a stamp would resurrect a dead or
+     * foreign way.
+     */
+    void stampHit(std::size_t set, unsigned way, ProcId pid, Vpn vpn)
+    {
+        const std::size_t idx = set * c.config.assoc + way;
+        Cold &l = c.cold[idx];
+        sim::SpinGuard g(c.stripeOf(set));
+        if (c.tagWords[idx] == tagKey(pid, vpn)
+            && l.pidVpn == packPidVpn(pid, vpn))
+            l.lastUse = nextStamp();
+    }
+    /** One shared-clock RMW buys kStampBlock local stamps. The base is
+     *  the pre-add clock, so a lone worker draws exactly the 1, 2, 3,
+     *  ... sequence of the unlocked ++useClock. */
+    std::uint64_t nextStamp()
+    {
+        if (sh->stampNext == sh->stampEnd) {
+            std::uint64_t base =
+                std::atomic_ref<std::uint64_t>(c.useClock).fetch_add(
+                    kStampBlock, std::memory_order_relaxed);
+            sh->stampNext = base + 1;
+            sh->stampEnd = base + kStampBlock + 1;
+        }
+        return sh->stampNext++;
+    }
+    template <class F>
+    auto exclusive(std::size_t set, F &&f)
+    {
+        sim::SpinGuard g(c.stripeOf(set));
+        return f();
+    }
+    void writeBegin(std::size_t set) { c.seqs[set].writeBegin(); }
+    void writeEnd(std::size_t set) { c.seqs[set].writeEnd(); }
+    template <class T>
+    static void put(T &field, T value) { storeRelaxed(field, value); }
+
+    void probed(Tick cost, bool hit)
+    {
+        sh->probeLatency.sample(sim::ticksToUs(cost));
+        ++(hit ? sh->hits : sh->misses);
+    }
+    void hitRun(Tick cost, std::size_t n)
+    {
+        sh->hits += n;
+        sh->probeLatency.sampleN(sim::ticksToUs(cost), n);
+    }
+    void inserted() { ++sh->inserts; }
+    void refreshed() { ++sh->refreshes; }
+    void evicted(bool cross)
+    {
+        if (cross)
+            ++sh->crossEvictions;
+        ++sh->evictions;
+    }
+};
+
+template <class Sync>
 CacheProbe
-SharedUtlbCache::lookupMT(ProcId pid, Vpn vpn, Shard &sh)
+SharedUtlbCache::lookupWith(ProcId pid, Vpn vpn, Sync s)
 {
     CacheProbe probe;
     std::size_t set = setIndex(pid, vpn);
     unsigned way = config.assoc;
     Pfn pfn = mem::kInvalidPfn;
-    unsigned probes = probeSetMT(set, pid, vpn, tagKey(pid, vpn), way,
-                                 pfn, sh);
-    // Same firmware model as lookup(): the first way probed is the
-    // published constant hit cost, each further way adds
-    // perWayProbeCost (§6.3).
+    unsigned probes = s.probe(set, pid, vpn, tagKey(pid, vpn), way, pfn);
+    // The firmware probes ways sequentially (§6.3); the first probe
+    // is the published constant hit cost, each further way adds
+    // perWayProbeCost.
     probe.cost = timings->cacheHitCost
         + Tick{probes > 0 ? probes - 1 : 0} * timings->perWayProbeCost;
-    sh.probeLatency.sample(sim::ticksToUs(probe.cost));
-    if (way == config.assoc) {
-        ++sh.misses;
-        return probe;
+    probe.hit = way != config.assoc;
+    s.probed(probe.cost, probe.hit);
+    if (probe.hit) {
+        probe.pfn = pfn;
+        // Only an associative set picks a victim by recency; a
+        // direct-mapped line's stamp would never be read.
+        if (config.assoc > 1)
+            s.stampHit(set, way, pid, vpn);
     }
-    probe.hit = true;
-    probe.pfn = pfn;
-    stampWayMT(set, way, pid, vpn, sh);
-    ++sh.hits;
     return probe;
 }
 
+template <class Sync>
 RunHits
-SharedUtlbCache::lookupRunMT(ProcId pid, Vpn start, std::size_t n,
-                             Pfn *pfns, LineRef *first_hit, Shard &sh)
+SharedUtlbCache::lookupRunWith(ProcId pid, Vpn start, std::size_t n,
+                               Pfn *pfns, LineRef *first_hit, Sync s)
 {
-    // Same cost-model restriction as lookupRun (one shared
-    // perHitCost); associative MT callers go page-at-a-time through
-    // lookupMT, which prices every way probed.
+    // A cost-model restriction, not a structural one: RunHits models
+    // one shared perHitCost, which only holds when every hit is a
+    // single-way probe. Associative callers take the page-at-a-time
+    // path, whose per-page probe counts price each way probed.
     UTLB_ASSERT(config.assoc == 1,
-                "lookupRunMT requires a direct-mapped cache (RunHits "
+                "lookupRun requires a direct-mapped cache (RunHits "
                 "carries a single shared per-hit probe cost)");
     RunHits out;
     out.perHitCost = timings->cacheHitCost;
 
-    // Same consecutive-set walk as lookupRun. Each stripe's window
-    // is read optimistically (per-set seqlock validation, no lock
-    // held), then the stripe lock is taken once to stamp the
-    // window's hits — so readers only serialize against writers for
-    // the stamping stores, never the probes.
+    // Consecutive vpns map to consecutive sets (the index is a sum
+    // modulo numSets), so the run walks the packed arrays with an
+    // increment instead of re-hashing every page; with assoc == 1
+    // the way index is the set index.
     std::size_t set = setIndex(pid, start);
     std::size_t i = 0;
-    bool missed = false;
-    while (i < n && !missed) {
-        std::size_t stripe_end = std::min(
-            ((set >> kSetsPerStripeLog2) + 1) << kSetsPerStripeLog2,
-            numSets);
-        const std::size_t windowSet = set;
-        const std::size_t windowI = i;
-        for (; i < n && set < stripe_end; ++set, ++i) {
-            unsigned way = 1;
-            Pfn pfn = mem::kInvalidPfn;
-            probeSetMT(set, pid, start + i, tagKey(pid, start + i),
-                       way, pfn, sh);
-            if (way == config.assoc) {
-                missed = true;  // record nothing, caller re-probes
-                break;
-            }
-            pfns[i] = pfn;
+    for (; i < n; ++i) {
+        Pfn pfn = mem::kInvalidPfn;
+        if (!s.probeLine(set, pid, start + i, pfn))
+            break;  // first miss: record nothing, caller re-probes
+        pfns[i] = pfn;
+        if (i == 0 && first_hit) {
+            first_hit->set = static_cast<std::uint32_t>(set);
+            first_hit->way = 0;
+            s.mint(*first_hit);
         }
-        std::size_t hitsHere = i - windowI;
-        if (hitsHere > 0) {
-            sim::SpinGuard g(stripeOf(windowSet));
-            for (std::size_t k = 0; k < hitsHere; ++k) {
-                // assoc == 1: way index == set index.
-                std::size_t idx = windowSet + k;
-                Cold &c = cold[idx];
-                Vpn v = start + windowI + k;
-                // Re-validate: a concurrent writer may have
-                // reclaimed the way since the optimistic read, and
-                // a skipped stamp is the only correct outcome then.
-                if (tagWords[idx] == tagKey(pid, v)
-                    && c.pidVpn == packPidVpn(pid, v))
-                    c.lastUse = nextStamp(sh);
-            }
-            if (windowI == 0 && first_hit) {
-                // Mint the ref under the stripe lock: the version
-                // recorded here is even and stays authoritative for
-                // hitViaRefMT until the next tag write in the set.
-                first_hit->set =
-                    static_cast<std::uint32_t>(windowSet);
-                first_hit->way = 0;
-                first_hit->version = seqs[windowSet].value();
-            }
-        }
-        if (set == numSets)
+        if (++set == numSets)
             set = 0;
     }
 
     out.hits = i;
     if (i > 0) {
         out.cost = static_cast<Tick>(i) * out.perHitCost;
-        sh.hits += i;
-        sh.probeLatency.sampleN(sim::ticksToUs(out.perHitCost), i);
+        s.hitRun(out.perHitCost, i);
     }
     return out;
 }
 
+template <class Sync>
 bool
-SharedUtlbCache::hitViaRefMT(LineRef &ref, ProcId pid, Vpn vpn,
-                             CacheProbe &out, Shard &sh)
+SharedUtlbCache::hitViaRefWith(LineRef &ref, ProcId pid, Vpn vpn,
+                               CacheProbe &out, Sync s)
 {
     if (ref.way == LineRef::kNoWay)
         return false;
-    std::size_t set = ref.set;
-    std::size_t idx = std::size_t{ref.set} * config.assoc + ref.way;
-    sim::SpinGuard g(stripeOf(set));
-    // Version guard: the set must not have seen a single tag write
-    // since the ref was minted, or the way may have been reclaimed
-    // for another translation — any churn demotes the ref to a
-    // clean miss and the caller re-probes.
-    if (seqs[set].value() != ref.version)
-        return false;
-    Cold &c = cold[idx];
-    if (tagWords[idx] != tagKey(pid, vpn)
-        || c.pidVpn != packPidVpn(pid, vpn))
+    UTLB_ASSERT(config.assoc == 1,
+                "hitViaRef requires a direct-mapped cache (refs are "
+                "minted by lookupRun)");
+    // Revalidate the packed word first (0 = reclaimed), then the
+    // full tags: any churn since the mint is a clean miss. The ref
+    // pins way 0 of a direct-mapped set, so the modeled firmware
+    // re-probe is the constant hit cost.
+    Pfn pfn = mem::kInvalidPfn;
+    if (!s.reprobe(ref, pid, vpn, pfn))
         return false;
     out.hit = true;
-    out.pfn = c.pfn;
-    // The ref pins the exact way that served the original hit, so
-    // the modeled re-probe charges that way's probe depth (way 0 —
-    // the only minted way today — is the constant hit cost).
-    out.cost = timings->cacheHitCost
-        + Tick{ref.way} * timings->perWayProbeCost;
-    c.lastUse = nextStamp(sh);
-    ++sh.hits;
-    sh.probeLatency.sample(sim::ticksToUs(out.cost));
+    out.pfn = pfn;
+    out.cost = timings->cacheHitCost;
+    s.probed(out.cost, true);
     return true;
 }
 
+template <class Sync>
 std::optional<EvictedEntry>
-SharedUtlbCache::insertMT(ProcId pid, Vpn vpn, Pfn pfn,
-                          InsertMode mode, Shard &sh)
+SharedUtlbCache::insertWith(ProcId pid, Vpn vpn, Pfn pfn,
+                            InsertMode mode, Sync s)
 {
-    ++sh.inserts;
+    s.inserted();
     UTLB_ASSERT((vpn >> 32) == 0,
                 "vpn 0x%llx exceeds the 32-bit packed pid/vpn field",
                 static_cast<unsigned long long>(vpn));
-    std::size_t set = setIndex(pid, vpn);
-    std::size_t base = set * config.assoc;
-    std::uint64_t key = tagKey(pid, vpn);
+    const std::size_t set = setIndex(pid, vpn);
+    const std::size_t base = set * config.assoc;
+    const std::uint64_t key = tagKey(pid, vpn);
     const std::uint64_t pv = packPidVpn(pid, vpn);
-    sim::SeqCount &seq = seqs[set];
-    sim::SpinGuard g(stripeOf(set));
+    // Only an associative set picks a victim by recency.
+    const bool stamped = config.assoc > 1;
 
-    // Re-insert over an existing entry (refresh); prefetch refreshes
-    // leave recency alone (§6.4), exactly as insert(). Only the pfn
-    // store needs the version bump — the tags are unchanged.
-    for (unsigned w = 0; w < config.assoc; ++w) {
+    // Retag way w. The tag word is published last inside the write
+    // section: an optimistic reader either sees 0 (way still dead)
+    // or the old line, or retries on the version bump.
+    auto install = [&](unsigned w) {
         Cold &c = cold[base + w];
-        if (tagWords[base + w] == key && c.pidVpn == pv) {
-            seq.writeBegin();
-            storeRelaxed(c.pfn, pfn);
-            seq.writeEnd();
-            if (mode == InsertMode::Demand)
-                c.lastUse = nextStamp(sh);
-            ++sh.refreshes;
-            return std::nullopt;
-        }
-    }
+        s.writeBegin(set);
+        s.put(c.pidVpn, pv);
+        s.put(c.pfn, pfn);
+        s.put(tagWords[base + w], key);
+        s.writeEnd(set);
+        if (stamped)
+            c.lastUse = s.nextStamp();
+    };
 
-    // Fill an invalid way if one exists. The tag word is published
-    // last inside the write section: an optimistic reader either
-    // sees 0 (way still dead) or retries on the version bump.
-    for (unsigned w = 0; w < config.assoc; ++w) {
-        if (tagWords[base + w] == 0) {
+    return s.exclusive(set, [&]() -> std::optional<EvictedEntry> {
+        // Re-insert over an existing entry (refresh). A prefetch
+        // refresh updates the translation but not the recency: the
+        // NIC never referenced this page, so promoting it would
+        // pollute the LRU order of the set (§6.4).
+        for (unsigned w = 0; w < config.assoc; ++w) {
             Cold &c = cold[base + w];
-            seq.writeBegin();
-            storeRelaxed(c.pidVpn, pv);
-            storeRelaxed(c.pfn, pfn);
-            storeRelaxed(tagWords[base + w], key);
-            seq.writeEnd();
-            c.lastUse = nextStamp(sh);
-            return std::nullopt;
+            if (tagWords[base + w] == key && c.pidVpn == pv) {
+                s.writeBegin(set);
+                s.put(c.pfn, pfn);
+                s.writeEnd(set);
+                if (stamped && mode == InsertMode::Demand)
+                    c.lastUse = s.nextStamp();
+                s.refreshed();
+                return std::nullopt;
+            }
         }
-    }
 
-    // Evict the LRU way; stamps are stable under the stripe lock,
-    // so the victim scan matches insert()'s decision bit-for-bit
-    // with a single worker.
-    unsigned vw = 0;
-    for (unsigned w = 1; w < config.assoc; ++w) {
-        if (cold[base + w].lastUse < cold[base + vw].lastUse)
-            vw = w;
+        // Fill an invalid way if one exists.
+        for (unsigned w = 0; w < config.assoc; ++w) {
+            if (tagWords[base + w] == 0) {
+                install(w);
+                return std::nullopt;
+            }
+        }
+
+        // Evict the LRU way; stamps are stable under the stripe
+        // lock, so one worker picks the unlocked path's victim.
+        unsigned vw = 0;
+        for (unsigned w = 1; w < config.assoc; ++w) {
+            if (cold[base + w].lastUse < cold[base + vw].lastUse)
+                vw = w;
+        }
+        const Cold &victim = cold[base + vw];
+        EvictedEntry out{pidOfPacked(victim.pidVpn),
+                         vpnOfPacked(victim.pidVpn), victim.pfn};
+        s.evicted(out.pid != pid);
+        install(vw);
+        return out;
+    });
+}
+
+template <class Sync>
+bool
+SharedUtlbCache::invalidateWith(ProcId pid, Vpn vpn, Sync s)
+{
+    const std::size_t set = setIndex(pid, vpn);
+    const bool dropped = s.exclusive(set, [&] {
+        unsigned way = config.assoc;
+        Pfn pfn = mem::kInvalidPfn;
+        probePacked<typename Sync::ScanLoads>(set, pid, vpn,
+                                              tagKey(pid, vpn), way, pfn);
+        if (way == config.assoc)
+            return false;
+        const std::size_t idx = set * config.assoc + way;
+        s.writeBegin(set);
+        s.put(tagWords[idx], std::uint64_t{0});
+        s.writeEnd(set);
+        cold[idx].lastUse = 0;  // see killWay()
+        return true;
+    });
+    if (dropped)
+        s.retired(1);
+    return dropped;
+}
+
+template <class Sync>
+std::size_t
+SharedUtlbCache::invalidateProcessWith(ProcId pid, Sync s)
+{
+    // Set by set, so that in concurrent mode process teardown (driver
+    // unregister) can overlap other tenants' live probes: each set's
+    // kills share one stripe-lock hold and one seqlock write section.
+    std::size_t count = 0;
+    for (std::size_t set = 0; set < numSets; ++set) {
+        const std::size_t base = set * config.assoc;
+        count += s.exclusive(set, [&] {
+            std::size_t killed = 0;
+            for (unsigned w = 0; w < config.assoc; ++w) {
+                Cold &c = cold[base + w];
+                if (tagWords[base + w] == 0
+                    || pidOfPacked(c.pidVpn) != pid)
+                    continue;
+                if (killed++ == 0)
+                    s.writeBegin(set);
+                s.put(tagWords[base + w], std::uint64_t{0});
+                c.lastUse = 0;  // see killWay()
+            }
+            if (killed != 0)
+                s.writeEnd(set);
+            return killed;
+        });
     }
-    Cold &victim = cold[base + vw];
-    EvictedEntry out{pidOfPacked(victim.pidVpn),
-                     vpnOfPacked(victim.pidVpn), victim.pfn};
-    if (out.pid != pid)
-        ++sh.crossEvictions;
-    seq.writeBegin();
-    storeRelaxed(victim.pidVpn, pv);
-    storeRelaxed(victim.pfn, pfn);
-    storeRelaxed(tagWords[base + vw], key);
-    seq.writeEnd();
-    victim.lastUse = nextStamp(sh);
-    ++sh.evictions;
-    return out;
+    s.retired(count);
+    return count;
+}
+
+CacheProbe
+SharedUtlbCache::lookup(ProcId pid, Vpn vpn, Shard *sh)
+{
+    return sh ? lookupWith(pid, vpn, Striped{*this, sh})
+              : lookupWith(pid, vpn, Unlocked{*this});
+}
+
+RunHits
+SharedUtlbCache::lookupRun(ProcId pid, Vpn start, std::size_t n,
+                           Pfn *pfns, LineRef *first_hit, Shard *sh)
+{
+    return sh ? lookupRunWith(pid, start, n, pfns, first_hit,
+                              Striped{*this, sh})
+              : lookupRunWith(pid, start, n, pfns, first_hit,
+                              Unlocked{*this});
+}
+
+bool
+SharedUtlbCache::hitViaRef(LineRef &ref, ProcId pid, Vpn vpn,
+                           CacheProbe &out, Shard *sh)
+{
+    return sh ? hitViaRefWith(ref, pid, vpn, out, Striped{*this, sh})
+              : hitViaRefWith(ref, pid, vpn, out, Unlocked{*this});
+}
+
+std::optional<EvictedEntry>
+SharedUtlbCache::insert(ProcId pid, Vpn vpn, Pfn pfn, InsertMode mode,
+                        Shard *sh)
+{
+    return sh ? insertWith(pid, vpn, pfn, mode, Striped{*this, sh})
+              : insertWith(pid, vpn, pfn, mode, Unlocked{*this});
+}
+
+bool
+SharedUtlbCache::invalidate(ProcId pid, Vpn vpn)
+{
+    // Unpin-path coherence drops race other workers' optimistic
+    // probes once the cache is concurrent.
+    return concurrent() ? invalidateWith(pid, vpn, Striped{*this})
+                        : invalidateWith(pid, vpn, Unlocked{*this});
+}
+
+std::size_t
+SharedUtlbCache::invalidateProcess(ProcId pid)
+{
+    return concurrent() ? invalidateProcessWith(pid, Striped{*this})
+                        : invalidateProcessWith(pid, Unlocked{*this});
 }
 
 std::optional<Pfn>
@@ -609,103 +730,6 @@ SharedUtlbCache::killWay(std::size_t idx)
 }
 
 std::optional<EvictedEntry>
-SharedUtlbCache::insert(ProcId pid, Vpn vpn, Pfn pfn, InsertMode mode)
-{
-    ++statInserts;
-    UTLB_ASSERT((vpn >> 32) == 0,
-                "vpn 0x%llx exceeds the 32-bit packed pid/vpn field",
-                static_cast<unsigned long long>(vpn));
-    std::size_t set = setIndex(pid, vpn);
-    std::size_t base = set * config.assoc;
-    std::uint64_t key = tagKey(pid, vpn);
-    const std::uint64_t pv = packPidVpn(pid, vpn);
-
-    // Re-insert over an existing entry (refresh). A prefetch refresh
-    // updates the translation but not the recency: the NIC never
-    // referenced this page, so promoting it would pollute the LRU
-    // order of the set (§6.4).
-    for (unsigned w = 0; w < config.assoc; ++w) {
-        Cold &c = cold[base + w];
-        if (tagWords[base + w] == key && c.pidVpn == pv) {
-            c.pfn = pfn;
-            if (mode == InsertMode::Demand)
-                c.lastUse = ++useClock;
-            ++statRefreshes;
-            return std::nullopt;
-        }
-    }
-
-    // Fill an invalid way if one exists.
-    for (unsigned w = 0; w < config.assoc; ++w) {
-        if (tagWords[base + w] == 0) {
-            cold[base + w] = Cold{pv, pfn, ++useClock};
-            tagWords[base + w] = key;
-            return std::nullopt;
-        }
-    }
-
-    // Evict the LRU way.
-    unsigned vw = 0;
-    for (unsigned w = 1; w < config.assoc; ++w) {
-        if (cold[base + w].lastUse < cold[base + vw].lastUse)
-            vw = w;
-    }
-    Cold &victim = cold[base + vw];
-    EvictedEntry out{pidOfPacked(victim.pidVpn),
-                     vpnOfPacked(victim.pidVpn), victim.pfn};
-    if (out.pid != pid)
-        ++statCrossEvictions;
-    victim = Cold{pv, pfn, ++useClock};
-    tagWords[base + vw] = key;
-    ++statEvictions;
-    return out;
-}
-
-bool
-SharedUtlbCache::invalidate(ProcId pid, Vpn vpn)
-{
-    std::size_t set = setIndex(pid, vpn);
-    std::size_t base = set * config.assoc;
-    std::uint64_t key = tagKey(pid, vpn);
-    if (concurrent()) {
-        // Unpin-path coherence drops race with other workers'
-        // optimistic probes, so scan the ways under the stripe lock
-        // and retire the match inside a seqlock write section; the
-        // counter bump is a relaxed RMW since it can race
-        // absorbShard() readers of sibling counters on the same
-        // cache line.
-        bool dropped = false;
-        {
-            sim::SpinGuard g(stripeOf(set));
-            const std::uint64_t pv = packPidVpn(pid, vpn);
-            for (unsigned w = 0; w < config.assoc; ++w) {
-                Cold &c = cold[base + w];
-                if (tagWords[base + w] == key && c.pidVpn == pv) {
-                    seqs[set].writeBegin();
-                    storeRelaxed(tagWords[base + w],
-                                 std::uint64_t{0});
-                    seqs[set].writeEnd();
-                    c.lastUse = 0;
-                    dropped = true;
-                    break;
-                }
-            }
-        }
-        if (dropped)
-            statInvalidations.addRelaxed(1);
-        return dropped;
-    }
-    unsigned way = config.assoc;
-    Pfn pfn = mem::kInvalidPfn;
-    probePacked<DirectLoads>(set, pid, vpn, key, way, pfn);
-    if (way == config.assoc)
-        return false;
-    killWay(base + way);
-    ++statInvalidations;
-    return true;
-}
-
-std::optional<EvictedEntry>
 SharedUtlbCache::shed(ProcId pid, Vpn vpn)
 {
     std::size_t set = setIndex(pid, vpn);
@@ -717,53 +741,6 @@ SharedUtlbCache::shed(ProcId pid, Vpn vpn)
     killWay(set * config.assoc + way);
     ++statSheds;
     return EvictedEntry{pid, vpn, pfn};
-}
-
-std::size_t
-SharedUtlbCache::invalidateProcess(ProcId pid)
-{
-    if (concurrent()) {
-        // Process teardown (driver unregister) overlaps other
-        // tenants' live probes during fleet churn, so retire the
-        // process' lines set by set under the stripe lock, batching
-        // one seqlock write section around each set's kills —
-        // exactly invalidate()'s protocol, amortized. Stamps are
-        // scrubbed under the lock like killWay() does.
-        std::size_t count = 0;
-        for (std::size_t set = 0; set < numSets; ++set) {
-            std::size_t base = set * config.assoc;
-            sim::SpinGuard g(stripeOf(set));
-            bool open = false;
-            for (unsigned w = 0; w < config.assoc; ++w) {
-                Cold &c = cold[base + w];
-                if (tagWords[base + w] == 0
-                    || pidOfPacked(c.pidVpn) != pid)
-                    continue;
-                if (!open) {
-                    seqs[set].writeBegin();
-                    open = true;
-                }
-                storeRelaxed(tagWords[base + w], std::uint64_t{0});
-                c.lastUse = 0;
-                ++count;
-            }
-            if (open)
-                seqs[set].writeEnd();
-        }
-        if (count)
-            statInvalidations.addRelaxed(count);
-        return count;
-    }
-    std::size_t count = 0;
-    for (std::size_t idx = 0; idx < config.entries; ++idx) {
-        if (tagWords[idx] != 0
-            && pidOfPacked(cold[idx].pidVpn) == pid) {
-            killWay(idx);
-            ++count;
-        }
-    }
-    statInvalidations += count;
-    return count;
 }
 
 void
@@ -852,6 +829,14 @@ SharedUtlbCache::audit(check::AuditReport &report) const
                            static_cast<unsigned long long>(cvpn),
                            static_cast<unsigned long long>(c.lastUse),
                            static_cast<unsigned long long>(useClock));
+            // A direct-mapped set never picks a victim, so no path
+            // may spend a store on a stamp nothing reads.
+            report.require(config.assoc > 1 || c.lastUse == 0,
+                           "direct-mapped line (pid %u, vpn %llu) "
+                           "carries recency stamp %llu",
+                           cpid,
+                           static_cast<unsigned long long>(cvpn),
+                           static_cast<unsigned long long>(c.lastUse));
             for (unsigned w2 = w + 1; w2 < config.assoc; ++w2) {
                 const Cold &dup = cold[base + w2];
                 report.require(tagWords[base + w2] == 0

@@ -101,7 +101,8 @@ enum class InsertMode {
  * The NIC-resident shared translation cache.
  *
  * Within a set, replacement is LRU (the firmware keeps a per-line
- * use stamp). The cache does not know about pinning; callers keep
+ * use stamp; a direct-mapped cache, which never chooses a victim,
+ * keeps none). The cache does not know about pinning; callers keep
  * it coherent by invalidating entries when pages are unpinned.
  */
 class SharedUtlbCache
@@ -121,8 +122,15 @@ class SharedUtlbCache
     std::size_t sets() const { return numSets; }
     const CacheConfig &cfg() const { return config; }
 
-    /** Probe for (pid, vpn); updates LRU and hit/miss counters. */
-    CacheProbe lookup(mem::ProcId pid, mem::Vpn vpn);
+    /** Per-worker context (see "Concurrent mode"); the entry points
+     *  below take a trailing Shard *, null for single-threaded use. */
+    class Shard;
+
+    /**
+     * Probe for (pid, vpn); updates hit/miss counters and, in an
+     * associative cache, the hit line's LRU stamp.
+     */
+    CacheProbe lookup(mem::ProcId pid, mem::Vpn vpn, Shard *sh = nullptr);
 
     /** Probe without updating state or counters. */
     std::optional<mem::Pfn> peek(mem::ProcId pid, mem::Vpn vpn) const;
@@ -131,17 +139,17 @@ class SharedUtlbCache
      * A stable handle to the way that served a hit, letting a
      * repeat lookup of the same (pid, vpn) skip the probe. The ref
      * is a (set, way) index pair into the packed arrays (way ==
-     * kNoWay means "no ref"). Obtained from
-     * lookupRun()/lookupRunMT(); becomes a guaranteed miss (never a
-     * wrong hit) if the way is since evicted or retagged — the
-     * re-probe revalidates the packed tag word and the full cold
-     * (pid, vpn) tags.
+     * kNoWay means "no ref"). Obtained from lookupRun(); becomes a
+     * guaranteed miss (never a wrong hit) if the way is since
+     * evicted or retagged — the re-probe revalidates the packed tag
+     * word and the full cold (pid, vpn) tags.
      *
-     * In concurrent mode the ref also carries the set's seqlock
-     * version from when it was minted: hitViaRefMT() honours the ref
-     * only while that version still stands, so a stale ref can never
-     * return a reclaimed way — any insert, eviction, or invalidation
-     * in the set since the mint demotes the ref to a clean miss.
+     * A ref minted in concurrent mode also carries the set's seqlock
+     * version from the validated read that minted it: hitViaRef()
+     * honours the ref only while that version still stands, so a
+     * stale ref can never return a reclaimed way — any insert,
+     * eviction, or invalidation in the set since the mint demotes
+     * the ref to a clean miss.
      */
     class LineRef
     {
@@ -155,24 +163,35 @@ class SharedUtlbCache
     /**
      * Probe a run of consecutive pages of one process, stopping at
      * (and recording nothing for) the first miss. Slot i of @p pfns
-     * receives the frame of vpn + i for each hit. Stats and LRU
-     * state end up exactly as the equivalent lookup() sequence over
-     * the hit prefix would leave them. If @p first_hit is non-null
-     * and the first page hits, it is filled for later hitViaRef()
-     * shortcuts. Requires assoc() == 1 (the per-way cost model makes
-     * wider probes take the page-at-a-time path).
+     * receives the frame of vpn + i for each hit. Stats end up
+     * exactly as the equivalent lookup() sequence over the hit
+     * prefix would leave them. If @p first_hit is non-null and the
+     * first page hits, it is filled for later hitViaRef() shortcuts.
+     * Requires assoc() == 1 (the per-way cost model makes wider
+     * probes take the page-at-a-time path).
      */
     RunHits lookupRun(mem::ProcId pid, mem::Vpn start, std::size_t n,
-                      mem::Pfn *pfns, LineRef *first_hit = nullptr);
+                      mem::Pfn *pfns, LineRef *first_hit = nullptr,
+                      Shard *sh = nullptr);
 
     /**
-     * Re-probe via a LineRef from an earlier lookupRun. On a still-
-     * valid match, records the hit (stats + LRU) exactly like
+     * Re-probe via a LineRef from an earlier lookupRun (so assoc() ==
+     * 1). On a still-valid match, records the hit exactly like
      * lookup() and returns true; on any mismatch returns false with
      * no state change, and the caller falls back to a full probe.
      */
     bool hitViaRef(LineRef &ref, mem::ProcId pid, mem::Vpn vpn,
-                   CacheProbe &out);
+                   CacheProbe &out, Shard *sh = nullptr);
+
+    /**
+     * Install a translation, evicting the set's LRU entry if the
+     * set is full. Prefetch-mode refreshes leave the line's LRU
+     * stamp untouched (see InsertMode).
+     * @return the displaced entry, if any.
+     */
+    std::optional<EvictedEntry>
+    insert(mem::ProcId pid, mem::Vpn vpn, mem::Pfn pfn,
+           InsertMode mode = InsertMode::Demand, Shard *sh = nullptr);
 
     /**
      * @name Concurrent mode (§4 atomicity/consistency)
@@ -181,46 +200,53 @@ class SharedUtlbCache
      * concurrently without syscalls on the common path; mirroring
      * that, the cache can serve probes and miss-fill installs from
      * many threads at once, at any associativity (the paper's §3.2
-     * sweep runs 1/2/4-way). enableConcurrent() arms it:
+     * sweep runs 1/2/4-way). enableConcurrent() arms it.
+     *
+     * Every cache operation is written once, over a lock policy
+     * (shared_cache.cpp): the Unlocked policy does plain loads and
+     * stores and counts into the global stats; the Striped policy,
+     * selected by passing a Shard (or, for the shardless
+     * invalidate()/invalidateProcess(), by concurrent()), adds:
      *
      *  - every set carries a seqlock version counter (sim::SeqCount).
-     *    lookupMT()/lookupRunMT() read the ways *optimistically* —
-     *    no lock, relaxed atomic field reads, retry on an odd or
-     *    changed version — so probes never serialize against each
-     *    other. After kSeqlockMaxRetries torn reads a probe falls
-     *    back to the set's stripe lock, bounding retries;
-     *  - writers (insertMT(), the concurrent invalidate()) mutate a
+     *    Probes read the ways *optimistically* — no lock, relaxed
+     *    atomic field reads, retry on an odd or changed version — so
+     *    probes never serialize against each other. After
+     *    kSeqlockMaxRetries torn reads a probe falls back to the
+     *    set's stripe lock, bounding retries;
+     *  - writers (insert, invalidate, invalidateProcess) mutate a
      *    set's tags only inside a writeBegin()/writeEnd() version
      *    bump, and only while holding the set's *stripe* spinlock:
      *    the line array is partitioned into contiguous stripes of
      *    kSetsPerStripe sets, each guarded by one spinlock, so
      *    writers serialize per stripe while readers sail past.
-     *    Recording a hit's LRU stamp also takes the stripe lock (the
-     *    stamp write must not race an eviction) but does not bump
-     *    the version — stamps are never read optimistically;
-     *  - hot-path statistics accumulate into a per-worker Shard
-     *    buffer (no shared counter cache line on the probe path) and
-     *    are folded into the global stats by absorbShard();
+     *    Recording an associative hit's LRU stamp also takes the
+     *    stripe lock (the stamp write must not race an eviction) but
+     *    does not bump the version — stamps are never read
+     *    optimistically. A direct-mapped set never picks a victim,
+     *    so its lines carry no stamp and its hits take no lock;
+     *  - hot-path statistics accumulate into the per-worker Shard
+     *    (no shared counter cache line on the probe path) and are
+     *    folded into the global stats by absorbShard();
      *  - LRU stamps come from per-shard blocks carved off the shared
-     *    use clock with one relaxed fetch-add per kStampBlock hits.
+     *    use clock with one relaxed fetch-add per kStampBlock stamps.
      *    Stamps stay strictly monotonic within a worker and within a
      *    stamp block, so single-threaded stamp sequences are exactly
-     *    the sequential ones; across concurrent workers LRU order is
+     *    the unlocked ones; across concurrent workers LRU order is
      *    approximate, as on real hardware.
      *
-     * With one worker the MT entry points perform the same state
-     * transitions, modeled costs, and stat updates as their
-     * sequential twins, in the same order — the golden-equivalence
-     * suite (tests/test_concurrency.cpp) pins that down bit-exactly.
+     * Both policies run the same operation bodies, so one worker on
+     * the Striped policy makes the Unlocked policy's state changes,
+     * costs and stat updates (tests/test_concurrency*.cpp check it).
      *
      * Maintenance operations (clear, shed, resetStats,
      * audit, stats serialization) still require quiescence: call
-     * them only when no worker is in an MT entry point and all
-     * shards have been absorbed. invalidateProcess() is the
+     * them only when no worker is inside a Shard-carrying call and
+     * all shards have been absorbed. invalidateProcess() is the
      * exception: process teardown during fleet churn overlaps other
      * tenants' probes, so in concurrent mode it retires a process'
-     * lines stripe by stripe under the same stripe-lock + seqlock
-     * protocol as invalidate().
+     * lines set by set under the same stripe-lock + seqlock protocol
+     * as invalidate().
      * @{
      */
 
@@ -272,11 +298,7 @@ class SharedUtlbCache
      */
     static constexpr unsigned kSeqlockMaxRetries = 64;
 
-    /**
-     * Arm concurrent mode (idempotent). Works at any associativity:
-     * the MT probe paths do the same way search and LRU victim
-     * selection as their sequential twins, under per-set seqlocks.
-     */
+    /** Arm concurrent mode (idempotent). Works at any associativity. */
     void enableConcurrent();
 
     /** True once enableConcurrent() has run. */
@@ -293,53 +315,7 @@ class SharedUtlbCache
      */
     void absorbShard(Shard &sh) UTLB_EXCLUDES(absorbMu);
 
-    /**
-     * lookup()'s concurrent twin: an optimistic seqlock-validated
-     * way scan (stripe-locked only to record a hit's LRU stamp),
-     * stats into @p sh. Any associativity; same probe counts, costs,
-     * and stat updates as lookup().
-     */
-    CacheProbe lookupMT(mem::ProcId pid, mem::Vpn vpn, Shard &sh);
-
-    /**
-     * lookupRun()'s concurrent twin: optimistic per-set reads walk
-     * each stripe's window, then one stripe-lock acquisition stamps
-     * the window's hits. Stats into @p sh. Like lookupRun(), assoc 1
-     * only (the shared per-hit cost model).
-     */
-    RunHits lookupRunMT(mem::ProcId pid, mem::Vpn start, std::size_t n,
-                        mem::Pfn *pfns, LineRef *first_hit, Shard &sh);
-
-    /**
-     * hitViaRef()'s concurrent twin. Honours @p ref only while the
-     * set's seqlock version still equals the ref's minted version
-     * (checked under the stripe lock), so a stale ref can never
-     * return a reclaimed way; any mismatch is a clean miss and the
-     * caller re-probes. Stats into @p sh.
-     */
-    bool hitViaRefMT(LineRef &ref, mem::ProcId pid, mem::Vpn vpn,
-                     CacheProbe &out, Shard &sh);
-
-    /**
-     * insert()'s concurrent twin: the same refresh / free-way / LRU
-     * victim selection, under the set's stripe lock with seqlock
-     * version bumps around every tag mutation. Stats into @p sh.
-     */
-    std::optional<EvictedEntry>
-    insertMT(mem::ProcId pid, mem::Vpn vpn, mem::Pfn pfn,
-             InsertMode mode, Shard &sh);
-
     /** @} */
-
-    /**
-     * Install a translation, evicting the set's LRU entry if the
-     * set is full. Prefetch-mode refreshes leave the line's LRU
-     * stamp untouched (see InsertMode).
-     * @return the displaced entry, if any.
-     */
-    std::optional<EvictedEntry>
-    insert(mem::ProcId pid, mem::Vpn vpn, mem::Pfn pfn,
-           InsertMode mode = InsertMode::Demand);
 
     /** Drop one translation. @return true if it was present. */
     bool invalidate(mem::ProcId pid, mem::Vpn vpn);
@@ -411,7 +387,8 @@ class SharedUtlbCache
      * real entries invisible or resurrects dead ones), every valid
      * way indexes to the set it lives in, no (pid, vpn) pair
      * occupies two ways, no LRU stamp runs ahead of the use clock,
-     * dead ways carry no recency stamp, the SIMD overread padding is
+     * dead ways carry no recency stamp, no way of a direct-mapped
+     * cache carries one either, the SIMD overread padding is
      * zero, every seqlock version is even at quiescence (an odd one
      * means a writer died mid-update and readers would spin), and
      * the removal counters' taxonomy balances against the current
@@ -481,15 +458,15 @@ class SharedUtlbCache
     }
 
     /**
-     * The one way-scan authority both probe modes share: build the
+     * The one way-scan authority every probe shares: build the
      * candidate mask from the packed tag words (Loads::matchMask —
-     * SIMD for the sequential/locked paths, relaxed atomic loads for
-     * the seqlock read path), then confirm candidates against the
-     * cold (pid, vpn) tags in way order. Returns the modeled probe
-     * count (hit way + 1, or assoc on a miss); on a hit sets @p way
-     * and @p pfn, on a miss leaves @p way == assoc. Because way
-     * selection and probe counting live here and nowhere else, the
-     * sequential and MT paths cannot drift.
+     * SIMD on the unlocked path, a scalar scan under a stripe lock,
+     * relaxed atomic loads on the seqlock read path), then confirm
+     * candidates against the cold (pid, vpn) tags in way order.
+     * Returns the modeled probe count (hit way + 1, or assoc on a
+     * miss); on a hit sets @p way and @p pfn, on a miss leaves
+     * @p way == assoc. Because way selection and probe counting live
+     * here and nowhere else, the lock policies cannot drift.
      */
     template <class Loads>
     unsigned probePacked(std::size_t set, mem::ProcId pid,
@@ -497,46 +474,53 @@ class SharedUtlbCache
                          unsigned &way, mem::Pfn &pfn);
 
     /**
-     * Seqlock-validated scan of @p set's ways for (pid, vpn): reads
-     * the packed words with relaxed atomics, retries on a torn
-     * version, and falls back to the stripe lock after
-     * kSeqlockMaxRetries torn reads. Returns the modeled probe
-     * count; on a hit sets @p way and @p pfn, on a miss leaves
-     * @p way == assoc.
+     * @name Lock policies and the operation bodies written over them
+     *
+     * Unlocked and Striped (defined in shared_cache.cpp) are the only
+     * place the single-threaded and the concurrent paths differ: the
+     * way scan, the stripe lock and seqlock version bumps around tag
+     * writes, where recency stamps come from, and which counters the
+     * statistics land in. Each public operation dispatches once to
+     * its body below, instantiated for one policy.
+     * @{
      */
-    unsigned probeSetMT(std::size_t set, mem::ProcId pid,
-                        mem::Vpn vpn, std::uint64_t key,
-                        unsigned &way, mem::Pfn &pfn, Shard &sh);
+    struct Unlocked;
+    struct Striped;
+
+    template <class Sync>
+    CacheProbe lookupWith(mem::ProcId pid, mem::Vpn vpn, Sync s);
+    template <class Sync>
+    RunHits lookupRunWith(mem::ProcId pid, mem::Vpn start,
+                          std::size_t n, mem::Pfn *pfns,
+                          LineRef *first_hit, Sync s);
+    template <class Sync>
+    bool hitViaRefWith(LineRef &ref, mem::ProcId pid, mem::Vpn vpn,
+                       CacheProbe &out, Sync s);
+    template <class Sync>
+    std::optional<EvictedEntry>
+    insertWith(mem::ProcId pid, mem::Vpn vpn, mem::Pfn pfn,
+               InsertMode mode, Sync s);
+    template <class Sync>
+    bool invalidateWith(mem::ProcId pid, mem::Vpn vpn, Sync s);
+    template <class Sync>
+    std::size_t invalidateProcessWith(mem::ProcId pid, Sync s);
+    /** @} */
 
     /**
-     * The lock-based way scan probeSetMT falls back to when writers
-     * keep tearing its optimistic reads. The capability requirement
-     * makes "caller holds this set's stripe lock" part of the
-     * checked signature.
+     * The lock-based way scan a concurrent probe falls back to when
+     * writers keep tearing its optimistic reads. The capability
+     * requirement makes "caller holds this set's stripe lock" part
+     * of the checked signature.
      */
     unsigned scanWaysLocked(std::size_t set, mem::ProcId pid,
                             mem::Vpn vpn, std::uint64_t key,
                             unsigned &way, mem::Pfn &pfn)
         UTLB_REQUIRES(stripeOf(set));
 
-    /**
-     * Record a hit's LRU stamp under the stripe lock, re-validating
-     * the way first: if the line was reclaimed or retagged since the
-     * optimistic read, the (already-returned) hit keeps its snapshot
-     * semantics and simply leaves no recency mark.
-     */
-    void stampWayMT(std::size_t set, unsigned way, mem::ProcId pid,
-                    mem::Vpn vpn, Shard &sh);
-
-    /** stampWayMT's locked body (re-validate, then stamp). */
-    void stampLineLocked(std::size_t set, unsigned way,
-                         mem::ProcId pid, mem::Vpn vpn, Shard &sh)
-        UTLB_REQUIRES(stripeOf(set));
-
     /** Invalidate a way, scrubbing its recency stamp. */
     void killWay(std::size_t idx);
 
-    /** Sets per lock stripe; a batched run re-locks this often. */
+    /** Sets per lock stripe. */
     static constexpr std::size_t kSetsPerStripeLog2 = 6;
     static constexpr std::size_t kSetsPerStripe = 1 << kSetsPerStripeLog2;
 
@@ -547,9 +531,6 @@ class SharedUtlbCache
     {
         return stripes[set >> kSetsPerStripeLog2].value;
     }
-
-    /** Next LRU stamp for a concurrent worker (refills its block). */
-    std::uint64_t nextStamp(Shard &sh);
 
     CacheConfig config;
     const nic::NicTimings *timings;
@@ -577,10 +558,10 @@ class SharedUtlbCache
     std::uint64_t useClock = 0;
 
     /**
-     * Stripe locks, one cache line each (a hit's LRU stamp takes its
-     * stripe, so unpadded stripes would false-share across workers
-     * hitting disjoint sets); non-null only once enableConcurrent()
-     * ran.
+     * Stripe locks, one cache line each (an associative hit's LRU
+     * stamp takes its stripe, so unpadded stripes would false-share
+     * across workers hitting disjoint sets); non-null only once
+     * enableConcurrent() ran.
      */
     std::unique_ptr<sim::CachePadded<sim::Spinlock>[]> stripes;
     std::size_t numStripes = 0;

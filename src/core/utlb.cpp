@@ -70,10 +70,7 @@ serviceMiss(UtlbDriver &driver, HostPageTable &table,
             continue;
         InsertMode mode =
             i == 0 ? InsertMode::Demand : InsertMode::Prefetch;
-        if (shard)
-            cache.insertMT(pid, vpn + i, *run[i], mode, *shard);
-        else
-            cache.insert(pid, vpn + i, *run[i], mode);
+        cache.insert(pid, vpn + i, *run[i], mode, shard);
         if (i != 0)
             ++mo.prefetchInstalls;
         ++installed;
@@ -120,7 +117,7 @@ UserUtlb::UserUtlb(UtlbDriver &drv, SharedUtlbCache &cache,
     if (cfg.concurrent) {
         nicCache->enableConcurrent();
         pinMgr.enableConcurrent();
-        shard.emplace(nicCache->makeShard());
+        shard = &shardStore.emplace(nicCache->makeShard());
     }
     if (cfg.asyncFills) {
         asyncPending.reserve(kMaxOutstandingFills);
@@ -163,8 +160,7 @@ NicLookup
 UserUtlb::nicTranslateImpl(Vpn vpn)
 {
     NicLookup out;
-    CacheProbe probe = shard ? nicCache->lookupMT(procId, vpn, *shard)
-                             : nicCache->lookup(procId, vpn);
+    CacheProbe probe = nicCache->lookup(procId, vpn, shard);
     out.cost += probe.cost;
     if (tracer)
         tracer->complete("cache.probe", "nic", procId, probe.cost,
@@ -179,7 +175,7 @@ UserUtlb::nicTranslateImpl(Vpn vpn)
     MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
                                  *timings, procId, vpn,
                                  cfg.prefetchEntries, runBuf, repairBuf,
-                                 shard ? &*shard : nullptr, tracer);
+                                 shard, tracer);
     if (mo.fault) {
         out.fault = true;
         ++statFaults;
@@ -198,7 +194,7 @@ UserUtlb::syncServicePage(Vpn vpn, sim::Tick probeCost, mem::Pfn &slot,
     MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
                                  *timings, procId, vpn,
                                  cfg.prefetchEntries, runBuf, repairBuf,
-                                 shard ? &*shard : nullptr, nullptr);
+                                 shard, nullptr);
     if (mo.fault) {
         ++statFaults;
         ++tr.faults;
@@ -241,7 +237,13 @@ UserUtlb::translate(mem::VirtAddr va, std::size_t nbytes)
     if (!host.ok)
         return tr;
 
-    Vpn start = mem::pageOf(va);
+    nicPageByPage(mem::pageOf(va), npages, tr);
+    return tr;
+}
+
+void
+UserUtlb::nicPageByPage(Vpn start, std::size_t npages, Translation &tr)
+{
     tr.pageAddrs.reserve(npages);
     for (std::size_t i = 0; i < npages; ++i) {
         NicLookup nl = nicTranslate(start + i);
@@ -254,7 +256,37 @@ UserUtlb::translate(mem::VirtAddr va, std::size_t nbytes)
             ++tr.faults;
         tr.pageAddrs.push_back(mem::frameAddr(nl.pfn));
     }
-    return tr;
+}
+
+CacheProbe
+UserUtlb::serveL0(Vpn start, mem::Pfn &slot, Translation &tr)
+{
+    CacheProbe fast;
+    if (nicCache->hitViaRef(l0, procId, start, fast, shard)) {
+        // Same first page as a recent call: the L0 handle
+        // revalidated, recorded the hit, and spared us the probe.
+        statTranslateLatency.sample(sim::ticksToUs(fast.cost));
+        tr.nicCost += fast.cost;
+        slot = fast.pfn;
+    }
+    return fast;
+}
+
+RunHits
+UserUtlb::serveRun(Vpn start, std::size_t i, std::size_t npages,
+                   mem::Pfn *slots, Translation &tr)
+{
+    RunHits run = nicCache->lookupRun(procId, start + i, npages - i,
+                                      slots + i, i == 0 ? &l0 : nullptr,
+                                      shard);
+    if (run.hits > 0) {
+        // Every hit in the run has the same modeled latency;
+        // sampleN folds them without perturbing the histogram.
+        statTranslateLatency.sampleN(sim::ticksToUs(run.perHitCost),
+                                     run.hits);
+        tr.nicCost += run.cost;
+    }
+    return run;
 }
 
 Translation
@@ -275,18 +307,7 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
     // (direct-mapped) and emits no per-page trace events; otherwise
     // run the exact page-at-a-time loop.
     if (tracer != nullptr || nicCache->assoc() != 1) {
-        tr.pageAddrs.reserve(npages);
-        for (std::size_t i = 0; i < npages; ++i) {
-            NicLookup nl = nicTranslate(start + i);
-            tr.nicCost += nl.cost;
-            if (nl.miss) {
-                ++tr.niMisses;
-                tr.missPages.push_back(static_cast<std::uint32_t>(i));
-            }
-            if (nl.fault)
-                ++tr.faults;
-            tr.pageAddrs.push_back(mem::frameAddr(nl.pfn));
-        }
+        nicPageByPage(start, npages, tr);
         return tr;
     }
 
@@ -302,34 +323,10 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
         return tr;
     }
 
-    std::size_t i = 0;
-    CacheProbe fast;
-    bool l0Hit = shard
-        ? nicCache->hitViaRefMT(l0, procId, start, fast, *shard)
-        : nicCache->hitViaRef(l0, procId, start, fast);
-    if (l0Hit) {
-        // Same first page as a recent call: the L0 handle revalidated,
-        // recorded the hit, and spared us the cache probe.
-        statTranslateLatency.sample(sim::ticksToUs(fast.cost));
-        tr.nicCost += fast.cost;
-        slots[0] = fast.pfn;
-        i = 1;
-    }
-
+    std::size_t i = serveL0(start, slots[0], tr).hit ? 1 : 0;
     while (i < npages) {
-        SharedUtlbCache::LineRef *ref = i == 0 ? &l0 : nullptr;
-        RunHits run = shard
-            ? nicCache->lookupRunMT(procId, start + i, npages - i,
-                                    slots + i, ref, *shard)
-            : nicCache->lookupRun(procId, start + i, npages - i,
-                                  slots + i, ref);
-        if (run.hits > 0) {
-            // Every hit in the run has the same modeled latency;
-            // sampleN folds them without perturbing the histogram.
-            statTranslateLatency.sampleN(sim::ticksToUs(run.perHitCost),
-                                         run.hits);
-            tr.nicCost += run.cost;
-            i += run.hits;
+        if (std::size_t hits = serveRun(start, i, npages, slots, tr).hits) {
+            i += hits;
             continue;
         }
         // First page of the window misses: take the one-page miss
@@ -371,25 +368,12 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
     // Engines already claimed by this window's posted fills.
     std::uint32_t engineUsed = 0;
 
-    std::size_t i = 0;
-    CacheProbe fast;
-    if (nicCache->hitViaRefMT(l0, procId, start, fast, *shard)) {
-        statTranslateLatency.sample(sim::ticksToUs(fast.cost));
-        tr.nicCost += fast.cost;
-        tNow += fast.cost;
-        slots[0] = fast.pfn;
-        i = 1;
-    }
-
+    CacheProbe fast = serveL0(start, slots[0], tr);
+    tNow += fast.cost;
+    std::size_t i = fast.hit ? 1 : 0;
     while (i < npages) {
-        SharedUtlbCache::LineRef *ref = i == 0 ? &l0 : nullptr;
-        RunHits run = nicCache->lookupRunMT(procId, start + i,
-                                            npages - i, slots + i, ref,
-                                            *shard);
+        RunHits run = serveRun(start, i, npages, slots, tr);
         if (run.hits > 0) {
-            statTranslateLatency.sampleN(sim::ticksToUs(run.perHitCost),
-                                         run.hits);
-            tr.nicCost += run.cost;
             tNow += run.cost;
             i += run.hits;
             continue;
@@ -398,7 +382,7 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
         // recording hit-or-miss in the shard like the synchronous
         // walk's nicTranslate would.
         Vpn vpn = start + i;
-        CacheProbe probe = nicCache->lookupMT(procId, vpn, *shard);
+        CacheProbe probe = nicCache->lookup(procId, vpn, shard);
         tr.nicCost += probe.cost;
         tNow += probe.cost;
         if (probe.hit) {
@@ -477,8 +461,7 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
     for (const PendingFill &p : asyncPending) {
         MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
                                      *timings, procId, p.vpn, p.width,
-                                     runBuf, repairBuf, &*shard,
-                                     nullptr);
+                                     runBuf, repairBuf, shard, nullptr);
         if (mo.fault) {
             ++statFaults;
             ++tr.faults;
@@ -502,7 +485,7 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
     // a second full lookup.
     for (std::uint32_t page : asyncWaiters) {
         Vpn vpn = start + page;
-        CacheProbe probe = nicCache->lookupMT(procId, vpn, *shard);
+        CacheProbe probe = nicCache->lookup(procId, vpn, shard);
         sim::Tick recheck = timings->perWayProbeCost;
         tr.nicCost += recheck;
         tNow += recheck;

@@ -52,17 +52,19 @@ struct UtlbConfig {
     /**
      * Build this process' UTLB view for multi-threaded use: arms the
      * shared cache's striped locking and the pin manager's mutex,
-     * and gives this instance a per-worker stat shard. One thread
-     * drives each UserUtlb (the instance itself is not shared); the
-     * shared cache and driver below it are then safe to hit from all
-     * such workers at once. Works at any associativity: lookups read
-     * the ways optimistically under per-set seqlock versions, writes
+     * and gives this instance a per-worker stat shard, which it
+     * passes to every cache call so the cache runs its operations
+     * under the Striped lock policy. One thread drives each UserUtlb
+     * (the instance itself is not shared); the shared cache and
+     * driver below it are then safe to hit from all such workers at
+     * once. Works at any associativity: lookups read the ways
+     * optimistically under per-set seqlock versions, writes
      * serialize on the striped locks.
      *
-     * With a single worker, results, modeled costs, and the stats
-     * tree (after flushShardStats) are bit-identical to the
-     * sequential mode — concurrency changes wall-clock behaviour
-     * only.
+     * The cache runs the same operation bodies either way, so with a
+     * single worker, results, modeled costs, and the stats tree
+     * (after flushShardStats) are bit-identical to the unlocked
+     * policy — concurrency changes wall-clock behaviour only.
      */
     bool concurrent = false;
 
@@ -106,8 +108,9 @@ struct MissOutcome {
  * valid entry fetched. No driver lock is taken unless the fault path
  * runs: @p table must stay registered for the call, which the
  * process' own view guarantees. @p runBuf / @p repairBuf are caller
- * scratch (the miss path must not allocate); @p shard selects the
- * concurrent install path; @p tracer may be null.
+ * scratch (the miss path must not allocate); @p shard is passed to
+ * every install (null: the unlocked policy, non-null: the Striped
+ * one, see SharedUtlbCache); @p tracer may be null.
  *
  * Fault repair reuses the initial wide fetch: when the wide DMA
  * returned valid neighbours around an invalid first entry, only the
@@ -178,7 +181,7 @@ class UserUtlb
     const UtlbConfig &config() const { return cfg; }
 
     /** True if built with UtlbConfig::concurrent. */
-    bool concurrent() const { return shard.has_value(); }
+    bool concurrent() const { return shard != nullptr; }
 
     /**
      * Concurrent mode: fold this worker's buffered shared-cache stat
@@ -232,6 +235,19 @@ class UserUtlb
 
   private:
     NicLookup nicTranslateImpl(mem::Vpn vpn);
+
+    /** The NIC half one page at a time. */
+    void nicPageByPage(mem::Vpn start, std::size_t npages,
+                       Translation &tr);
+
+    /** Batched walks: serve page @p start from the L0 handle if it
+     *  still holds (a miss returns an untouched probe, cost 0). */
+    CacheProbe serveL0(mem::Vpn start, mem::Pfn &slot, Translation &tr);
+
+    /** Batched walks: one lookupRun from page @p i, charging @p tr
+     *  for the hit prefix (zero hits: page i missed). */
+    RunHits serveRun(mem::Vpn start, std::size_t i, std::size_t npages,
+                     mem::Pfn *slots, Translation &tr);
 
     /**
      * The asynchronous NIC half of translateRange() (asyncFills):
@@ -302,11 +318,13 @@ class UserUtlb
     std::vector<sim::Tick> engineReadyAt;
 
     /**
-     * Per-worker shared-cache context (concurrent mode only). Like
+     * Per-worker shared-cache context (concurrent mode only) and the
+     * pointer every cache call takes (null in sequential mode). Like
      * runBuf and l0, this is single-owner state: one thread drives
      * this UserUtlb, so no lock guards it.
      */
-    std::optional<SharedUtlbCache::Shard> shard;
+    std::optional<SharedUtlbCache::Shard> shardStore;
+    SharedUtlbCache::Shard *shard = nullptr;
 
     /** MRU "L0" slot: the line that served the last first-page hit. */
     SharedUtlbCache::LineRef l0;

@@ -119,9 +119,10 @@ expectSameTranslation(const Translation &a, const Translation &b,
 /**
  * Replay the same randomized workload through a sequential-mode and
  * a concurrent-mode stack (both single-threaded); every call and the
- * final stats tree must match exactly. @p batched selects
- * translateRange() (the lookupRun/hitViaRef MT twins) vs
- * translate() (the lookup/insert MT twins).
+ * final stats tree must match exactly, so the cache's Striped lock
+ * policy changes nothing observable. @p batched selects
+ * translateRange() (lookupRun/hitViaRef) vs translate()
+ * (lookup/insert).
  */
 void
 runGolden(std::size_t entries, std::size_t prefetch,
@@ -220,7 +221,7 @@ TEST(ConcurrentGolden, BatchedMemLimit)
 TEST(ConcurrentGolden, BatchedSmallCacheEvictions)
 {
     // A 64-entry cache under a 512-page working set keeps the
-    // insertMT eviction path busy.
+    // concurrent insert's eviction path busy.
     runGolden(64, 4, 0, true, 17);
 }
 
@@ -341,10 +342,10 @@ TEST(ConcurrentPinManager, PinPathVsCacheLookups)
             std::uint64_t n = 0;
             do {
                 Vpn vpn = rng.below(256);
-                CacheProbe p = stack.cache.lookupMT(1, vpn, sh);
+                CacheProbe p = stack.cache.lookup(1, vpn, &sh);
                 if (!p.hit && rng.below(4) == 0) {
-                    stack.cache.insertMT(1, vpn, 0x1000 + vpn,
-                                         InsertMode::Demand, sh);
+                    stack.cache.insert(1, vpn, 0x1000 + vpn,
+                                       InsertMode::Demand, &sh);
                 }
                 if (++n == 1)
                     ready.fetch_add(1, std::memory_order_release);
@@ -401,18 +402,18 @@ TEST(ConcurrentCache, SharedSetsStressAuditsClean)
                 Vpn vpn = rng.below(1024);
                 switch (rng.below(4)) {
                 case 0:
-                    cache.lookupMT(pid, vpn, sh);
+                    cache.lookup(pid, vpn, &sh);
                     break;
                 case 1:
-                    cache.insertMT(pid, vpn, 0x2000 + vpn,
-                                   rng.below(4) == 0
-                                       ? InsertMode::Prefetch
-                                       : InsertMode::Demand,
-                                   sh);
+                    cache.insert(pid, vpn, 0x2000 + vpn,
+                                 rng.below(4) == 0
+                                     ? InsertMode::Prefetch
+                                     : InsertMode::Demand,
+                                 &sh);
                     break;
                 case 2:
-                    cache.lookupRunMT(pid, vpn, 1 + rng.below(64),
-                                      pfns.data(), nullptr, sh);
+                    cache.lookupRun(pid, vpn, 1 + rng.below(64),
+                                    pfns.data(), nullptr, &sh);
                     break;
                 default:
                     cache.invalidate(pid, vpn);
@@ -426,7 +427,7 @@ TEST(ConcurrentCache, SharedSetsStressAuditsClean)
         w.join();
 
     // With every shard folded in, the audit's removal-taxonomy
-    // conservation must balance exactly: each insertMT outcome was
+    // conservation must balance exactly: each insert's outcome was
     // classified under its stripe lock.
     AuditReport report;
     cache.audit(report);
@@ -439,15 +440,16 @@ TEST(ConcurrentCache, StampBlocksStayMonotonicPerWorker)
 {
     // A worker's LRU stamps must be strictly increasing even across
     // stamp-block refills, or LRU decisions within one thread would
-    // reorder. Driven via insertMT into distinct sets, then audited
-    // (the audit checks every stamp against the use clock).
+    // reorder. Driven via concurrent inserts into a 4-way cache (a
+    // direct-mapped one draws no stamps at all), then audited (the
+    // audit checks every stamp against the use clock).
     utlb::nic::NicTimings timings;
-    SharedUtlbCache cache(CacheConfig{4096, 1, true}, timings);
+    SharedUtlbCache cache(CacheConfig{4096, 4, true}, timings);
     cache.enableConcurrent();
     SharedUtlbCache::Shard sh = cache.makeShard();
     // More inserts than one 1024-stamp block to force refills.
     for (Vpn v = 0; v < 3000; ++v)
-        cache.insertMT(1, v, 0x3000 + v, InsertMode::Demand, sh);
+        cache.insert(1, v, 0x3000 + v, InsertMode::Demand, &sh);
     cache.absorbShard(sh);
     AuditReport report;
     cache.audit(report);

@@ -204,8 +204,8 @@ TEST(AssocGolden, TwoWayBatched)
 TEST(AssocGolden, TwoWaySmallCacheEvictions)
 {
     // 64 entries / 2-way = 32 sets under a 512-page working set: the
-    // LRU victim scan in insertMT must pick the same way the
-    // sequential path does on every eviction.
+    // LRU victim scan under the Striped policy must pick the same
+    // way the unlocked one does on every eviction.
     runGoldenAssoc(64, 2, 4, 0, true, 23);
 }
 
@@ -465,8 +465,8 @@ TEST(SeqlockTorture, HotSetReadersNeverSeeTornLines)
                 if (rng.below(8) == 0)
                     cache.invalidate(pid, vpn);
                 else
-                    cache.insertMT(pid, vpn, packPfn(pid, vpn),
-                                   InsertMode::Demand, sh);
+                    cache.insert(pid, vpn, packPfn(pid, vpn),
+                                 InsertMode::Demand, &sh);
             }
             cache.absorbShard(sh);
         });
@@ -479,7 +479,7 @@ TEST(SeqlockTorture, HotSetReadersNeverSeeTornLines)
             for (int op = 0; op < kReaderOps; ++op) {
                 auto pid = static_cast<ProcId>(1 + rng.below(3));
                 Vpn vpn = rng.below(kVpnSpan);
-                CacheProbe p = cache.lookupMT(pid, vpn, sh);
+                CacheProbe p = cache.lookup(pid, vpn, &sh);
                 ++probes;
                 if (p.hit) {
                     ++hits;
@@ -533,8 +533,7 @@ TEST(SeqlockTorture, StaleRefNeverServesReclaimedWay)
             if (rng.below(4) == 0)
                 cache.invalidate(1, 0);
             else
-                cache.insertMT(2, 0, packPfn(2, 0),
-                               InsertMode::Demand, sh);
+                cache.insert(2, 0, packPfn(2, 0), InsertMode::Demand, &sh);
         }
         cache.absorbShard(sh);
         writerDone.store(true, std::memory_order_relaxed);
@@ -546,16 +545,15 @@ TEST(SeqlockTorture, StaleRefNeverServesReclaimedWay)
         std::uint64_t stale = 0;
         for (int op = 0; op < kReaderOps; ++op) {
             // (Re)install our line and mint a version-carrying ref.
-            cache.insertMT(1, 0, packPfn(1, 0), InsertMode::Demand,
-                           sh);
+            cache.insert(1, 0, packPfn(1, 0), InsertMode::Demand, &sh);
             SharedUtlbCache::LineRef ref;
             RunHits run =
-                cache.lookupRunMT(1, 0, 1, pfns.data(), &ref, sh);
+                cache.lookupRun(1, 0, 1, pfns.data(), &ref, &sh);
             if (run.hits == 0)
                 continue;  // writer got between install and probe
             for (int spin = 0; spin < 4; ++spin) {
                 CacheProbe p;
-                if (!cache.hitViaRefMT(ref, 1, 0, p, sh))
+                if (!cache.hitViaRef(ref, 1, 0, p, &sh))
                     break;  // version guard: ref went stale
                 if (p.pfn != packPfn(1, 0))
                     ++stale;

@@ -413,12 +413,12 @@ crossEvictionsConcurrent(unsigned assoc, bool offsetting)
             for (std::size_t v = 0; v < window; ++v) {
                 for (unsigned r = 0; r < assoc; ++r) {
                     Vpn vpn = static_cast<Vpn>(r * sets + v);
-                    if (!cache.lookupMT(pid, vpn, sh).hit)
-                        cache.insertMT(
+                    if (!cache.lookup(pid, vpn, &sh).hit)
+                        cache.insert(
                             pid, vpn,
                             static_cast<utlb::mem::Pfn>(pid * 4096
                                                         + vpn),
-                            InsertMode::Demand, sh);
+                            InsertMode::Demand, &sh);
                 }
             }
             phase.fetch_add(1, std::memory_order_acq_rel);
@@ -470,10 +470,10 @@ TEST(IndexOffsetting, SequentialAndConcurrentAgreeAtOneThread)
                 if (!seq.lookup(pid, v).hit)
                     seq.insert(pid, v,
                                static_cast<utlb::mem::Pfn>(v + 1));
-                if (!conc.lookupMT(pid, v, sh).hit)
-                    conc.insertMT(pid, v,
-                                  static_cast<utlb::mem::Pfn>(v + 1),
-                                  InsertMode::Demand, sh);
+                if (!conc.lookup(pid, v, &sh).hit)
+                    conc.insert(pid, v,
+                                static_cast<utlb::mem::Pfn>(v + 1),
+                                InsertMode::Demand, &sh);
             }
         }
         conc.absorbShard(sh);

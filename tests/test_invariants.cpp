@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "check/check.hpp"
@@ -126,6 +129,31 @@ struct TestTamper {
             }
         }
         return false;
+    }
+
+    /** Stamp a live way (with the use clock advanced to match, so
+     *  only the direct-mapped no-stamp invariant can fire). */
+    static bool
+    stampLiveLine(core::SharedUtlbCache &c)
+    {
+        for (std::size_t idx = 0; idx < c.config.entries; ++idx) {
+            if (c.tagWords[idx] != 0) {
+                c.useClock = std::max<std::uint64_t>(c.useClock, 1);
+                c.cold[idx].lastUse = 1;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** The largest recency stamp the cache holds or has issued. */
+    static std::uint64_t
+    highestStamp(const core::SharedUtlbCache &c)
+    {
+        std::uint64_t top = c.useClock;
+        for (const auto &line : c.cold)
+            top = std::max(top, line.lastUse);
+        return top;
     }
 
     /** Scribble on the SIMD overread padding after the last set. */
@@ -394,7 +422,7 @@ TEST(SharedCacheAudit, CatchesStaleStampOnDeadLine)
     NicTimings timings;
     SharedUtlbCache cache(CacheConfig{64, 1, true}, timings);
     cache.insert(1, 5, 100);
-    ASSERT_TRUE(cache.lookup(1, 5).hit);  // useClock > 0
+    ASSERT_TRUE(cache.lookup(1, 5).hit);  // one live line, 63 dead
 
     check::AuditReport before;
     cache.audit(before);
@@ -410,6 +438,65 @@ TEST(SharedCacheAudit, CatchesStaleStampOnDeadLine)
     EXPECT_GE(after.countFor("shared-cache"), 1u);
 }
 
+TEST(SharedCacheAudit, CatchesStampOnDirectMappedLine)
+{
+    NicTimings timings;
+    SharedUtlbCache cache(CacheConfig{64, 1, true}, timings);
+    cache.insert(1, 5, 100);
+
+    check::AuditReport before;
+    cache.audit(before);
+    ASSERT_TRUE(before.ok());
+
+    ASSERT_TRUE(check::TestTamper::stampLiveLine(cache));
+    check::AuditReport after;
+    cache.audit(after);
+    EXPECT_FALSE(after.ok());
+    EXPECT_GE(after.countFor("shared-cache"), 1u);
+}
+
+TEST(SharedCacheAudit, DirectMappedCacheKeepsNoRecencyStamps)
+{
+    // A direct-mapped set never picks a victim, so neither lock
+    // policy may write a recency stamp on any path: fills, demand
+    // and prefetch refreshes, conflict evictions, hits, runs and
+    // L0 ref re-hits.
+    using utlb::core::CacheProbe;
+    using utlb::core::InsertMode;
+    for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
+        NicTimings timings;
+        SharedUtlbCache cache(CacheConfig{64, 1, true}, timings);
+        std::optional<SharedUtlbCache::Shard> shard;
+        if (concurrent) {
+            cache.enableConcurrent();
+            shard.emplace(cache.makeShard());
+        }
+        SharedUtlbCache::Shard *sh = shard ? &*shard : nullptr;
+        for (Vpn v = 0; v < 32; ++v)
+            cache.insert(1, v, 100 + v, InsertMode::Demand, sh);
+        cache.insert(1, 3, 200, InsertMode::Demand, sh);
+        cache.insert(1, 4, 201, InsertMode::Prefetch, sh);
+        cache.insert(1, 64 + 9, 400, InsertMode::Demand, sh);
+        EXPECT_TRUE(cache.lookup(1, 3, sh).hit);
+        std::vector<utlb::mem::Pfn> pfns(8);
+        SharedUtlbCache::LineRef ref;
+        EXPECT_EQ(cache.lookupRun(1, 0, 8, pfns.data(), &ref, sh).hits,
+                  8u);
+        CacheProbe p;
+        EXPECT_TRUE(cache.hitViaRef(ref, 1, 0, p, sh));
+        if (sh)
+            cache.absorbShard(*sh);
+
+        EXPECT_EQ(cache.refreshes(), 2u);
+        EXPECT_EQ(cache.evictions(), 1u);
+        EXPECT_EQ(check::TestTamper::highestStamp(cache), 0u);
+        check::AuditReport report;
+        cache.audit(report);
+        EXPECT_TRUE(report.ok()) << report.summary();
+    }
+}
+
 TEST(SharedCacheAudit, CatchesWedgedSeqlock)
 {
     NicTimings timings;
@@ -417,8 +504,7 @@ TEST(SharedCacheAudit, CatchesWedgedSeqlock)
     cache.enableConcurrent();
     SharedUtlbCache::Shard sh = cache.makeShard();
     for (Vpn v = 0; v < 20; ++v)
-        cache.insertMT(1, v, 1000 + v, utlb::core::InsertMode::Demand,
-                       sh);
+        cache.insert(1, v, 1000 + v, utlb::core::InsertMode::Demand, &sh);
     cache.absorbShard(sh);
 
     check::AuditReport before;

@@ -305,7 +305,7 @@ TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
 {
     // Two async-fill views under a tight pin budget drive
     // translateRange loops (packed probes + budget-forced unpin
-    // invalidates + miss installs), while a raw reader hammers lookupMT
+    // invalidates + miss installs), while a raw reader hammers lookup()
     // through the seqlock path on the same sets. Run under
     // UTLB_SANITIZE=thread to make this a race detector for the
     // packed tag/cold write protocol.
@@ -350,7 +350,7 @@ TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
         Rng rng(0x4ead51);
         for (int it = 0; it < 60000; ++it) {
             auto pid = static_cast<ProcId>(1 + rng.below(2));
-            cache.lookupMT(pid, rng.below(512), sh);
+            cache.lookup(pid, rng.below(512), &sh);
         }
         cache.absorbShard(sh);
     });
