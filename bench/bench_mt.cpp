@@ -43,7 +43,8 @@
  * UTLB_MT_MS bounds the per-cell budget (default 300 ms);
  * UTLB_MT_THREADS caps the sweep (default 4). BENCH_mt.json records
  * threads, aggregate pages/sec, scaling_efficiency (pages/sec at
- * N threads over N x the 1-thread rate), and the driver mutex's
+ * N threads over N x the 1-thread rate, the best of three 1-thread
+ * runs), and the driver mutex's
  * contended and parked lock() calls per page over the timed region
  * (sim::Mutex counters, wall-clock only). Every MT cell also records
  * host_cores and an oversubscribed flag; when worker threads exceed
@@ -54,6 +55,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -98,6 +100,33 @@ hostCores()
 {
     unsigned c = std::thread::hardware_concurrency();
     return c ? c : 1;
+}
+
+/**
+ * Fresh stacks a 1-thread cell is timed on. Every efficiency of a
+ * scenario divides by its 1-thread rate, so that rate is the best of
+ * these runs: one slow sample would read as super-linear scaling.
+ */
+constexpr int kBaseRuns = 3;
+
+/**
+ * Time @p sc on @p t workers over a fresh stack, kept in @p stack
+ * for its counters. At one worker, the best of kBaseRuns stacks.
+ */
+MtCell
+timeCell(const MtScenario &sc, unsigned t, double ms, bool async,
+         std::unique_ptr<MtStack> &stack)
+{
+    MtCell best;
+    for (int run = 0; run < (t == 1 ? kBaseRuns : 1); ++run) {
+        auto s = std::make_unique<MtStack>(sc, t, true, async);
+        MtCell cell = runMtCell(sc, *s, t, ms);
+        if (run == 0 || cell.pagesPerSec() > best.pagesPerSec()) {
+            best = cell;
+            stack = std::move(s);
+        }
+    }
+    return best;
 }
 
 /**
@@ -180,8 +209,8 @@ main()
 
         double base = 0.0;
         for (unsigned t = 1; t <= nmax; t *= 2) {
-            MtStack stack(sc, t, true);
-            MtCell cell = runMtCell(sc, stack, t, ms);
+            std::unique_ptr<MtStack> stack;
+            MtCell cell = timeCell(sc, t, ms, false, stack);
             if (t == 1)
                 base = cell.pagesPerSec();
             emitCell(json, table, sc.name, "mt", t, cell, base, cores);
@@ -225,29 +254,29 @@ main()
         for (unsigned t = 1; t <= nmax; t *= 2) {
             // Serialized baseline: same shape, every miss serviced
             // in place by the walk.
-            MtStack syncStack(syncShape, t, true);
-            MtCell syncCell = runMtCell(syncShape, syncStack, t, ms);
+            std::unique_ptr<MtStack> syncStack;
+            MtCell syncCell = timeCell(syncShape, t, ms, false, syncStack);
             if (t == 1)
                 baseSync = syncCell.pagesPerSec();
             emitCell(json, table, std::string(sc.name) + "(sync)",
                      "mt_sync", t, syncCell, baseSync, cores);
 
-            MtStack stack(sc, t, true, true);
-            MtCell cell = runMtCell(sc, stack, t, ms);
+            std::unique_ptr<MtStack> stack;
+            MtCell cell = timeCell(sc, t, ms, true, stack);
             if (t == 1)
                 baseAsync = cell.pagesPerSec();
             double speedup = syncCell.pagesPerSec() > 0
                 ? cell.pagesPerSec() / syncCell.pagesPerSec()
                 : 0.0;
             double hiddenUs = sim::ticksToUs(static_cast<sim::Tick>(
-                stack.viewCounter("async_hidden_ticks")));
+                stack->viewCounter("async_hidden_ticks")));
             emitCell(json, table, sc.name, "mt", t, cell, baseAsync,
                      cores,
                      {{"async_speedup", speedup},
                       {"hidden_modeled_us", hiddenUs},
                       {"async_fills",
                        static_cast<double>(
-                           stack.viewCounter("async_fills"))}});
+                           stack->viewCounter("async_fills"))}});
         }
     }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "sim/log.hpp"
@@ -12,11 +11,9 @@ namespace utlb::mem {
 using sim::panic;
 
 PhysMemory::PhysMemory(std::size_t frames)
-    : bytes(static_cast<std::uint8_t *>(std::calloc(frames, kPageSize))),
-      numFrames(frames), writtenBits((frames + 63) / 64)
+    : bytes(frames * kPageSize), numFrames(frames),
+      writtenBits((frames + 63) / 64)
 {
-    if (!bytes && frames != 0)
-        panic("cannot allocate %zu frames of host memory", frames);
 }
 
 std::optional<Pfn>
@@ -27,11 +24,11 @@ PhysMemory::allocFrame(ProcId owner)
         pfn = freeList.back();
         freeList.pop_back();
         // Frames read as zero, like DRAM handed out by an OS.
-        std::memset(bytes.get() + frameAddr(pfn), 0, kPageSize);
+        std::memset(bytes.data() + frameAddr(pfn), 0, kPageSize);
         ++numZeroFills;
         owners[pfn] = owner;
     } else if (owners.size() < numFrames) {
-        // Never handed out: still calloc's zero page.
+        // Never handed out: still the mapping's zero page.
         pfn = static_cast<Pfn>(owners.size());
         owners.push_back(owner);
     } else {
@@ -86,7 +83,7 @@ PhysMemory::read(PhysAddr pa, std::span<std::uint8_t> out) const
     // the bitmap test would (the host page-table reads on every miss
     // and pin are 8 bytes), so only longer reads consult the bitmap.
     if (out.size() <= kStoreReadBytes) {
-        std::memcpy(out.data(), bytes.get() + pa, out.size());
+        std::memcpy(out.data(), bytes.data() + pa, out.size());
         return;
     }
     for (std::size_t done = 0; done < out.size();) {
@@ -94,7 +91,7 @@ PhysMemory::read(PhysAddr pa, std::span<std::uint8_t> out) const
         std::size_t n = std::min(out.size() - done,
                                  kPageSize - (at & (kPageSize - 1)));
         if (written(at >> kPageShift))
-            std::memcpy(out.data() + done, bytes.get() + at, n);
+            std::memcpy(out.data() + done, bytes.data() + at, n);
         else
             std::memset(out.data() + done, 0, n);
         done += n;
@@ -107,7 +104,7 @@ PhysMemory::write(PhysAddr pa, std::span<const std::uint8_t> in)
     checkRange(pa, in.size());
     if (in.empty())
         return;
-    std::memcpy(bytes.get() + pa, in.data(), in.size());
+    std::memcpy(bytes.data() + pa, in.data(), in.size());
     // Set only bits still clear: a word whose frames were all written
     // before stays a read-only cache line for other threads' reads.
     Pfn last = (pa + in.size() - 1) >> kPageShift;

@@ -12,13 +12,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "mem/page.hpp"
+#include "sim/zeroed_pages.hpp"
 
 namespace utlb::mem {
 
@@ -35,10 +34,11 @@ inline constexpr ProcId kNoOwner = ~ProcId{0};
  * with the list empty, never-used frames come from a bump counter,
  * lowest first.
  *
- * The backing store is one calloc'd block, so a frame that has never
- * been handed out is zero and costs no resident memory until it is
- * written. allocFrame zeroes exactly the frames it takes from the
- * free list, the only ones that can hold old bytes.
+ * The backing store is one sim::ZeroedPages mapping, so a frame
+ * that has never been handed out is zero and costs no resident
+ * memory and no memset until it is written, whatever the store's
+ * size. allocFrame zeroes exactly the frames it takes from the free
+ * list, the only ones that can hold old bytes.
  *
  * A bitmap records which frames have been written since they were
  * handed out. A frame that has not is all zeros, and a read() longer
@@ -71,7 +71,7 @@ class PhysMemory
 
     /**
      * Allocate one frame for @p owner. The frame reads as zero: a
-     * first-time frame is still the calloc'd zero page, and a reused
+     * first-time frame is still a never-written zero page, and a reused
      * one is zero-filled here.
      * @return the frame number, or nullopt if memory is exhausted.
      */
@@ -130,13 +130,8 @@ class PhysMemory
             >> (pfn % 64) & 1;
     }
 
-    struct FreeDeleter
-    {
-        void operator()(std::uint8_t *p) const { std::free(p); }
-    };
-
-    /** calloc'd; a frame is zeroed again only when reused. */
-    std::unique_ptr<std::uint8_t[], FreeDeleter> bytes;
+    /** Zero when mapped; a frame is zeroed again only when reused. */
+    sim::ZeroedPages bytes;
     std::size_t numFrames;
     /** Owner of each frame handed out at least once: frames
      * [0, owners.size()) have been, the rest are still fresh. */

@@ -8,13 +8,7 @@ namespace utlb::nic {
 
 using sim::panic;
 
-Sram::Sram(std::size_t capacity)
-    : cap(capacity),
-      bytes(static_cast<std::uint8_t *>(std::calloc(capacity, 1)))
-{
-    if (!bytes && capacity != 0)
-        panic("cannot allocate %zu bytes of NIC SRAM", capacity);
-}
+Sram::Sram(std::size_t capacity) : cap(capacity), bytes(capacity) {}
 
 std::optional<SramAddr>
 Sram::alloc(const std::string &name, std::size_t size)
@@ -71,7 +65,7 @@ Sram::free(const std::string &name)
                       + static_cast<std::ptrdiff_t>(i));
         // Scrub: a stale directory must not be readable through a
         // recycled region.
-        std::memset(bytes.get() + r.base, 0, r.size);
+        std::memset(bytes.data() + r.base, 0, r.size);
         holes.push_back(Hole{r.base, r.size});
         holeBytes += r.size;
         ++statFrees;
@@ -114,7 +108,7 @@ Sram::read(SramAddr addr, std::span<std::uint8_t> out) const
 {
     checkRange(addr, out.size());
     ++statReads;
-    std::memcpy(out.data(), bytes.get() + addr, out.size());
+    std::memcpy(out.data(), bytes.data() + addr, out.size());
 }
 
 void
@@ -122,7 +116,7 @@ Sram::write(SramAddr addr, std::span<const std::uint8_t> in)
 {
     checkRange(addr, in.size());
     ++statWrites;
-    std::memcpy(bytes.get() + addr, in.data(), in.size());
+    std::memcpy(bytes.data() + addr, in.data(), in.size());
 }
 
 std::uint32_t
@@ -131,7 +125,7 @@ Sram::readWord(SramAddr addr) const
     checkRange(addr, 4);
     ++statReads;
     std::uint32_t v;
-    std::memcpy(&v, bytes.get() + addr, 4);
+    std::memcpy(&v, bytes.data() + addr, 4);
     return v;
 }
 
@@ -140,13 +134,13 @@ Sram::writeWord(SramAddr addr, std::uint32_t value)
 {
     checkRange(addr, 4);
     ++statWrites;
-    std::memcpy(bytes.get() + addr, &value, 4);
+    std::memcpy(bytes.data() + addr, &value, 4);
 }
 
 void
 Sram::reset()
 {
-    std::memset(bytes.get(), 0, cap);
+    bytes = sim::ZeroedPages(cap);
     regions.clear();
     holes.clear();
     holeBytes = 0;

@@ -13,14 +13,13 @@
 #define UTLB_NIC_SRAM_HPP
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "sim/stats.hpp"
+#include "sim/zeroed_pages.hpp"
 
 namespace utlb::nic {
 
@@ -43,8 +42,9 @@ inline constexpr std::size_t kDefaultSramBytes = 1u << 20;
  * thousands of processes exhausts the board in minutes. reset()
  * still wipes everything.
  *
- * The byte store is calloc'd, like PhysMemory's: SRAM nothing has
- * written reads as zero and costs no resident host memory.
+ * The byte store is a sim::ZeroedPages mapping, like PhysMemory's:
+ * SRAM nothing has written reads as zero and costs no resident host
+ * memory and no memset, so a 4 MB board is cheap to build.
  *
  * Thread safety: none. Callers serialize allocation and free — in
  * practice both only happen under the driver's registry mutex
@@ -94,7 +94,8 @@ class Sram
     /** Write one 32-bit word (little-endian). */
     void writeWord(SramAddr addr, std::uint32_t value);
 
-    /** Wipe all contents and regions. */
+    /** Wipe all contents and regions (by mapping a fresh zeroed
+     *  store, so the wiped one stops costing resident memory). */
     void reset();
 
     /** This store's statistics subtree. */
@@ -116,13 +117,8 @@ class Sram
 
     void checkRange(SramAddr addr, std::size_t len) const;
 
-    struct FreeDeleter
-    {
-        void operator()(std::uint8_t *p) const { std::free(p); }
-    };
-
     std::size_t cap;
-    std::unique_ptr<std::uint8_t[], FreeDeleter> bytes;
+    sim::ZeroedPages bytes;
     std::vector<Region> regions;
     std::vector<Hole> holes;
     std::size_t holeBytes = 0;

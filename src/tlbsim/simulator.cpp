@@ -28,46 +28,38 @@ using mem::Vpn;
 
 namespace {
 
-/** Key for a (pid, vpn) pair. */
-std::uint64_t
-pageKey(ProcId pid, Vpn vpn)
-{
-    return (static_cast<std::uint64_t>(pid) << 40) | vpn;
-}
-
 /**
  * Three-C miss classifier: a seen-set for compulsory misses and a
  * fully-associative LRU shadow cache of equal total capacity for the
  * capacity/conflict split (§6.3 cites Hill's taxonomy).
  *
- * Both live in flat storage. One open-addressed map takes every key
- * ever probed to its shadow node, or to kNotResident once the shadow
- * has dropped it, so the seen test and the shadow lookup are one
- * probe. The map is sized once for the trace's distinct pages and
- * never erases. The shadow's LRU order is a list threaded by index
- * through a node array of at most @p capacity nodes.
+ * Both live in flat storage indexed by the trace's dense page ids
+ * (trace::indexPages). One array takes every page to its shadow
+ * node, to kNotResident once the shadow has dropped it, or to
+ * kUnseen before its first probe, so the seen test and the shadow
+ * lookup are one load. The shadow's LRU order is a list threaded by
+ * index through a node array of at most @p capacity nodes.
  */
 class MissClassifier
 {
   public:
     MissClassifier(std::size_t capacity, std::size_t distinct_pages)
-        : cap(capacity)
+        : cap(capacity), nodeOf(distinct_pages, kUnseen)
     {
-        nodeOf.reserve(distinct_pages);
         nodes.reserve(capacity);
     }
 
-    /** Record a probe; if @p missed, classify it. */
+    /** Record a probe of page @p id; if @p missed, classify it. */
     void
-    probe(ProcId pid, Vpn vpn, bool missed, SimResult &res)
+    probe(std::uint32_t id, bool missed, SimResult &res)
     {
-        std::uint64_t key = pageKey(pid, vpn);
-        auto [node, first] = nodeOf.tryEmplace(key);
-        bool shadow_hit = !first && *node != kNotResident;
+        std::uint32_t &node = nodeOf[id];
+        bool first = node == kUnseen;
+        bool shadow_hit = !first && node != kNotResident;
         if (shadow_hit)
-            moveToTail(*node);
+            moveToTail(node);
         else
-            *node = install(key);
+            node = install(id);
         if (!missed)
             return;
         if (first)
@@ -81,17 +73,18 @@ class MissClassifier
   private:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
     static constexpr std::uint32_t kNotResident = kNil;
+    static constexpr std::uint32_t kUnseen = kNil - 1;
 
     struct Node {
-        std::uint64_t key = 0;
+        std::uint32_t key = 0;  //!< page id
         std::uint32_t prev = kNil;
         std::uint32_t next = kNil;
     };
 
-    /** Make @p key the shadow's MRU entry, dropping the LRU one if
-     *  the shadow is full. @return its node. */
+    /** Make page @p id the shadow's MRU entry, dropping the LRU one
+     *  if the shadow is full. @return its node. */
     std::uint32_t
-    install(std::uint64_t key)
+    install(std::uint32_t id)
     {
         std::uint32_t n;
         if (nodes.size() < cap) {
@@ -100,11 +93,11 @@ class MissClassifier
         } else if (cap != 0) {
             n = head;
             unlink(n);
-            *nodeOf.find(nodes[n].key) = kNotResident;
+            nodeOf[nodes[n].key] = kNotResident;
         } else {
             return kNotResident;
         }
-        nodes[n].key = key;
+        nodes[n].key = id;
         linkTail(n);
         return n;
     }
@@ -136,7 +129,7 @@ class MissClassifier
     }
 
     std::size_t cap;
-    sim::FlatMap<std::uint32_t> nodeOf;
+    std::vector<std::uint32_t> nodeOf;  //!< by page id
     std::vector<Node> nodes;  //!< grows to cap, then recycles the LRU
     std::uint32_t head = kNil;  //!< LRU
     std::uint32_t tail = kNil;  //!< MRU
@@ -216,16 +209,16 @@ runJson(const char *mechanism, const SimConfig &cfg,
     return os.str();
 }
 
-/** Frames needed to replay a trace of @p shape without running out
- *  of DRAM. */
+/** Frames needed to replay a trace of @p distinct_pages pages
+ *  without running out of DRAM. */
 std::size_t
-framesFor(const trace::TraceShape &shape)
+framesFor(std::size_t distinct_pages)
 {
     // Data pages — including pages only sequential pre-pinning ever
     // touches: with FFT's stride-8 layout, pre-pin waste can reach
     // ~8x the communicated footprint — plus page-table leaves, the
     // garbage page, and slack.
-    return shape.distinctPages * 10 + 2048;
+    return distinct_pages * 10 + 2048;
 }
 
 } // namespace
@@ -240,8 +233,8 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
         return res;
     }
 
-    trace::TraceShape shape = trace::measure(trace);
-    mem::PhysMemory phys_mem(framesFor(shape));
+    trace::PageIds ids = trace::indexPages(trace);
+    mem::PhysMemory phys_mem(framesFor(ids.distinct));
     mem::PinFacility pins;
     nic::Sram sram(4u << 20);  // generous: sweeps go up to 16 K entries
     nic::NicTimings timings;
@@ -281,13 +274,19 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
         return *p->utlb;
     };
 
-    MissClassifier classifier(cfg.cache.entries, shape.distinctPages);
+    MissClassifier classifier(cfg.cache.entries, ids.distinct);
 
+    // The ids of the pages each record spans start at this record's
+    // touch offset, which advances on every record, warm-up and
+    // failed pins included.
+    std::size_t touch = 0;
     std::size_t seen = 0;
     auto wall_start = std::chrono::steady_clock::now();
     for (const auto &rec : trace) {
         core::UserUtlb &utlb = get_utlb(rec.pid);
         std::size_t npages = pagesSpanned(rec.va, rec.nbytes);
+        const std::uint32_t *page = ids.touches.data() + touch;
+        touch += npages;
         if (npages == 0)
             continue;
         bool warm = seen++ >= cfg.warmupLookups;
@@ -332,7 +331,7 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
                         && t.missPages[mi] == i;
                     if (missed)
                         ++mi;
-                    classifier.probe(rec.pid, start + i, missed, res);
+                    classifier.probe(page[i], missed, res);
                 }
             }
         } else {
@@ -366,7 +365,7 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
                 // it needs.
                 core::NicLookup nl = utlb.nicTranslate(start + i);
                 if (warm) {
-                    classifier.probe(rec.pid, start + i, nl.miss, res);
+                    classifier.probe(page[i], nl.miss, res);
                     ++res.probes;
                     res.nicTime += nl.cost;
                     if (nl.miss) {
@@ -408,8 +407,8 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
         return res;
     }
 
-    trace::TraceShape shape = trace::measure(trace);
-    mem::PhysMemory phys_mem(framesFor(shape));
+    trace::PageIds ids = trace::indexPages(trace);
+    mem::PhysMemory phys_mem(framesFor(ids.distinct));
     mem::PinFacility pins;
     nic::NicTimings timings;
     core::HostCosts costs(cfg.hostProfile);
@@ -432,13 +431,17 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
             pins.setPinLimit(pid, cfg.memLimitPages);
     };
 
-    MissClassifier classifier(cfg.cache.entries, shape.distinctPages);
+    MissClassifier classifier(cfg.cache.entries, ids.distinct);
 
+    // Page ids of each record from its touch offset, as above.
+    std::size_t touch = 0;
     std::size_t seen = 0;
     auto wall_start = std::chrono::steady_clock::now();
     for (const auto &rec : trace) {
         ensure_proc(rec.pid);
         std::size_t npages = pagesSpanned(rec.va, rec.nbytes);
+        const std::uint32_t *page = ids.touches.data() + touch;
+        touch += npages;
         if (npages == 0)
             continue;
         bool warm = seen++ >= cfg.warmupLookups;
@@ -450,7 +453,7 @@ simulateIntr(const trace::Trace &trace, const SimConfig &cfg)
         for (std::size_t i = 0; i < npages; ++i) {
             core::IntrLookup lk = intr.translate(rec.pid, start + i);
             if (warm) {
-                classifier.probe(rec.pid, start + i, lk.miss, res);
+                classifier.probe(page[i], lk.miss, res);
                 ++res.probes;
                 res.nicTime += lk.cost;
                 if (lk.miss) {

@@ -47,7 +47,23 @@ struct TraceShape {
     std::uint64_t totalBytes = 0;
 };
 
-/** Measure a trace's shape. */
+/**
+ * A trace's pages numbered densely. A page touch is one page one
+ * record spans; each distinct (pid, vpn) gets the next id in order
+ * of its first touch.
+ */
+struct PageIds {
+    std::vector<std::uint32_t> touches;  //!< id of each touch, in order
+    std::size_t distinct = 0;            //!< ids handed out
+};
+
+/**
+ * Number @p trace's pages in one hashed pass: the page touches are
+ * counted first, so the id map is sized once and never rehashes.
+ */
+PageIds indexPages(const Trace &trace);
+
+/** Measure a trace's shape (its distinctPages is indexPages'). */
 TraceShape measure(const Trace &trace);
 
 } // namespace utlb::trace

@@ -17,31 +17,51 @@ using mem::ProcId;
 using mem::Vpn;
 using sim::Rng;
 
+PageIds
+indexPages(const Trace &trace)
+{
+    // Touches bound the distinct pages from above.
+    std::size_t touches = 0;
+    for (const auto &rec : trace)
+        touches += pagesSpanned(rec.va, rec.nbytes);
+    PageIds ids;
+    ids.touches.reserve(touches);
+    sim::FlatMap<std::uint32_t> idOf;
+    idOf.reserve(touches);
+    for (const auto &rec : trace) {
+        std::size_t n = pagesSpanned(rec.va, rec.nbytes);
+        Vpn first = pageOf(rec.va);
+        for (std::size_t i = 0; i < n; ++i) {
+            auto [id, fresh] = idOf.tryEmplace(
+                (static_cast<std::uint64_t>(rec.pid) << 40) | (first + i));
+            if (fresh)
+                *id = static_cast<std::uint32_t>(idOf.size() - 1);
+            ids.touches.push_back(*id);
+        }
+    }
+    ids.distinct = idOf.size();
+    UTLB_ASSERT(ids.distinct < ~std::uint32_t{0} - 1,
+                "%zu distinct pages overflow the 32-bit page ids",
+                ids.distinct);
+    return ids;
+}
+
 TraceShape
 measure(const Trace &trace)
 {
     TraceShape shape;
     shape.lookups = trace.size();
-    // Sets: only the keys matter.
-    sim::FlatMap<bool> pages;
-    sim::FlatMap<bool> pids;
-    std::size_t page_touches = 0;
+    PageIds ids = indexPages(trace);
+    shape.distinctPages = ids.distinct;
+    sim::FlatMap<bool> pids;  // a set: only the keys matter
     for (const auto &rec : trace) {
         pids.tryEmplace(rec.pid);
-        std::size_t n = pagesSpanned(rec.va, rec.nbytes);
-        page_touches += n;
-        Vpn first = pageOf(rec.va);
-        for (std::size_t i = 0; i < n; ++i) {
-            pages.tryEmplace((static_cast<std::uint64_t>(rec.pid) << 40)
-                             | (first + i));
-        }
         shape.totalBytes += rec.nbytes;
     }
-    shape.distinctPages = pages.size();
     shape.processes = pids.size();
     shape.pagesPerLookup = trace.empty()
         ? 0.0
-        : static_cast<double>(page_touches)
+        : static_cast<double>(ids.touches.size())
             / static_cast<double>(trace.size());
     return shape;
 }

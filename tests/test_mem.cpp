@@ -197,6 +197,30 @@ TEST(PhysMemory, NeverWrittenFrameReadsAsZerosWithoutFaulting)
 #endif
 }
 
+TEST(PhysMemory, StoreBuiltAfterAWrittenOneReadsZeros)
+{
+    // Small enough that a heap allocator would reuse the first
+    // store's block for the second. Reads of kStoreReadBytes go to
+    // the store itself, not the written-frame bitmap.
+    constexpr std::size_t kFrames = 16;
+    for (int round = 0; round < 2; ++round) {
+        PhysMemory pm(kFrames);
+        std::size_t nonzero = 0;
+        std::array<std::uint8_t, PhysMemory::kStoreReadBytes> chunk{};
+        for (PhysAddr pa = 0; pa < kFrames * kPageSize;
+             pa += chunk.size()) {
+            pm.read(pa, chunk);
+            nonzero += static_cast<std::size_t>(
+                std::count_if(chunk.begin(), chunk.end(),
+                              [](std::uint8_t b) { return b != 0; }));
+        }
+        EXPECT_EQ(nonzero, 0u) << round;
+        std::vector<std::uint8_t> ones(kPageSize, 0xA5);
+        for (std::size_t i = 0; i < kFrames; ++i)
+            pm.write(frameAddr(*pm.allocFrame(1)), ones);
+    }
+}
+
 TEST(PhysMemory, ReadStraddlingWrittenAndCleanFrames)
 {
     PhysMemory pm(3);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <numeric>
 #include <vector>
@@ -65,6 +66,54 @@ TEST(Sram, ResetWipesContentsAndRegions)
     EXPECT_EQ(s.readWord(0), 0u);
     EXPECT_EQ(s.used(), 0u);
     EXPECT_FALSE(s.regionBase("a").has_value());
+}
+
+/** Bytes of @p s that are not zero. */
+std::size_t
+nonzeroBytes(const Sram &s)
+{
+    std::vector<std::uint8_t> all(s.capacity());
+    s.read(0, all);
+    return all.size()
+        - static_cast<std::size_t>(std::count(all.begin(), all.end(), 0));
+}
+
+TEST(Sram, StoreBuiltAfterAWrittenOneReadsZeros)
+{
+    // The second board may reuse the first one's host memory.
+    for (int round = 0; round < 2; ++round) {
+        Sram s(4u << 20);
+        EXPECT_EQ(nonzeroBytes(s), 0u) << round;
+        std::vector<std::uint8_t> ones(s.capacity(), 0xA5);
+        s.write(0, ones);
+        EXPECT_EQ(nonzeroBytes(s), s.capacity()) << round;
+    }
+}
+
+TEST(Sram, FreedRegionReadsZerosWhenReallocated)
+{
+    Sram s(1u << 16);
+    auto a = s.alloc("a", 5000);
+    ASSERT_TRUE(a.has_value());
+    std::vector<std::uint8_t> ones(5000, 0xA5);
+    s.write(*a, ones);
+    ASSERT_TRUE(s.free("a"));
+    auto b = s.alloc("b", 5000);
+    ASSERT_EQ(b, a);
+    std::vector<std::uint8_t> out(5000, 0xFF);
+    s.read(*b, out);
+    EXPECT_EQ(std::count(out.begin(), out.end(), 0), 5000);
+}
+
+TEST(Sram, ResetLeavesEveryByteZero)
+{
+    Sram s(1u << 16);
+    std::vector<std::uint8_t> ones(s.capacity(), 0xA5);
+    s.write(0, ones);
+    s.reset();
+    EXPECT_EQ(nonzeroBytes(s), 0u);
+    s.write(0, ones);
+    EXPECT_EQ(nonzeroBytes(s), s.capacity());
 }
 
 TEST(Sram, DefaultCapacityIsOneMegabyte)

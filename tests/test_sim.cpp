@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -27,6 +29,7 @@
 #include "sim/stats.hpp"
 #include "sim/table.hpp"
 #include "sim/types.hpp"
+#include "sim/zeroed_pages.hpp"
 
 namespace {
 
@@ -730,6 +733,54 @@ TEST(FlatMap, MoveOnlyValuesSurviveGrowthAndErase)
 }
 
 // ---------------------------------------------------------------------------
+// ZeroedPages: lazily zeroed anonymous mappings
+// ---------------------------------------------------------------------------
+
+/** Minor plus major page faults this process has taken so far. */
+long
+pageFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt + ru.ru_majflt;
+}
+
+TEST(ZeroedPages, MapsZerosWithoutTouchingThem)
+{
+    constexpr std::size_t kBytes = 4u << 20;
+    for (int round = 0; round < 2; ++round) {
+        long before = pageFaults();
+        utlb::sim::ZeroedPages z(kBytes);
+        [[maybe_unused]] long faults = pageFaults() - before;
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+        // Nothing is memset: none of the 1024 pages is faulted in.
+        // (The sanitizers map shadow memory of their own.)
+        EXPECT_LT(faults, 16) << round;
+#endif
+        ASSERT_EQ(z.size(), kBytes);
+        EXPECT_EQ(std::count(z.data(), z.data() + kBytes, 0),
+                  static_cast<std::ptrdiff_t>(kBytes))
+            << round;
+        std::fill(z.data(), z.data() + kBytes, 0xA5);
+    }
+}
+
+TEST(ZeroedPages, EmptyStoreMapsNothingAndMovesTransferTheMapping)
+{
+    utlb::sim::ZeroedPages empty(0);
+    EXPECT_EQ(empty.data(), nullptr);
+    EXPECT_EQ(empty.size(), 0u);
+
+    utlb::sim::ZeroedPages a(8192);
+    a[100] = 7;
+    utlb::sim::ZeroedPages b(std::move(a));
+    EXPECT_EQ(b[100], 7);
+    b = utlb::sim::ZeroedPages(4096);
+    EXPECT_EQ(b.size(), 4096u);
+    EXPECT_EQ(b[100], 0);
+}
+
+// ---------------------------------------------------------------------------
 // Mutex: spin, then park; contention counters
 // ---------------------------------------------------------------------------
 
@@ -745,23 +796,31 @@ TEST(Mutex, UncontendedLockTouchesNoCounter)
 
 TEST(Mutex, HammeringThreadsKeepMutualExclusionAndCountContention)
 {
+    // The main thread holds the lock while the hammer threads start
+    // and lets go only once one of them has found it held, so the
+    // run counts contention however the scheduler places the
+    // threads (even all on one CPU).
     constexpr int kThreads = 4;
     constexpr int kIters = 50000;
     Mutex mu;
     long counter = 0; // plain: a lost update means broken exclusion
-    std::atomic<bool> go{false};
     std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            for (int i = 0; i < kIters; ++i) {
-                LockGuard g(mu);
-                ++counter;
-            }
-        });
+    {
+        LockGuard g(mu);
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                for (int i = 0; i < kIters; ++i) {
+                    LockGuard h(mu);
+                    ++counter;
+                }
+            });
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (mu.contended() == 0
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
     }
-    go.store(true, std::memory_order_release);
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(counter, static_cast<long>(kThreads) * kIters);

@@ -7,17 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 
+#include "core/driver.hpp"
+#include "core/interrupt_baseline.hpp"
 #include "core/pin_manager.hpp"
 #include "core/registration_cache.hpp"
+#include "core/utlb.hpp"
 #include "mem/address_space.hpp"
 #include "mem/phys_memory.hpp"
 #include "mem/pinning.hpp"
 #include "nic/sram.hpp"
+#include "sim/log.hpp"
+#include "sim/random.hpp"
 #include "tlbsim/simulator.hpp"
 #include "trace/workloads.hpp"
 
@@ -455,6 +462,216 @@ TEST(TlbSimGolden, IntrThreeCSplit)
     EXPECT_EQ(r.compulsoryMisses, 10802u);
     EXPECT_EQ(r.capacityMisses, 9986u);
     EXPECT_EQ(r.conflictMisses, 36u);
+}
+
+// The three-C split against a brute-force reference, fed the miss
+// bits of a replay through the same public calls as tlbsim's loops.
+
+using utlb::mem::pageOf;
+using utlb::mem::pagesSpanned;
+using utlb::mem::ProcId;
+using utlb::mem::Vpn;
+
+/** Seeded records of 0 to 5 pages over a small range, so pages
+ *  recur; about one in eight is zero-length. */
+Trace
+randomTrace(std::uint64_t seed, std::size_t n)
+{
+    utlb::sim::Rng rng(seed);
+    Trace t;
+    for (std::size_t i = 0; i < n; ++i) {
+        auto pid = static_cast<ProcId>(rng.below(3));
+        utlb::mem::VirtAddr va = addrOf(100 + rng.below(96))
+            + rng.below(kPageSize);
+        auto nbytes = rng.below(8) == 0
+            ? 0u
+            : static_cast<std::uint32_t>(rng.range(1, 4 * kPageSize));
+        t.push_back(TraceRecord{i, pid, TraceOp::Send, va, nbytes});
+    }
+    return t;
+}
+
+/** A seen-set and a fully-associative LRU list of (pid, vpn) keys,
+ *  searched linearly. */
+class ThreeCReference
+{
+  public:
+    explicit ThreeCReference(std::size_t capacity) : cap(capacity) {}
+
+    void
+    probe(ProcId pid, Vpn vpn, bool missed)
+    {
+        std::pair<ProcId, Vpn> key{pid, vpn};
+        bool first = seen.insert(key).second;
+        auto it = std::find(lru.begin(), lru.end(), key);
+        bool resident = it != lru.end();
+        if (resident)
+            lru.erase(it);
+        lru.push_front(key);
+        if (lru.size() > cap)
+            lru.pop_back();
+        if (missed)
+            ++(first ? compulsory : resident ? conflict : capacity);
+    }
+
+    std::uint64_t compulsory = 0, capacity = 0, conflict = 0;
+
+  private:
+    std::size_t cap;
+    std::set<std::pair<ProcId, Vpn>> seen;
+    std::list<std::pair<ProcId, Vpn>> lru;  //!< MRU first
+};
+
+std::size_t
+framesFor(const Trace &tr)
+{
+    return utlb::trace::measure(tr).distinctPages * 10 + 2048;
+}
+
+/** simulateUtlb's per-page replay; counts records whose pin failed. */
+ThreeCReference
+utlbReference(const Trace &tr, const SimConfig &cfg, std::size_t &failed)
+{
+    utlb::mem::PhysMemory phys(framesFor(tr));
+    utlb::mem::PinFacility pins;
+    utlb::nic::Sram sram(4u << 20);
+    utlb::nic::NicTimings timings;
+    utlb::core::HostCosts costs(cfg.hostProfile);
+    utlb::core::SharedUtlbCache cache(cfg.cache, timings, &sram);
+    utlb::core::UtlbDriver driver(phys, pins, sram, cache, costs);
+    struct Proc {
+        std::unique_ptr<utlb::mem::AddressSpace> space;
+        std::unique_ptr<utlb::core::UserUtlb> utlb;
+    };
+    std::map<ProcId, Proc> procs;
+    ThreeCReference ref(cfg.cache.entries);
+    std::size_t seen = 0;
+    for (const TraceRecord &rec : tr) {
+        Proc &p = procs[rec.pid];
+        if (!p.utlb) {
+            p.space = std::make_unique<utlb::mem::AddressSpace>(rec.pid,
+                                                                phys);
+            driver.registerProcess(*p.space);
+            utlb::core::UtlbConfig ucfg;
+            ucfg.prefetchEntries = cfg.prefetchEntries;
+            ucfg.pin.memLimitPages = cfg.memLimitPages;
+            ucfg.pin.policy = cfg.policy;
+            ucfg.pin.prepinPages = cfg.prepinPages;
+            ucfg.pin.seed = cfg.seed + rec.pid;
+            p.utlb = std::make_unique<utlb::core::UserUtlb>(
+                driver, cache, timings, rec.pid, ucfg);
+        }
+        std::size_t n = pagesSpanned(rec.va, rec.nbytes);
+        if (n == 0)
+            continue;
+        bool warm = seen++ >= cfg.warmupLookups;
+        if (!p.utlb->prepare(rec.va, rec.nbytes).ok) {
+            ++failed;
+            continue;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            bool miss = p.utlb->nicTranslate(pageOf(rec.va) + i).miss;
+            if (warm)
+                ref.probe(rec.pid, pageOf(rec.va) + i, miss);
+        }
+    }
+    return ref;
+}
+
+/** simulateIntr's replay. */
+ThreeCReference
+intrReference(const Trace &tr, const SimConfig &cfg)
+{
+    utlb::mem::PhysMemory phys(framesFor(tr));
+    utlb::mem::PinFacility pins;
+    utlb::nic::NicTimings timings;
+    utlb::core::HostCosts costs(cfg.hostProfile);
+    utlb::core::SharedUtlbCache cache(cfg.cache, timings);
+    utlb::core::InterruptTlb intr(pins, cache, costs, timings);
+    std::map<ProcId, std::unique_ptr<utlb::mem::AddressSpace>> spaces;
+    ThreeCReference ref(cfg.cache.entries);
+    std::size_t seen = 0;
+    for (const TraceRecord &rec : tr) {
+        auto &space = spaces[rec.pid];
+        if (!space) {
+            space = std::make_unique<utlb::mem::AddressSpace>(rec.pid,
+                                                              phys);
+            pins.registerSpace(*space);
+            if (cfg.memLimitPages != 0)
+                pins.setPinLimit(rec.pid, cfg.memLimitPages);
+        }
+        std::size_t n = pagesSpanned(rec.va, rec.nbytes);
+        if (n == 0)
+            continue;
+        bool warm = seen++ >= cfg.warmupLookups;
+        for (std::size_t i = 0; i < n; ++i) {
+            bool miss = intr.translate(rec.pid, pageOf(rec.va) + i).miss;
+            if (warm)
+                ref.probe(rec.pid, pageOf(rec.va) + i, miss);
+        }
+    }
+    return ref;
+}
+
+TEST(TlbSimThreeC, SplitMatchesBruteForceReference)
+{
+    // A 3-page budget cannot pin a 4- or 5-page record, so those
+    // lookups fail; their pages must still advance the page ids.
+    utlb::sim::LogLevel level = utlb::sim::logLevel();
+    utlb::sim::setLogLevel(utlb::sim::LogLevel::Quiet);
+    std::size_t failed = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Trace tr = randomTrace(seed, 600);
+        SimConfig cfg;
+        cfg.cache = {seed % 2 ? 32u : 64u, seed % 4 < 2 ? 1u : 4u, true};
+        cfg.memLimitPages = seed % 3 == 0 ? 0 : 3;
+        cfg.warmupLookups = 40 * seed;
+        for (bool batched : {false, true}) {
+            cfg.batchedRange = batched;
+            SimResult u = simulateUtlb(tr, cfg);
+            std::size_t f = 0;
+            ThreeCReference ur = utlbReference(tr, cfg, f);
+            failed += f;
+            EXPECT_EQ(u.compulsoryMisses, ur.compulsory) << seed;
+            EXPECT_EQ(u.capacityMisses, ur.capacity) << seed;
+            EXPECT_EQ(u.conflictMisses, ur.conflict) << seed;
+        }
+        SimResult r = simulateIntr(tr, cfg);
+        ThreeCReference ir = intrReference(tr, cfg);
+        EXPECT_EQ(r.compulsoryMisses, ir.compulsory) << seed;
+        EXPECT_EQ(r.capacityMisses, ir.capacity) << seed;
+        EXPECT_EQ(r.conflictMisses, ir.conflict) << seed;
+        EXPECT_GT(ir.capacity + ir.conflict, 0u) << seed;
+    }
+    utlb::sim::setLogLevel(level);
+    EXPECT_GT(failed, 0u);
+}
+
+TEST(TlbSimThreeC, PageIdsMatchEveryPaperTrace)
+{
+    for (const auto &w : utlb::trace::allWorkloads()) {
+        Trace tr = utlb::trace::generateTrace(w.name);
+        utlb::trace::PageIds ids = utlb::trace::indexPages(tr);
+        std::set<std::pair<ProcId, Vpn>> pages;
+        std::size_t touches = 0;
+        std::uint32_t next = 0;
+        bool dense = true;
+        for (const TraceRecord &rec : tr) {
+            for (std::size_t i = 0; i < pagesSpanned(rec.va, rec.nbytes);
+                 ++i) {
+                // A page first touched here gets the next id.
+                if (pages.insert({rec.pid, pageOf(rec.va) + i}).second)
+                    dense &= touches < ids.touches.size()
+                        && ids.touches[touches] == next++;
+                ++touches;
+            }
+        }
+        EXPECT_EQ(ids.distinct, pages.size()) << w.name;
+        EXPECT_EQ(utlb::trace::measure(tr).distinctPages, ids.distinct)
+            << w.name;
+        EXPECT_EQ(ids.touches.size(), touches) << w.name;
+        EXPECT_TRUE(dense) << w.name;
+    }
 }
 
 } // namespace
