@@ -5,9 +5,9 @@
  *
  * Unlike the table/figure harnesses this one measures the simulator
  * itself, not the modeled machine: both modes accrue identical
- * modeled costs by construction (asserted here and by
- * tests/test_batched_range.cpp), so any wall-clock difference is
- * pure data-structure and batching win.
+ * modeled costs by construction (asserted here and by the
+ * executable spec, tests/test_spec.cpp), so any wall-clock difference
+ * is pure data-structure and batching win.
  *
  * Scenarios:
  *   seq64      4096-page warm buffer swept in 64-page windows, all

@@ -5,7 +5,7 @@
  *
  * Like bench_hotpath this measures the simulator's wall clock, not
  * the modeled machine: concurrency never changes results, modeled
- * costs, or stats (asserted below and by tests/test_concurrency.cpp)
+ * costs, or stats (asserted below and by tests/test_spec.cpp)
  * — only how fast the host chews through them.
  *
  * Scenarios (bench_mt_common.hpp):

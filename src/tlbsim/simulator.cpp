@@ -297,9 +297,9 @@ simulateUtlb(const trace::Trace &trace, const SimConfig &cfg)
         if (cfg.batchedRange) {
             // Whole-buffer fast path. The modeled costs and stats it
             // accrues are identical to the per-page branch below (the
-            // golden-equivalence test holds both against each other);
-            // the classifier is replayed from the recorded miss
-            // indices, which match the per-page probe outcomes.
+            // executable spec, tests/test_spec.cpp, holds both to one
+            // oracle); the classifier is replayed from the recorded
+            // miss indices, which match the per-page probe outcomes.
             core::Translation t = utlb.translateRange(rec.va,
                                                       rec.nbytes);
             if (warm) {

@@ -33,6 +33,7 @@ using utlb::mem::ProcId;
 using utlb::mem::Vpn;
 using utlb::nic::NicTimings;
 using utlb::nic::Sram;
+using utlb::sim::Rng;
 using utlb::sim::usToTicks;
 
 // ---------------------------------------------------------------------
@@ -223,6 +224,72 @@ TEST(PinBitVector, RangeScansAcrossTheSpanEdgesMatchASet)
 }
 
 // ---------------------------------------------------------------------
+// PinBitVector range primitives vs brute force
+// ---------------------------------------------------------------------
+
+TEST(BitVectorRange, PrimitivesMatchBruteForce)
+{
+    Rng rng(0xb17b17);
+    for (int round = 0; round < 200; ++round) {
+        PinBitVector bits;
+        // Random pattern straddling several 64-bit words, with runs.
+        Vpn base = rng.below(500);
+        std::size_t span = 1 + rng.below(300);
+        for (Vpn v = base; v < base + span; ++v) {
+            if (rng.below(100) < 60)
+                bits.set(v);
+        }
+        Vpn qstart = base > 5 ? base - 5 : 0;
+        std::size_t qlen = span + 10;
+
+        // Brute-force references.
+        bool all = true;
+        Vpn firstClear = 0, firstSet = 0;
+        bool haveClear = false, haveSet = false;
+        for (Vpn v = qstart; v < qstart + qlen; ++v) {
+            if (bits.test(v)) {
+                if (!haveSet) {
+                    haveSet = true;
+                    firstSet = v;
+                }
+            } else {
+                all = false;
+                if (!haveClear) {
+                    haveClear = true;
+                    firstClear = v;
+                }
+            }
+        }
+
+        EXPECT_EQ(bits.allSetInRange(qstart, qlen), all);
+        auto clear = bits.firstClearInRange(qstart, qlen);
+        ASSERT_EQ(clear.has_value(), haveClear);
+        if (haveClear) {
+            EXPECT_EQ(*clear, firstClear);
+        }
+        auto set = bits.firstSetInRange(qstart, qlen);
+        ASSERT_EQ(set.has_value(), haveSet);
+        if (haveSet) {
+            EXPECT_EQ(*set, firstSet);
+        }
+    }
+}
+
+TEST(BitVectorRange, EmptyAndDegenerate)
+{
+    PinBitVector bits;
+    EXPECT_TRUE(bits.allSetInRange(10, 0));
+    EXPECT_FALSE(bits.firstClearInRange(10, 0).has_value());
+    EXPECT_FALSE(bits.firstSetInRange(10, 0).has_value());
+    EXPECT_FALSE(bits.allSetInRange(0, 1));
+    bits.set(63);
+    bits.set(64);  // word boundary
+    EXPECT_TRUE(bits.allSetInRange(63, 2));
+    EXPECT_EQ(bits.firstClearInRange(63, 3), Vpn{65});
+    EXPECT_EQ(bits.firstSetInRange(0, 200), Vpn{63});
+}
+
+// ---------------------------------------------------------------------
 // Replacement policies
 // ---------------------------------------------------------------------
 
@@ -401,6 +468,68 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         return toString(info.param);
     });
+
+// ---------------------------------------------------------------------
+// RecencyPolicy::onAccessRange vs per-page onAccess
+// ---------------------------------------------------------------------
+
+/** Drain a policy by repeated victim()+onRemove(); returns order. */
+std::vector<Vpn>
+drain(ReplacementPolicy &p)
+{
+    std::vector<Vpn> order;
+    auto any = [](Vpn) { return true; };
+    while (p.size() > 0) {
+        auto v = p.victim(any);
+        EXPECT_TRUE(v.has_value()) << "victim on nonempty policy";
+        if (!v)
+            break;
+        order.push_back(*v);
+        p.onRemove(*v);
+    }
+    return order;
+}
+
+TEST(RecencyRange, SplicedRangeAccessMatchesLoop)
+{
+    for (PolicyKind kind : {PolicyKind::Lru, PolicyKind::Mru}) {
+        Rng rng(0x5eed + static_cast<int>(kind));
+        for (int round = 0; round < 50; ++round) {
+            auto a = ReplacementPolicy::create(kind);
+            auto b = ReplacementPolicy::create(kind);
+            // Random tracked population, including vpns past the
+            // dense chunk window to hit the sparse fallback.
+            std::vector<Vpn> pop;
+            std::size_t n = 1 + rng.below(200);
+            for (std::size_t i = 0; i < n; ++i) {
+                Vpn v = rng.below(100) < 90
+                    ? rng.below(4096)
+                    : (std::uint64_t{1} << 36) + rng.below(512);
+                if (!a->contains(v)) {
+                    a->onInsert(v);
+                    b->onInsert(v);
+                    pop.push_back(v);
+                }
+            }
+            // Interleave single accesses and range accesses (range
+            // over a chain, a partial chain, and untracked gaps).
+            for (int op = 0; op < 40; ++op) {
+                if (rng.below(2) == 0 && !pop.empty()) {
+                    Vpn v = pop[rng.below(pop.size())];
+                    a->onAccess(v);
+                    b->onAccess(v);
+                } else {
+                    Vpn start = rng.below(4096);
+                    std::size_t len = 1 + rng.below(150);
+                    for (std::size_t i = 0; i < len; ++i)
+                        a->onAccess(start + i);
+                    b->onAccessRange(start, len);
+                }
+            }
+            EXPECT_EQ(drain(*a), drain(*b));
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // SharedUtlbCache

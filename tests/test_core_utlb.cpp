@@ -20,37 +20,29 @@
 #include "core/utlb.hpp"
 #include "mem/address_space.hpp"
 #include "mem/phys_memory.hpp"
-#include "mem/pinning.hpp"
-#include "nic/sram.hpp"
-#include "nic/timing.hpp"
+#include "node_stack.hpp"
 #include "tlbsim/simulator.hpp"
 #include "trace/workloads.hpp"
 
 namespace {
 
+using utlb::NodeStack;
 using namespace utlb::core;
 using utlb::mem::addrOf;
 using utlb::mem::AddressSpace;
 using utlb::mem::kPageSize;
 using utlb::mem::PhysMemory;
-using utlb::mem::PinFacility;
 using utlb::mem::PinStatus;
 using utlb::mem::Vpn;
-using utlb::nic::NicTimings;
-using utlb::nic::Sram;
 using utlb::sim::Tick;
 using utlb::sim::ticksToUs;
 using utlb::sim::usToTicks;
 
 /** A full single-node UTLB stack. */
-class UtlbStack : public ::testing::Test
+class UtlbStack : public ::testing::Test, protected NodeStack
 {
   protected:
-    UtlbStack()
-        : physMem(8192), sram(1 << 20),
-          cache(CacheConfig{256, 1, true}, timings, &sram),
-          driver(physMem, pins, sram, cache, costs),
-          space(1, physMem)
+    UtlbStack() : space(1, physMem)
     {
         driver.registerProcess(space);
     }
@@ -61,13 +53,6 @@ class UtlbStack : public ::testing::Test
         return UserUtlb(driver, cache, timings, 1, cfg);
     }
 
-    HostCosts costs;
-    NicTimings timings;
-    PhysMemory physMem;
-    PinFacility pins;
-    Sram sram;
-    SharedUtlbCache cache;
-    UtlbDriver driver;
     AddressSpace space;
 };
 
@@ -157,13 +142,8 @@ TEST_F(UtlbStack, PinLimitSurfacesWithoutPartialPin)
 
 TEST(DriverRollback, LeafOomUndoesOnlyThisIoctl)
 {
-    HostCosts costs;
-    NicTimings timings;
-    PhysMemory physMem(515);
-    PinFacility pins;
-    Sram sram(1 << 20);
-    SharedUtlbCache cache(CacheConfig{256, 1, true}, timings, &sram);
-    UtlbDriver driver(physMem, pins, sram, cache, costs);
+    NodeStack node({256, 1, true}, 515);
+    auto &[costs, timings, physMem, pins, sram, cache, driver] = node;
     AddressSpace space(1, physMem);
     driver.registerProcess(space);
 

@@ -14,52 +14,33 @@
 #include "core/translation_table.hpp"
 #include "core/utlb.hpp"
 #include "mem/address_space.hpp"
-#include "mem/phys_memory.hpp"
-#include "mem/pinning.hpp"
 #include "net/network.hpp"
-#include "nic/sram.hpp"
 #include "nic/timing.hpp"
+#include "node_stack.hpp"
 #include "sim/event_queue.hpp"
 #include "vmmc/system.hpp"
 
 namespace {
 
 using namespace utlb;
-using core::CacheConfig;
-using core::HostCosts;
 using core::HostPageTable;
-using core::SharedUtlbCache;
 using core::UserUtlb;
 using core::UtlbConfig;
-using core::UtlbDriver;
 using mem::addrOf;
 using mem::AddressSpace;
 using mem::kPageSize;
-using mem::PhysMemory;
-using mem::PinFacility;
 using mem::PinStatus;
 using mem::Vpn;
 using nic::NicTimings;
-using nic::Sram;
 
-class EdgeStack : public ::testing::Test
+class EdgeStack : public ::testing::Test, protected NodeStack
 {
   protected:
-    EdgeStack()
-        : physMem(4096), sram(1 << 20),
-          cache(CacheConfig{256, 1, true}, timings, &sram),
-          driver(physMem, pins, sram, cache, costs), space(1, physMem)
+    EdgeStack() : NodeStack({256, 1, true}, 4096), space(1, physMem)
     {
         driver.registerProcess(space);
     }
 
-    HostCosts costs;
-    NicTimings timings;
-    PhysMemory physMem;
-    PinFacility pins;
-    Sram sram;
-    SharedUtlbCache cache;
-    UtlbDriver driver;
     AddressSpace space;
 };
 

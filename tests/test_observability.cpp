@@ -40,10 +40,8 @@
 #include "core/shared_cache.hpp"
 #include "core/utlb.hpp"
 #include "mem/address_space.hpp"
-#include "mem/phys_memory.hpp"
-#include "mem/pinning.hpp"
-#include "nic/sram.hpp"
 #include "nic/timing.hpp"
+#include "node_stack.hpp"
 #include "sim/json.hpp"
 #include "sim/stats.hpp"
 #include "sim/tracer.hpp"
@@ -54,19 +52,14 @@ namespace {
 
 using namespace utlb;
 using core::CacheConfig;
-using core::HostCosts;
 using core::InsertMode;
 using core::SharedUtlbCache;
 using core::UserUtlb;
 using core::UtlbConfig;
-using core::UtlbDriver;
 using mem::AddressSpace;
-using mem::PhysMemory;
-using mem::PinFacility;
 using mem::ProcId;
 using mem::Vpn;
 using nic::NicTimings;
-using nic::Sram;
 
 // ---------------------------------------------------------------------
 // A minimal JSON parser for the schema tests
@@ -749,14 +742,10 @@ TEST(PrefetchRefreshRegression, DemandRefreshStillPromotes)
 // ---------------------------------------------------------------------
 
 /** A one-process UTLB stack (mirrors test_core_utlb's fixture). */
-class ObsUtlbStack : public ::testing::Test
+class ObsUtlbStack : public ::testing::Test, protected NodeStack
 {
   protected:
-    ObsUtlbStack()
-        : physMem(8192), sram(1 << 20),
-          cache(CacheConfig{256, 1, true}, timings, &sram),
-          driver(physMem, pins, sram, cache, costs),
-          space(1, physMem)
+    ObsUtlbStack() : space(1, physMem)
     {
         driver.registerProcess(space);
     }
@@ -767,13 +756,6 @@ class ObsUtlbStack : public ::testing::Test
         return UserUtlb(driver, cache, timings, 1, cfg);
     }
 
-    HostCosts costs;
-    NicTimings timings;
-    PhysMemory physMem;
-    PinFacility pins;
-    Sram sram;
-    SharedUtlbCache cache;
-    UtlbDriver driver;
     AddressSpace space;
 };
 

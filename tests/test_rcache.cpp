@@ -10,32 +10,22 @@
 
 #include "core/registration_cache.hpp"
 #include "mem/address_space.hpp"
-#include "mem/phys_memory.hpp"
-#include "mem/pinning.hpp"
-#include "nic/sram.hpp"
-#include "nic/timing.hpp"
+#include "node_stack.hpp"
 #include "sim/random.hpp"
 
 namespace {
 
+using utlb::NodeStack;
 using namespace utlb::core;
 using utlb::mem::addrOf;
 using utlb::mem::AddressSpace;
 using utlb::mem::kPageSize;
-using utlb::mem::PhysMemory;
-using utlb::mem::PinFacility;
 using utlb::mem::Vpn;
-using utlb::nic::NicTimings;
-using utlb::nic::Sram;
 
-class RcacheStack : public ::testing::Test
+class RcacheStack : public ::testing::Test, protected NodeStack
 {
   protected:
-    RcacheStack()
-        : physMem(8192), sram(1 << 20),
-          cache(CacheConfig{256, 1, true}, timings, &sram),
-          driver(physMem, pins, sram, cache, costs),
-          space(1, physMem)
+    RcacheStack() : space(1, physMem)
     {
         driver.registerProcess(space);
     }
@@ -48,13 +38,6 @@ class RcacheStack : public ::testing::Test
         return RegistrationCache(driver, 1, cfg);
     }
 
-    HostCosts costs;
-    NicTimings timings;
-    PhysMemory physMem;
-    PinFacility pins;
-    Sram sram;
-    SharedUtlbCache cache;
-    UtlbDriver driver;
     AddressSpace space;
 };
 
