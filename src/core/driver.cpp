@@ -110,7 +110,8 @@ UtlbDriver::Session::pinAndInstall(ProcId pid, Vpn start,
                                    std::size_t npages)
 {
     drv->mu.assertHeld();
-    return drv->recordLocked(drv->pinAndInstallLocked(pid, start, npages));
+    return drv->recordLocked(
+        drv->pinAndInstallLocked(pid, start, npages, sh), sh);
 }
 
 IoctlResult
@@ -119,7 +120,7 @@ UtlbDriver::Session::unpinAndInvalidate(ProcId pid, Vpn start,
 {
     drv->mu.assertHeld();
     return drv->recordLocked(
-        drv->unpinAndInvalidateLocked(pid, start, npages));
+        drv->unpinAndInvalidateLocked(pid, start, npages, sh), sh);
 }
 
 IoctlResult
@@ -136,6 +137,29 @@ UtlbDriver::Session::unpinIndex(ProcId pid, Vpn vpn, UtlbIndex index)
     return drv->recordLocked(drv->unpinIndexLocked(pid, vpn, index));
 }
 
+UtlbDriver::Shard
+UtlbDriver::makeShard() const
+{
+    sim::LockGuard lk(mu);
+    return Shard(statIoctlLatency.makeLocal(),
+                 statIoctlRejectLatency.makeLocal(),
+                 nicCache->makeShard());
+}
+
+void
+UtlbDriver::absorbShard(Shard &sh)
+{
+    sim::LockGuard lk(mu);
+    statIoctls.absorb(sh.ioctls);
+    statIoctlRejects.absorb(sh.rejects);
+    statPagesPinned.absorb(sh.pagesPinned);
+    statPagesUnpinned.absorb(sh.pagesUnpinned);
+    statIoctlLatency.absorb(sh.latency);
+    statIoctlRejectLatency.absorb(sh.rejectLatency);
+    pins->absorbShard(sh.pins);
+    nicCache->absorbShard(sh.cache);
+}
+
 IoctlResult
 UtlbDriver::ioctlPinAndInstall(ProcId pid, Vpn start, std::size_t npages)
 {
@@ -145,9 +169,9 @@ UtlbDriver::ioctlPinAndInstall(ProcId pid, Vpn start, std::size_t npages)
 
 IoctlResult
 UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
-                                std::size_t npages)
+                                std::size_t npages, Shard *sh)
 {
-    ++statIoctls;
+    sim::countInto(statIoctls, &Shard::ioctls, sh);
     IoctlResult res;
     DirEntry *e = findEntryLocked(pid);
     if (!e) {
@@ -157,8 +181,9 @@ UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
     if (npages == 0)
         return res;
 
-    PinStatus st =
-        pins->pinRange(pid, start, npages, pinFrames, pinMapped);
+    mem::PinFacility::Shard *pinShard = sh ? &sh->pins : nullptr;
+    PinStatus st = pins->pinRange(pid, start, npages, e->pinFrames,
+                                  e->pinMapped, pinShard);
     if (st != PinStatus::Ok) {
         res.status = st;
         // A rejected ioctl still costs the syscall entry; charge the
@@ -169,25 +194,25 @@ UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
 
     HostPageTable &table = *e->table;
     for (std::size_t i = 0; i < npages; ++i) {
-        if (table.set(start + i, pinFrames[i]))
+        if (table.set(start + i, e->pinFrames[i]))
             continue;
         // Table-leaf OOM: undo this call only. Drop its pin
         // references; a page left unpinned was installed by this call
         // (an earlier pin would still hold it), so clear its entry.
         // Then unmap the pages the pin demand-mapped.
         for (std::size_t j = 0; j < npages; ++j) {
-            pins->unpinPage(pid, start + j);
+            pins->unpinPage(pid, start + j, pinShard);
             if (j < i && !pins->isPinned(pid, start + j))
                 table.clear(start + j);
         }
-        for (std::size_t k = pinMapped.size(); k-- > 0;)
-            e->space->unmap(pinMapped[k]);
+        for (std::size_t k = e->pinMapped.size(); k-- > 0;)
+            e->space->unmap(e->pinMapped[k]);
         res.status = PinStatus::OutOfMemory;
         res.cost = hostCosts->pinCost(1);
         return res;
     }
 
-    statPagesPinned += npages;
+    sim::countInto(statPagesPinned, &Shard::pagesPinned, sh, npages);
     res.pagesDone = npages;
     res.cost = hostCosts->pinCost(npages);
     return res;
@@ -203,9 +228,9 @@ UtlbDriver::ioctlUnpinAndInvalidate(ProcId pid, Vpn start,
 
 IoctlResult
 UtlbDriver::unpinAndInvalidateLocked(ProcId pid, Vpn start,
-                                     std::size_t npages)
+                                     std::size_t npages, Shard *sh)
 {
-    ++statIoctls;
+    sim::countInto(statIoctls, &Shard::ioctls, sh);
     IoctlResult res;
     DirEntry *e = findEntryLocked(pid);
     if (!e) {
@@ -214,19 +239,22 @@ UtlbDriver::unpinAndInvalidateLocked(ProcId pid, Vpn start,
     }
 
     HostPageTable &table = *e->table;
+    mem::PinFacility::Shard *pinShard = sh ? &sh->pins : nullptr;
+    SharedUtlbCache::Shard *cacheShard = sh ? &sh->cache : nullptr;
     for (std::size_t i = 0; i < npages; ++i) {
         Vpn vpn = start + i;
-        if (pins->unpinPage(pid, vpn) != PinStatus::Ok)
+        if (pins->unpinPage(pid, vpn, pinShard) != PinStatus::Ok)
             continue;
         if (!pins->isPinned(pid, vpn)) {
             // Last reference gone: the translation must not survive
             // anywhere the NIC could read it.
             table.clear(vpn);
-            nicCache->invalidate(pid, vpn);
+            nicCache->invalidate(pid, vpn, cacheShard);
         }
         ++res.pagesDone;
     }
-    statPagesUnpinned += res.pagesDone;
+    sim::countInto(statPagesUnpinned, &Shard::pagesUnpinned, sh,
+                   res.pagesDone);
     res.cost = hostCosts->unpinCost(res.pagesDone ? res.pagesDone : 1);
     return res;
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -61,7 +62,9 @@ struct IoctlResult {
  * (docs/performance.md), so the driver stays one critical section.
  * A caller that issues several ioctls back to back (the pin
  * manager's evict-then-pin slow path) holds the mutex once through
- * a Session instead of once per ioctl. Lock order: a PinManager's
+ * a Session instead of once per ioctl, and a concurrent one opens
+ * its sessions on its own Shard, so a hold writes no line that
+ * another process' holds write too. Lock order: a PinManager's
  * mutex, then the driver mutex, then PinBudget's.
  *
  * Accessors that hand out references (pageTable, nicTable,
@@ -82,19 +85,61 @@ class UtlbDriver
     UtlbDriver &operator=(const UtlbDriver &) = delete;
 
     /**
+     * One concurrent caller's share of what the pin and unpin ioctls
+     * write besides the process' own state: the driver's and the pin
+     * facility's statistic deltas, and the NIC-cache invalidations.
+     * Callers that take turns on the driver mutex would otherwise
+     * pass those cache lines from core to core inside every hold,
+     * which stretches each hold. A shard belongs to one caller (a
+     * concurrent UserUtlb's PinManager); fold it back with
+     * absorbShard() before reading stats.
+     */
+    class Shard
+    {
+        friend class UtlbDriver;
+
+        Shard(sim::HistAccum latency_shape, sim::HistAccum reject_shape,
+              SharedUtlbCache::Shard cache_shard)
+            : latency(std::move(latency_shape)),
+              rejectLatency(std::move(reject_shape)),
+              cache(std::move(cache_shard))
+        {}
+
+        std::uint64_t ioctls = 0;
+        std::uint64_t rejects = 0;
+        std::uint64_t pagesPinned = 0;
+        std::uint64_t pagesUnpinned = 0;
+        sim::HistAccum latency;
+        sim::HistAccum rejectLatency;
+        mem::PinFacility::Shard pins;
+        /** Counts the invalidations of this caller's unpins only. */
+        SharedUtlbCache::Shard cache;
+    };
+
+    /** A zeroed shard for one concurrent caller. */
+    Shard makeShard() const;
+
+    /** Fold @p sh into the global stats and zero it. Takes the
+     *  driver mutex. */
+    void absorbShard(Shard &sh);
+
+    /**
      * One hold of the driver mutex spanning several ioctls. Each
      * call still counts and costs as its own ioctl (statIoctls, the
      * latency histograms, the returned IoctlResult), so a session
      * changes wall-clock locking only, never a modeled number. The
      * ioctl entry points below are one-call sessions. Every other
      * worker's pin path waits while a session is open, so keep it to
-     * a run of ioctls and the caller's bookkeeping between them.
+     * a run of ioctls and the caller's bookkeeping between them. The
+     * pin and unpin calls of a session opened with a shard count
+     * into it.
      */
     class UTLB_SCOPED_CAPABILITY Session
     {
       public:
-        explicit Session(UtlbDriver &d) UTLB_ACQUIRE(d.mu)
-            : drv(&d), lk(d.mu)
+        explicit Session(UtlbDriver &d, Shard *shard = nullptr)
+            UTLB_ACQUIRE(d.mu)
+            : drv(&d), sh(shard), lk(d.mu)
         {}
 
         ~Session() UTLB_RELEASE() {}
@@ -120,6 +165,7 @@ class UtlbDriver
 
       private:
         UtlbDriver *drv;
+        Shard *sh;
         sim::LockGuard lk;
     };
 
@@ -255,26 +301,40 @@ class UtlbDriver
     void audit(check::AuditReport &report) const;
 
   private:
-    /** One registered process' driver-side state. */
-    struct DirEntry {
+    /** One registered process' driver-side state, on lines of its
+     *  own: ioctls for different processes write no common line. */
+    struct alignas(64) DirEntry {
         std::unique_ptr<HostPageTable> table;
         std::unique_ptr<NicTranslationTable> nicTable;
         mem::AddressSpace *space = nullptr;
+        /** pinAndInstallLocked's buffers, reused across ioctls: the
+         *  run's frames, and the pages it demand-mapped. */
+        mem::PageBuf pinFrames;
+        mem::PageBuf pinMapped;
     };
 
     /**
-     * Record an ioctl's outcome in the latency stats before
-     * returning it. Rejects sample their own histogram so
-     * ioctl_latency_us stays a pure success-cost (Table 1)
+     * Record an ioctl's outcome in the latency stats (@p sh's when
+     * given) before returning it. Rejects sample their own histogram
+     * so ioctl_latency_us stays a pure success-cost (Table 1)
      * distribution.
      */
-    IoctlResult recordLocked(IoctlResult res) UTLB_REQUIRES(mu)
+    IoctlResult recordLocked(IoctlResult res, Shard *sh = nullptr)
+        UTLB_REQUIRES(mu)
     {
+        const double us = sim::ticksToUs(res.cost);
         if (res.status != mem::PinStatus::Ok) {
-            ++statIoctlRejects;
-            statIoctlRejectLatency.sample(sim::ticksToUs(res.cost));
+            if (sh) {
+                ++sh->rejects;
+                sh->rejectLatency.sample(us);
+            } else {
+                ++statIoctlRejects;
+                statIoctlRejectLatency.sample(us);
+            }
+        } else if (sh) {
+            sh->latency.sample(us);
         } else {
-            statIoctlLatency.sample(sim::ticksToUs(res.cost));
+            statIoctlLatency.sample(us);
         }
         return res;
     }
@@ -290,11 +350,11 @@ class UtlbDriver
 
     /** @name Locked ioctl bodies (Session records and unlocks) @{ */
     IoctlResult pinAndInstallLocked(mem::ProcId pid, mem::Vpn start,
-                                    std::size_t npages)
+                                    std::size_t npages, Shard *sh)
         UTLB_REQUIRES(mu);
     IoctlResult unpinAndInvalidateLocked(mem::ProcId pid,
                                          mem::Vpn start,
-                                         std::size_t npages)
+                                         std::size_t npages, Shard *sh)
         UTLB_REQUIRES(mu);
     IoctlResult pinAtIndexLocked(mem::ProcId pid, mem::Vpn vpn,
                                  UtlbIndex index) UTLB_REQUIRES(mu);
@@ -317,11 +377,6 @@ class UtlbDriver
 
     /** Registered processes, open-addressed on pid. */
     sim::FlatMap<DirEntry> dir UTLB_GUARDED_BY(mu);
-
-    /** pinAndInstallLocked's frame buffers, reused across ioctls:
-     *  the run's frames, and the pages it demand-mapped. */
-    mem::PageBuf pinFrames UTLB_GUARDED_BY(mu);
-    mem::PageBuf pinMapped UTLB_GUARDED_BY(mu);
 
     sim::StatGroup statsGrp{"driver"};
     sim::Counter statIoctls UTLB_GUARDED_BY(mu){

@@ -216,6 +216,10 @@ SharedUtlbCache::absorbShard(Shard &sh)
     statRefreshes.absorb(sh.refreshes);
     statEvictions.absorb(sh.evictions);
     statCrossEvictions.absorb(sh.crossEvictions);
+    // Shardless removals add to this counter with relaxed RMWs
+    // without absorbMu (Striped::retired), so the fold must too.
+    statInvalidations.addRelaxed(sh.invalidations);
+    sh.invalidations = 0;
     statProbeLatency.absorb(sh.probeLatency);
 }
 
@@ -309,13 +313,16 @@ struct SharedUtlbCache::Striped {
 
     /**
      * Removals (invalidate, invalidateProcess) run from the unpin and
-     * teardown paths, which own no shard: the coherence count is a
-     * relaxed RMW on the shared counter, since absorbShard() may be
-     * writing its neighbours at the same time.
+     * teardown paths. An unpin made through a driver shard counts
+     * into that shard; the shardless ones make a relaxed RMW on the
+     * shared counter, since absorbShard() may be writing its
+     * neighbours at the same time.
      */
     void retired(std::size_t n)
     {
-        if (n)
+        if (sh)
+            sh->invalidations += n;
+        else if (n)
             c.statInvalidations.addRelaxed(n);
     }
 
@@ -688,11 +695,11 @@ SharedUtlbCache::insert(ProcId pid, Vpn vpn, Pfn pfn, InsertMode mode,
 }
 
 bool
-SharedUtlbCache::invalidate(ProcId pid, Vpn vpn)
+SharedUtlbCache::invalidate(ProcId pid, Vpn vpn, Shard *sh)
 {
     // Unpin-path coherence drops race other workers' optimistic
     // probes once the cache is concurrent.
-    return concurrent() ? invalidateWith(pid, vpn, Striped{*this})
+    return concurrent() ? invalidateWith(pid, vpn, Striped{*this, sh})
                         : invalidateWith(pid, vpn, Unlocked{*this});
 }
 

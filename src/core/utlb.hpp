@@ -184,10 +184,10 @@ class UserUtlb
     bool concurrent() const { return shard != nullptr; }
 
     /**
-     * Concurrent mode: fold this worker's buffered shared-cache stat
-     * deltas into the cache's global counters. Call after the worker
-     * quiesces (and before reading the stats tree); the destructor
-     * also flushes. No-op in sequential mode.
+     * Concurrent mode: fold this worker's buffered shared-cache and
+     * driver stat deltas (driverShard) into the global counters.
+     * Call after the worker quiesces (and before reading the stats
+     * tree); the destructor also flushes. No-op in sequential mode.
      */
     void flushShardStats();
 
@@ -325,6 +325,11 @@ class UserUtlb
      */
     std::optional<SharedUtlbCache::Shard> shardStore;
     SharedUtlbCache::Shard *shard = nullptr;
+
+    /** Concurrent mode only: where pinMgr's ioctls count. Its
+     *  sessions write it under the driver mutex, and so does
+     *  flushShardStats() through UtlbDriver::absorbShard(). */
+    std::optional<UtlbDriver::Shard> driverShard;
 
     /** MRU "L0" slot: the line that served the last first-page hit. */
     SharedUtlbCache::LineRef l0;

@@ -59,11 +59,11 @@ PinFacility::pinLimit(ProcId pid) const
 
 std::optional<Pfn>
 PinFacility::pinOne(ProcState *p, Vpn vpn, PinStatus &st,
-                    bool *mapped_now)
+                    bool *mapped_now, Shard *sh)
 {
-    ++statPinOps;
+    sim::countInto(statPinOps, &Shard::pinOps, sh);
     if (!p) {
-        ++statFailedPins;
+        sim::countInto(statFailedPins, &Shard::failedPins, sh);
         st = PinStatus::UnknownProcess;
         return std::nullopt;
     }
@@ -78,14 +78,14 @@ PinFacility::pinOne(ProcState *p, Vpn vpn, PinStatus &st,
     // The limit is checked before the page is demand-mapped, so a
     // rejected pin allocates no frame.
     if (p->limit != 0 && p->pinned >= p->limit) {
-        ++statFailedPins;
+        sim::countInto(statFailedPins, &Shard::failedPins, sh);
         st = PinStatus::LimitExceeded;
         return std::nullopt;
     }
 
     bool fresh = !e.mapped();
     if (fresh && !p->space->mapFresh(e)) {
-        ++statFailedPins;
+        sim::countInto(statFailedPins, &Shard::failedPins, sh);
         st = PinStatus::OutOfMemory;
         return std::nullopt;
     }
@@ -94,7 +94,7 @@ PinFacility::pinOne(ProcState *p, Vpn vpn, PinStatus &st,
 
     e.pins = 1;
     ++p->pinned;
-    ++statPagesPinned;
+    sim::countInto(statPagesPinned, &Shard::pagesPinned, sh);
     st = PinStatus::Ok;
     return e.frame();
 }
@@ -103,7 +103,7 @@ std::optional<Pfn>
 PinFacility::pinPage(ProcId pid, Vpn vpn, PinStatus *st)
 {
     PinStatus s = PinStatus::Ok;
-    auto pfn = pinOne(findProc(pid), vpn, s, nullptr);
+    auto pfn = pinOne(findProc(pid), vpn, s, nullptr, nullptr);
     if (st)
         *st = s;
     return pfn;
@@ -111,7 +111,7 @@ PinFacility::pinPage(ProcId pid, Vpn vpn, PinStatus *st)
 
 PinStatus
 PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
-                      PageBuf &frames, PageBuf &mapped)
+                      PageBuf &frames, PageBuf &mapped, Shard *sh)
 {
     frames.clear();
     mapped.clear();
@@ -119,13 +119,13 @@ PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
     for (std::size_t i = 0; i < npages; ++i) {
         PinStatus st = PinStatus::Ok;
         bool fresh = false;
-        auto pfn = pinOne(p, start + i, st, &fresh);
+        auto pfn = pinOne(p, start + i, st, &fresh, sh);
         if (!pfn) {
             // Roll back: all-or-nothing semantics. Pages this call
             // demand-mapped purely to pin them are unmapped again so
             // a failed pin does not strand physical frames.
             for (std::size_t j = i; j-- > 0;)
-                unpinPage(pid, start + j);
+                unpinPage(pid, start + j, sh);
             for (std::size_t k = mapped.size(); k-- > 0;)
                 p->space->unmap(mapped[k]);
             frames.clear();
@@ -140,9 +140,9 @@ PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
 }
 
 PinStatus
-PinFacility::unpinPage(ProcId pid, Vpn vpn)
+PinFacility::unpinPage(ProcId pid, Vpn vpn, Shard *sh)
 {
-    ++statUnpinOps;
+    sim::countInto(statUnpinOps, &Shard::unpinOps, sh);
     auto *p = findProc(pid);
     if (!p)
         return PinStatus::UnknownProcess;
@@ -151,9 +151,19 @@ PinFacility::unpinPage(ProcId pid, Vpn vpn)
         return PinStatus::NotPinned;
     if (--e->pins == 0) {
         --p->pinned;
-        ++statPagesUnpinned;
+        sim::countInto(statPagesUnpinned, &Shard::pagesUnpinned, sh);
     }
     return PinStatus::Ok;
+}
+
+void
+PinFacility::absorbShard(Shard &sh)
+{
+    statPinOps.absorb(sh.pinOps);
+    statUnpinOps.absorb(sh.unpinOps);
+    statPagesPinned.absorb(sh.pagesPinned);
+    statPagesUnpinned.absorb(sh.pagesUnpinned);
+    statFailedPins.absorb(sh.failedPins);
 }
 
 const AddressSpace::Pte *

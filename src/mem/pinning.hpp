@@ -63,6 +63,25 @@ class PinFacility
     PinFacility(const PinFacility &) = delete;
     PinFacility &operator=(const PinFacility &) = delete;
 
+    /**
+     * Statistic deltas of the pins one concurrent caller makes. The
+     * calls that take a shard count into it instead of the global
+     * counters, so callers that take turns under one lock do not pass
+     * the counters' cache lines between cores. Fold it back with
+     * absorbShard() before reading stats.
+     */
+    struct Shard {
+        std::uint64_t pinOps = 0;
+        std::uint64_t unpinOps = 0;
+        std::uint64_t pagesPinned = 0;
+        std::uint64_t pagesUnpinned = 0;
+        std::uint64_t failedPins = 0;
+    };
+
+    /** Fold @p sh into the global counters and zero it. Same
+     *  locking as the pin calls. */
+    void absorbShard(Shard &sh);
+
     /** Register a process' address space. */
     void registerSpace(AddressSpace &space);
 
@@ -96,10 +115,11 @@ class PinFacility
      * @return Ok, or why the run could not be pinned.
      */
     PinStatus pinRange(ProcId pid, Vpn start, std::size_t npages,
-                       PageBuf &frames, PageBuf &mapped);
+                       PageBuf &frames, PageBuf &mapped,
+                       Shard *sh = nullptr);
 
     /** Drop one pin reference. */
-    PinStatus unpinPage(ProcId pid, Vpn vpn);
+    PinStatus unpinPage(ProcId pid, Vpn vpn, Shard *sh = nullptr);
 
     /** True if the page has at least one pin reference. */
     bool isPinned(ProcId pid, Vpn vpn) const;
@@ -145,8 +165,10 @@ class PinFacility
     friend struct check::TestTamper;
 
     /** A registered process. Its per-page pin refcounts live in its
-     *  address space's page-table entries (AddressSpace::Pte::pins). */
-    struct ProcState {
+     *  address space's page-table entries (AddressSpace::Pte::pins).
+     *  One cache line each, so two processes pinning in turn do not
+     *  share their pinned counts' line. */
+    struct alignas(64) ProcState {
         AddressSpace *space = nullptr;
         std::size_t limit = 0;   //!< pages; 0 = unlimited
         std::size_t pinned = 0;  //!< entries with pins > 0
@@ -164,7 +186,7 @@ class PinFacility
     /** pinPage's body for an already-resolved process (@p p may be
      *  null: unknown process). */
     std::optional<Pfn> pinOne(ProcState *p, Vpn vpn, PinStatus &st,
-                              bool *mapped_now);
+                              bool *mapped_now, Shard *sh);
 
     sim::FlatMap<ProcState> procs;
 

@@ -40,8 +40,13 @@ namespace utlb::sim {
  * try_lock() failed, parked() those whose spin ran out and fell back
  * to the blocking lock. An uncontended lock() is one try_lock() and
  * touches neither.
+ *
+ * A Mutex fills its own cache line. Each spinning try_lock() takes
+ * the line exclusive, so a field declared next to the mutex would
+ * move to the waiter's core with it, and the holder would miss on
+ * that field while it works.
  */
-class UTLB_CAPABILITY("mutex") Mutex
+class alignas(64) UTLB_CAPABILITY("mutex") Mutex
 {
   public:
     /**

@@ -91,6 +91,22 @@ class Counter : public StatBase
     std::uint64_t val = 0;
 };
 
+/**
+ * Add @p n to @p shard's @p field when the caller has a shard (a
+ * concurrent caller's buffered deltas, folded in later with
+ * Counter::absorb), else straight to @p global.
+ */
+template <class Shard>
+void
+countInto(Counter &global, std::uint64_t Shard::*field, Shard *shard,
+          std::uint64_t n = 1)
+{
+    if (shard)
+        shard->*field += n;
+    else
+        global += n;
+}
+
 /** An accumulating mean (sum / count). */
 class Average : public StatBase
 {
