@@ -11,7 +11,7 @@
  * shared NIC stack: Translate ops run translateRange over the named
  * buffer, Detach ops tear the tenant down through the driver
  * (stat-tree disown, SRAM release, unpin-everything, address-space
- * frames returned under the driver mutex), Attach ops
+ * frames returned through the allocator lock), Attach ops
  * re-register it. Per-tenant modeled latency samples feed
  * p50/p99/p999 cells; cross-tenant pollution (evictions whose victim
  * belonged to another pid) and quota throttles come from the new

@@ -17,7 +17,8 @@
  *                    stay contended;
  *   mt_pin_churn     disjoint sweeps under a per-process pin limit
  *                    half the working set: every window sheds and
- *                    repins pages, so the PinManager mutex and the
+ *                    repins pages, so the PinManager mutex, each
+ *                    process' driver session and the
  *                    coherence-invalidate path carry the load;
  *   mt_warm_assoc4   the warm disjoint sweep at 4-way associativity:
  *                    page-at-a-time lookup() through the per-set
@@ -44,9 +45,10 @@
  * UTLB_MT_THREADS caps the sweep (default 4). BENCH_mt.json records
  * threads, aggregate pages/sec, scaling_efficiency (pages/sec at
  * N threads over N x the 1-thread rate, the best of three 1-thread
- * runs), and the driver mutex's
- * contended and parked lock() calls per page over the timed region
- * (sim::Mutex counters, wall-clock only). Every MT cell also records
+ * runs), and the driver locks'
+ * contended and parked lock() calls per page over the timed region:
+ * the registry lock's plus every process' session lock's (sim::Mutex
+ * counters, wall-clock only, outside the utlb-stats-v1 tree). Every MT cell also records
  * host_cores and an oversubscribed flag; when worker threads exceed
  * the host's cores the efficiency figure would only measure the
  * scheduler's time-slicing, so it is omitted entirely (the flag tells

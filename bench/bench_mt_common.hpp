@@ -180,8 +180,9 @@ struct MtCell {
     double wallNs = 0;
     std::uint64_t pages = 0;
     utlb::sim::Tick modeled = 0;
-    /** Driver-mutex lock() calls in the timed region that found it
-     *  held, and those that then parked (sim::Mutex counters). */
+    /** Driver lock() calls in the timed region (the registry lock
+     *  plus every process' session lock) that found the lock held,
+     *  and those that then parked (sim::Mutex counters). */
     std::uint64_t driverContended = 0;
     std::uint64_t driverParks = 0;
 

@@ -35,10 +35,11 @@ UtlbDriver::~UtlbDriver()
 // Quiescent-only probe (class comment): the unlocked accessors read
 // the directory by the same temporal contract their references
 // carry. Invisible to the static analysis.
-const UtlbDriver::DirEntry *
+const UtlbDriver::Process *
 UtlbDriver::findEntry(ProcId pid) const UTLB_NO_THREAD_SAFETY_ANALYSIS
 {
-    return std::as_const(dir).find(pid);
+    const std::unique_ptr<Process> *box = std::as_const(dir).find(pid);
+    return box ? box->get() : nullptr;
 }
 
 void
@@ -47,26 +48,33 @@ UtlbDriver::registerProcess(mem::AddressSpace &space)
     ProcId pid = space.pid();
     if (pid == kKernelPid || pid == mem::kNoOwner)
         panic("pid %u is reserved", pid);
-    sim::LockGuard lk(mu);
-    auto [e, inserted] = dir.tryEmplace(pid);
+    sim::LockGuard lk(registryMu);
+    auto [box, inserted] = dir.tryEmplace(pid);
     if (!inserted)
         panic("process %u registered with the driver twice", pid);
-    pins->registerSpace(space);
-    e->table = std::make_unique<HostPageTable>(*hostMem, pid, sram);
-    e->space = &space;
-    statsGrp.adopt(e->table->stats());
+    mem::PinFacility::Proc &pinProc = pins->registerSpace(space);
+    box->reset(new Process(
+        *this, pid, space, pinProc,
+        std::make_unique<HostPageTable>(*hostMem, pid, sram)));
+    statsGrp.adopt((*box)->table->stats());
 }
 
 void
 UtlbDriver::unregisterProcess(ProcId pid)
 {
-    sim::LockGuard lk(mu);
+    sim::LockGuard lk(registryMu);
     nicCache->invalidateProcess(pid);
     mem::AddressSpace *space = nullptr;
-    if (DirEntry *e = findEntryLocked(pid)) {
-        statsGrp.disown(e->table->stats());
-        space = e->space;
+    if (std::unique_ptr<Process> *box = dir.find(pid)) {
+        std::unique_ptr<Process> gone = std::move(*box);
         dir.erase(pid);
+        // A session still open on the process (its owner should have
+        // closed its views first) finishes before the entry goes.
+        sim::LockGuard drain(gone->mu);
+        statsGrp.disown(gone->table->stats());
+        space = gone->space;
+        retiredContended += gone->mu.contended();
+        retiredParks += gone->mu.parked();
     }
     pins->unregisterProcess(pid);
     if (space)
@@ -76,8 +84,15 @@ UtlbDriver::unregisterProcess(ProcId pid)
 bool
 UtlbDriver::isRegistered(ProcId pid) const
 {
-    sim::LockGuard lk(mu);
+    sim::LockGuard lk(registryMu);
     return dir.contains(pid);
+}
+
+UtlbDriver::Process *
+UtlbDriver::processShared(ProcId pid)
+{
+    sim::LockGuard lk(registryMu);
+    return findLocked(pid);
 }
 
 // Quiescent-only accessor (class comment): hands out a reference that
@@ -85,62 +100,147 @@ UtlbDriver::isRegistered(ProcId pid) const
 HostPageTable &
 UtlbDriver::pageTable(ProcId pid)
 {
-    const DirEntry *e = findEntry(pid);
+    const Process *e = findEntry(pid);
     if (!e)
         panic("pageTable of unregistered process %u", pid);
     return *e->table;
 }
 
 // The lock covers only the directory probe: the table it resolves
-// is heap-owned by the entry's unique_ptr, so a concurrent rehash
-// moving the entry leaves the table object in place (see header).
+// is owned by the heap-allocated entry, which a concurrent rehash
+// leaves in place (see header).
 HostPageTable *
 UtlbDriver::pageTableShared(ProcId pid)
 {
-    sim::LockGuard lk(mu);
-    DirEntry *e = findEntryLocked(pid);
+    sim::LockGuard lk(registryMu);
+    Process *e = findLocked(pid);
     return e ? e->table.get() : nullptr;
 }
 
-// The Session methods run while their Session's LockGuard member
-// holds the driver mutex; assertHeld() carries that fact into each
-// body for the static analysis.
-IoctlResult
-UtlbDriver::Session::pinAndInstall(ProcId pid, Vpn start,
-                                   std::size_t npages)
+std::uint64_t
+UtlbDriver::lockContended() const
 {
-    drv->mu.assertHeld();
-    return drv->recordLocked(
-        drv->pinAndInstallLocked(pid, start, npages, sh), sh);
+    sim::LockGuard lk(registryMu);
+    std::uint64_t n = retiredContended;
+    for (const auto &[pid, e] : dir)
+        n += e->mu.contended();
+    return n + registryMu.contended();
+}
+
+std::uint64_t
+UtlbDriver::lockParks() const
+{
+    sim::LockGuard lk(registryMu);
+    std::uint64_t n = retiredParks;
+    for (const auto &[pid, e] : dir)
+        n += e->mu.parked();
+    return n + registryMu.parked();
+}
+
+// Conditional acquisition (header): outside the static analysis.
+sim::Mutex *
+UtlbDriver::Session::sessionLock(Process &p, Shard *shard)
+    UTLB_NO_THREAD_SAFETY_ANALYSIS
+{
+    if (!shard)
+        return p.sharded.load(std::memory_order_relaxed) ? &p.mu : nullptr;
+    if (!p.sharded.load(std::memory_order_acquire)) {
+        // From here on the registry lock no longer covers the
+        // process: an unsharded session still open on it finishes
+        // first, and every later one takes mu too.
+        sim::LockGuard lk(p.drv->registryMu);
+        p.sharded.store(true, std::memory_order_release);
+    }
+    return &p.mu;
+}
+
+UtlbDriver::Session::Session(Process &p, Shard *shard)
+    UTLB_NO_THREAD_SAFETY_ANALYSIS
+    : proc(&p), sh(shard),
+      registry(shard ? nullptr : &p.drv->registryMu),
+      own(sessionLock(p, shard))
+{
+}
+
+UtlbDriver::Session::Session(Process &p, RegistryHeld)
+    UTLB_NO_THREAD_SAFETY_ANALYSIS
+    : proc(&p), sh(nullptr), own(sessionLock(p, nullptr))
+{
+}
+
+// The Session methods run while their Session holds the process
+// (header); assertHeld() carries that fact into each body for the
+// static analysis.
+IoctlResult
+UtlbDriver::Session::pinAndInstall(Vpn start, std::size_t npages)
+{
+    proc->mu.assertHeld();
+    UtlbDriver &drv = *proc->drv;
+    return drv.recordLocked(
+        drv.pinAndInstallLocked(*proc, start, npages, sh), sh);
 }
 
 IoctlResult
-UtlbDriver::Session::unpinAndInvalidate(ProcId pid, Vpn start,
-                                        std::size_t npages)
+UtlbDriver::Session::unpinAndInvalidate(Vpn start, std::size_t npages)
 {
-    drv->mu.assertHeld();
-    return drv->recordLocked(
-        drv->unpinAndInvalidateLocked(pid, start, npages, sh), sh);
+    proc->mu.assertHeld();
+    UtlbDriver &drv = *proc->drv;
+    return drv.recordLocked(
+        drv.unpinAndInvalidateLocked(*proc, start, npages, sh), sh);
 }
 
 IoctlResult
-UtlbDriver::Session::pinAtIndex(ProcId pid, Vpn vpn, UtlbIndex index)
+UtlbDriver::recordLocked(IoctlResult res, Shard *sh)
 {
-    drv->mu.assertHeld();
-    return drv->recordLocked(drv->pinAtIndexLocked(pid, vpn, index));
+    const double us = sim::ticksToUs(res.cost);
+    const bool ok = res.status == mem::PinStatus::Ok;
+    if (sh) {
+        if (!ok) {
+            ++sh->rejects;
+            sh->rejectLatency.sample(us);
+        } else {
+            sh->latency.sample(us);
+        }
+        return res;
+    }
+    // Without a shard the caller holds the registry lock (Session, the
+    // ioctl entry points).
+    registryMu.assertHeld();
+    if (!ok) {
+        ++statIoctlRejects;
+        statIoctlRejectLatency.sample(us);
+    } else {
+        statIoctlLatency.sample(us);
+    }
+    return res;
+}
+
+void
+UtlbDriver::countLocked(sim::Counter UtlbDriver::*global,
+                        std::uint64_t Shard::*field, Shard *sh,
+                        std::uint64_t n)
+{
+    if (sh) {
+        sh->*field += n;
+        return;
+    }
+    registryMu.assertHeld();
+    this->*global += n;
 }
 
 IoctlResult
-UtlbDriver::Session::unpinIndex(ProcId pid, Vpn vpn, UtlbIndex index)
+UtlbDriver::unknownProcessLocked()
 {
-    drv->mu.assertHeld();
-    return drv->recordLocked(drv->unpinIndexLocked(pid, vpn, index));
+    ++statIoctls;
+    IoctlResult res;
+    res.status = PinStatus::UnknownProcess;
+    return recordLocked(res, nullptr);
 }
 
 UtlbDriver::Shard
 UtlbDriver::makeShard() const
 {
-    sim::LockGuard lk(mu);
+    sim::LockGuard lk(registryMu);
     return Shard(statIoctlLatency.makeLocal(),
                  statIoctlRejectLatency.makeLocal(),
                  nicCache->makeShard());
@@ -149,7 +249,7 @@ UtlbDriver::makeShard() const
 void
 UtlbDriver::absorbShard(Shard &sh)
 {
-    sim::LockGuard lk(mu);
+    sim::LockGuard lk(registryMu);
     statIoctls.absorb(sh.ioctls);
     statIoctlRejects.absorb(sh.rejects);
     statPagesPinned.absorb(sh.pagesPinned);
@@ -160,30 +260,32 @@ UtlbDriver::absorbShard(Shard &sh)
     nicCache->absorbShard(sh.cache);
 }
 
+// The four ioctl entry points: resolve the pid under the registry
+// lock, which also serializes their global statistics, then run the
+// body in a session on the process.
 IoctlResult
 UtlbDriver::ioctlPinAndInstall(ProcId pid, Vpn start, std::size_t npages)
 {
-    Session s(*this);
-    return s.pinAndInstall(pid, start, npages);
+    sim::LockGuard lk(registryMu);
+    Process *p = findLocked(pid);
+    if (!p)
+        return unknownProcessLocked();
+    return Session(*p, Session::RegistryHeld{}).pinAndInstall(start,
+                                                             npages);
 }
 
 IoctlResult
-UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
+UtlbDriver::pinAndInstallLocked(Process &p, Vpn start,
                                 std::size_t npages, Shard *sh)
 {
-    sim::countInto(statIoctls, &Shard::ioctls, sh);
+    countLocked(&UtlbDriver::statIoctls, &Shard::ioctls, sh);
     IoctlResult res;
-    DirEntry *e = findEntryLocked(pid);
-    if (!e) {
-        res.status = PinStatus::UnknownProcess;
-        return res;
-    }
     if (npages == 0)
         return res;
 
     mem::PinFacility::Shard *pinShard = sh ? &sh->pins : nullptr;
-    PinStatus st = pins->pinRange(pid, start, npages, e->pinFrames,
-                                  e->pinMapped, pinShard);
+    PinStatus st = pins->pinRange(*p.pins, start, npages, p.pinFrames,
+                                  p.pinMapped, pinShard);
     if (st != PinStatus::Ok) {
         res.status = st;
         // A rejected ioctl still costs the syscall entry; charge the
@@ -192,27 +294,28 @@ UtlbDriver::pinAndInstallLocked(ProcId pid, Vpn start,
         return res;
     }
 
-    HostPageTable &table = *e->table;
+    HostPageTable &table = *p.table;
     for (std::size_t i = 0; i < npages; ++i) {
-        if (table.set(start + i, e->pinFrames[i]))
+        if (table.set(start + i, p.pinFrames[i]))
             continue;
         // Table-leaf OOM: undo this call only. Drop its pin
         // references; a page left unpinned was installed by this call
         // (an earlier pin would still hold it), so clear its entry.
         // Then unmap the pages the pin demand-mapped.
         for (std::size_t j = 0; j < npages; ++j) {
-            pins->unpinPage(pid, start + j, pinShard);
-            if (j < i && !pins->isPinned(pid, start + j))
+            pins->unpinPage(*p.pins, start + j, pinShard);
+            if (j < i && !mem::PinFacility::isPinned(*p.pins, start + j))
                 table.clear(start + j);
         }
-        for (std::size_t k = e->pinMapped.size(); k-- > 0;)
-            e->space->unmap(e->pinMapped[k]);
+        for (std::size_t k = p.pinMapped.size(); k-- > 0;)
+            p.space->unmap(p.pinMapped[k]);
         res.status = PinStatus::OutOfMemory;
         res.cost = hostCosts->pinCost(1);
         return res;
     }
 
-    sim::countInto(statPagesPinned, &Shard::pagesPinned, sh, npages);
+    countLocked(&UtlbDriver::statPagesPinned, &Shard::pagesPinned, sh,
+                npages);
     res.pagesDone = npages;
     res.cost = hostCosts->pinCost(npages);
     return res;
@@ -222,39 +325,37 @@ IoctlResult
 UtlbDriver::ioctlUnpinAndInvalidate(ProcId pid, Vpn start,
                                     std::size_t npages)
 {
-    Session s(*this);
-    return s.unpinAndInvalidate(pid, start, npages);
+    sim::LockGuard lk(registryMu);
+    Process *p = findLocked(pid);
+    if (!p)
+        return unknownProcessLocked();
+    return Session(*p, Session::RegistryHeld{})
+        .unpinAndInvalidate(start, npages);
 }
 
 IoctlResult
-UtlbDriver::unpinAndInvalidateLocked(ProcId pid, Vpn start,
+UtlbDriver::unpinAndInvalidateLocked(Process &p, Vpn start,
                                      std::size_t npages, Shard *sh)
 {
-    sim::countInto(statIoctls, &Shard::ioctls, sh);
+    countLocked(&UtlbDriver::statIoctls, &Shard::ioctls, sh);
     IoctlResult res;
-    DirEntry *e = findEntryLocked(pid);
-    if (!e) {
-        res.status = PinStatus::UnknownProcess;
-        return res;
-    }
-
-    HostPageTable &table = *e->table;
+    HostPageTable &table = *p.table;
     mem::PinFacility::Shard *pinShard = sh ? &sh->pins : nullptr;
     SharedUtlbCache::Shard *cacheShard = sh ? &sh->cache : nullptr;
     for (std::size_t i = 0; i < npages; ++i) {
         Vpn vpn = start + i;
-        if (pins->unpinPage(pid, vpn, pinShard) != PinStatus::Ok)
+        if (pins->unpinPage(*p.pins, vpn, pinShard) != PinStatus::Ok)
             continue;
-        if (!pins->isPinned(pid, vpn)) {
+        if (!mem::PinFacility::isPinned(*p.pins, vpn)) {
             // Last reference gone: the translation must not survive
             // anywhere the NIC could read it.
             table.clear(vpn);
-            nicCache->invalidate(pid, vpn, cacheShard);
+            nicCache->invalidate(p.procId, vpn, cacheShard);
         }
         ++res.pagesDone;
     }
-    sim::countInto(statPagesUnpinned, &Shard::pagesUnpinned, sh,
-                   res.pagesDone);
+    countLocked(&UtlbDriver::statPagesUnpinned, &Shard::pagesUnpinned,
+                sh, res.pagesDone);
     res.cost = hostCosts->unpinCost(res.pagesDone ? res.pagesDone : 1);
     return res;
 }
@@ -262,10 +363,11 @@ UtlbDriver::unpinAndInvalidateLocked(ProcId pid, Vpn start,
 NicTranslationTable &
 UtlbDriver::createNicTable(ProcId pid, std::size_t entries)
 {
-    sim::LockGuard lk(mu);
-    DirEntry *e = findEntryLocked(pid);
+    sim::LockGuard lk(registryMu);
+    Process *e = findLocked(pid);
     if (!e)
         panic("createNicTable for unregistered process %u", pid);
+    sim::LockGuard session(e->mu);
     if (e->nicTable)
         panic("NIC table for process %u created twice", pid);
     e->nicTable = std::make_unique<NicTranslationTable>(
@@ -275,9 +377,9 @@ UtlbDriver::createNicTable(ProcId pid, std::size_t entries)
 
 // Quiescent-only accessor, same contract as pageTable().
 NicTranslationTable &
-UtlbDriver::nicTable(ProcId pid)
+UtlbDriver::nicTable(ProcId pid) UTLB_NO_THREAD_SAFETY_ANALYSIS
 {
-    const DirEntry *e = findEntry(pid);
+    const Process *e = findEntry(pid);
     if (!e || !e->nicTable)
         panic("nicTable of process %u does not exist", pid);
     return *e->nicTable;
@@ -286,31 +388,29 @@ UtlbDriver::nicTable(ProcId pid)
 IoctlResult
 UtlbDriver::ioctlPinAtIndex(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    Session s(*this);
-    return s.pinAtIndex(pid, vpn, index);
+    sim::LockGuard lk(registryMu);
+    Process *p = findLocked(pid);
+    if (!p)
+        return unknownProcessLocked();
+    Session s(*p, Session::RegistryHeld{});
+    return recordLocked(pinAtIndexLocked(*p, vpn, index), nullptr);
 }
 
 IoctlResult
-UtlbDriver::pinAtIndexLocked(ProcId pid, Vpn vpn, UtlbIndex index)
+UtlbDriver::pinAtIndexLocked(Process &p, Vpn vpn, UtlbIndex index)
 {
     ++statIoctls;
     IoctlResult res;
-    DirEntry *e = findEntryLocked(pid);
-    if (!e) {
-        res.status = PinStatus::UnknownProcess;
-        return res;
-    }
-
     PinStatus st = PinStatus::Ok;
-    auto frame = pins->pinPage(pid, vpn, &st);
+    auto frame = pins->pinPage(p.procId, vpn, &st);
     if (!frame) {
         res.status = st;
         res.cost = hostCosts->pinCost(1);
         return res;
     }
-    if (!e->nicTable)
-        panic("nicTable of process %u does not exist", pid);
-    e->nicTable->install(index, *frame);
+    if (!p.nicTable)
+        panic("nicTable of process %u does not exist", p.procId);
+    p.nicTable->install(index, *frame);
     ++statPagesPinned;
     res.pagesDone = 1;
     res.cost = hostCosts->pinCost(1);
@@ -320,25 +420,24 @@ UtlbDriver::pinAtIndexLocked(ProcId pid, Vpn vpn, UtlbIndex index)
 IoctlResult
 UtlbDriver::ioctlUnpinIndex(ProcId pid, Vpn vpn, UtlbIndex index)
 {
-    Session s(*this);
-    return s.unpinIndex(pid, vpn, index);
+    sim::LockGuard lk(registryMu);
+    Process *p = findLocked(pid);
+    if (!p)
+        return unknownProcessLocked();
+    Session s(*p, Session::RegistryHeld{});
+    return recordLocked(unpinIndexLocked(*p, vpn, index), nullptr);
 }
 
 IoctlResult
-UtlbDriver::unpinIndexLocked(ProcId pid, Vpn vpn, UtlbIndex index)
+UtlbDriver::unpinIndexLocked(Process &p, Vpn vpn, UtlbIndex index)
 {
     ++statIoctls;
     IoctlResult res;
-    DirEntry *e = findEntryLocked(pid);
-    if (!e) {
-        res.status = PinStatus::UnknownProcess;
-        return res;
-    }
-    res.status = pins->unpinPage(pid, vpn);
+    res.status = pins->unpinPage(p.procId, vpn);
     if (res.status == PinStatus::Ok) {
-        if (!e->nicTable)
-            panic("nicTable of process %u does not exist", pid);
-        e->nicTable->invalidate(index);
+        if (!p.nicTable)
+            panic("nicTable of process %u does not exist", p.procId);
+        p.nicTable->invalidate(index);
         ++statPagesUnpinned;
         res.pagesDone = 1;
     }
@@ -360,7 +459,8 @@ UtlbDriver::audit(check::AuditReport &report) const
     report.require(hostMem->ownerOf(garbagePfn) == kKernelPid,
                    "garbage frame %llu not owned by the kernel",
                    static_cast<unsigned long long>(garbagePfn));
-    for (const auto &[key, e] : dir) {
+    for (const auto &[key, box] : dir) {
+        const Process &e = *box;
         auto pid = static_cast<ProcId>(key);
         report.require(e.space && e.space->pid() == pid,
                        "space registered under pid %u reports pid %u",

@@ -17,6 +17,7 @@
 #ifndef UTLB_CORE_DRIVER_HPP
 #define UTLB_CORE_DRIVER_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -53,19 +54,32 @@ struct IoctlResult {
  * cache: an unpin always invalidates both the host table entry and
  * any cached NIC copy before the page becomes evictable.
  *
- * Thread safety: one driver mutex serializes every ioctl,
- * (un)registration, and NIC-table creation. It guards the
- * open-addressed process directory, the ioctl statistics, and —
- * because every ioctl body runs under it — the pin facility, the
- * physical allocator, and the host page tables those bodies reach.
- * Splitting it per address space measured no faster on 4 cores
- * (docs/performance.md), so the driver stays one critical section.
- * A caller that issues several ioctls back to back (the pin
- * manager's evict-then-pin slow path) holds the mutex once through
- * a Session instead of once per ioctl, and a concurrent one opens
- * its sessions on its own Shard, so a hold writes no line that
- * another process' holds write too. Lock order: a PinManager's
- * mutex, then the driver mutex, then PinBudget's.
+ * Thread safety: two kinds of lock, as in the paper's
+ * Hierarchical-UTLB, where each process pins into its own
+ * host-resident table and only the NIC cache is shared.
+ *
+ *  - The registry lock guards the pid directory, (un)registration,
+ *    NIC-table creation, isRegistered()/pageTableShared()/
+ *    processShared(), and the driver's global statistics.
+ *  - Each registered process' Process entry carries a session lock.
+ *    It guards that process' pin and unpin ioctls: its host page
+ *    table, its pin-facility state, its NIC table and pin buffers.
+ *
+ * A Session is one hold of a process across a run of ioctls (the pin
+ * manager's evict-then-pin slow path). A session opened with a Shard
+ * counts into it and takes the process' session lock and nothing
+ * else, so sessions of different processes run at once. A session
+ * without a shard writes the global statistics, so it takes the
+ * registry lock; so do the four ioctl entry points, which resolve
+ * their pid under it. It takes the session lock as well only once
+ * the process has had a session with a shard: until then every
+ * session of the process holds the registry lock, which already
+ * excludes the others, so a single-threaded stack takes one
+ * uncontended lock per session. The frames a session allocates or
+ * frees go through PhysMemory's own allocator lock. Lock order: a
+ * PinManager's mutex, then the registry lock, then the process'
+ * session lock, then any of the frame allocator, PinBudget or one
+ * cache stripe.
  *
  * Accessors that hand out references (pageTable, nicTable,
  * pinFacility, stats, audit) are not locked: use them only after
@@ -88,11 +102,10 @@ class UtlbDriver
      * One concurrent caller's share of what the pin and unpin ioctls
      * write besides the process' own state: the driver's and the pin
      * facility's statistic deltas, and the NIC-cache invalidations.
-     * Callers that take turns on the driver mutex would otherwise
-     * pass those cache lines from core to core inside every hold,
-     * which stretches each hold. A shard belongs to one caller (a
-     * concurrent UserUtlb's PinManager); fold it back with
-     * absorbShard() before reading stats.
+     * A session that counts into a shard writes no line another
+     * process' sessions write, and needs no registry lock. A shard
+     * belongs to one caller (a concurrent UserUtlb's PinManager);
+     * fold it back with absorbShard() before reading stats.
      */
     class Shard
     {
@@ -120,27 +133,72 @@ class UtlbDriver
     Shard makeShard() const;
 
     /** Fold @p sh into the global stats and zero it. Takes the
-     *  driver mutex. */
+     *  registry lock. */
     void absorbShard(Shard &sh);
 
+    class Session;
+
     /**
-     * One hold of the driver mutex spanning several ioctls. Each
-     * call still counts and costs as its own ioctl (statIoctls, the
-     * latency histograms, the returned IoctlResult), so a session
-     * changes wall-clock locking only, never a modeled number. The
-     * ioctl entry points below are one-call sessions. Every other
-     * worker's pin path waits while a session is open, so keep it to
-     * a run of ioctls and the caller's bookkeeping between them. The
-     * pin and unpin calls of a session opened with a shard count
-     * into it.
+     * A registered process' driver-side state and its session lock.
+     * Heap-allocated at registration and freed at unregistration, so
+     * a handle from processShared() stays valid while tenant churn
+     * rehashes the directory. Each one fills its own cache lines:
+     * sessions of different processes write no common line.
+     *
+     * For the static analysis, mu stands for exclusive use of the
+     * process' state. A Session acquires it; at run time that is the
+     * session lock, or, for a process that has never had a sharded
+     * session, the registry lock (class comment).
+     */
+    class Process
+    {
+      public:
+        UtlbDriver &driver() const { return *drv; }
+
+      private:
+        friend class UtlbDriver;
+        friend class Session;
+
+        Process(UtlbDriver &d, mem::ProcId pid, mem::AddressSpace &s,
+                mem::PinFacility::Proc &p,
+                std::unique_ptr<HostPageTable> t)
+            : drv(&d), procId(pid), space(&s), pins(&p),
+              table(std::move(t))
+        {}
+
+        /** The session lock (class comment of UtlbDriver). */
+        mutable sim::Mutex mu;
+        /** Set, under the registry lock, by the first session with a
+         *  shard; from then on every session takes mu. */
+        std::atomic<bool> sharded{false};
+        UtlbDriver *const drv;
+        const mem::ProcId procId;
+        mem::AddressSpace *const space;
+        mem::PinFacility::Proc *const pins;
+        const std::unique_ptr<HostPageTable> table;
+        std::unique_ptr<NicTranslationTable> nicTable UTLB_GUARDED_BY(mu);
+        /** pinAndInstallLocked's buffers, reused across ioctls: the
+         *  run's frames, and the pages it demand-mapped. */
+        mem::PageBuf pinFrames UTLB_GUARDED_BY(mu);
+        mem::PageBuf pinMapped UTLB_GUARDED_BY(mu);
+    };
+
+    /**
+     * One hold of a process spanning several ioctls. Each call still
+     * counts and costs as its own ioctl (statIoctls, the latency
+     * histograms, the returned IoctlResult), so a session changes
+     * wall-clock locking only, never a modeled number. The locks it
+     * takes (class comment) depend on run-time state the analysis
+     * cannot follow, so the constructors sit outside it, like
+     * sim::OptionalLockGuard, and announce p.mu. Other sessions of
+     * the same process wait while it is open, so keep it to a run of
+     * ioctls and the caller's bookkeeping between them.
      */
     class UTLB_SCOPED_CAPABILITY Session
     {
       public:
-        explicit Session(UtlbDriver &d, Shard *shard = nullptr)
-            UTLB_ACQUIRE(d.mu)
-            : drv(&d), sh(shard), lk(d.mu)
-        {}
+        explicit Session(Process &p, Shard *shard = nullptr)
+            UTLB_ACQUIRE(p.mu);
 
         ~Session() UTLB_RELEASE() {}
 
@@ -148,25 +206,32 @@ class UtlbDriver
         Session &operator=(const Session &) = delete;
 
         /** ioctlPinAndInstall() under this session's hold. */
-        IoctlResult pinAndInstall(mem::ProcId pid, mem::Vpn start,
-                                  std::size_t npages);
+        IoctlResult pinAndInstall(mem::Vpn start, std::size_t npages);
 
         /** ioctlUnpinAndInvalidate() under this session's hold. */
-        IoctlResult unpinAndInvalidate(mem::ProcId pid, mem::Vpn start,
+        IoctlResult unpinAndInvalidate(mem::Vpn start,
                                        std::size_t npages);
 
-        /** ioctlPinAtIndex() under this session's hold. */
-        IoctlResult pinAtIndex(mem::ProcId pid, mem::Vpn vpn,
-                               UtlbIndex index);
-
-        /** ioctlUnpinIndex() under this session's hold. */
-        IoctlResult unpinIndex(mem::ProcId pid, mem::Vpn vpn,
-                               UtlbIndex index);
-
       private:
-        UtlbDriver *drv;
+        friend class UtlbDriver;
+
+        /** The ioctl entry points' session: the caller already holds
+         *  the registry lock. */
+        struct RegistryHeld {};
+        Session(Process &p, RegistryHeld) UTLB_ACQUIRE(p.mu);
+
+        /** The session lock a session takes: always with a shard
+         *  (marking the process sharded first), otherwise only once
+         *  the process is sharded. Without a shard the caller holds
+         *  the registry lock. */
+        static sim::Mutex *sessionLock(Process &p, Shard *shard);
+
+        Process *proc;
         Shard *sh;
-        sim::LockGuard lk;
+        /** Held iff there is no shard (and the caller did not hold
+         *  it already); declared first, so it is taken first. */
+        sim::OptionalLockGuard registry;
+        sim::OptionalLockGuard own;
     };
 
     /** The always-pinned garbage frame (§4.2). */
@@ -186,22 +251,33 @@ class UtlbDriver
     /**
      * Tear down an exiting process: unpins all pages, drops cache
      * entries, and unmaps its address space, returning its frames to
-     * host memory under the driver mutex (so tenant churn never races
-     * another process' demand mapping). The space object itself stays
-     * the caller's and is left empty.
+     * host memory. Runs under the registry lock and, once the
+     * process has left the directory, under its session lock, so a
+     * session still open on it finishes first. The space object
+     * itself stays the caller's and is left empty; every owner closes
+     * its views of the process before calling this.
      */
     void unregisterProcess(mem::ProcId pid);
 
-    /** True if @p pid is registered. Takes the driver mutex, so it
+    /** True if @p pid is registered. Takes the registry lock, so it
      *  is safe while other tenants (un)register. */
     bool isRegistered(mem::ProcId pid) const;
+
+    /**
+     * @p pid's entry, resolved under the registry lock, or nullptr if
+     * @p pid is not registered. The entry is heap-stable and stays
+     * valid until @p pid itself unregisters. PinManager resolves its
+     * process here once, at construction, and opens its sessions on
+     * it without touching the directory again.
+     */
+    Process *processShared(mem::ProcId pid);
 
     /** The process' Hierarchical-UTLB page table. */
     HostPageTable &pageTable(mem::ProcId pid);
 
     /**
      * pageTable()'s concurrent-safe twin: resolves the table under
-     * the driver mutex, so the directory probe cannot race another
+     * the registry lock, so the directory probe cannot race another
      * tenant's register/unregister rehashing the directory (fleet
      * churn does exactly that mid-translate). The returned object is
      * heap-stable and outlives the lock; it stays valid until @p pid
@@ -277,16 +353,18 @@ class UtlbDriver
     /** @} */
 
     /**
-     * @name Driver-mutex contention (sim::Mutex counters)
+     * @name Driver lock contention (sim::Mutex counters)
      *
      * Wall-clock observability, deliberately outside the stats tree
      * so modeled stats dumps stay comparable across runs: lock()
-     * calls that found the mutex held, and those that then parked.
-     * Safe to read at any time.
+     * calls on the registry lock and on every process' session lock
+     * (unregistered processes' included) that found the lock held,
+     * and those that then parked. Safe to read at any time; takes
+     * the registry lock.
      * @{
      */
-    std::uint64_t lockContended() const { return mu.contended(); }
-    std::uint64_t lockParks() const { return mu.parked(); }
+    std::uint64_t lockContended() const;
+    std::uint64_t lockParks() const;
     /** @} */
 
     /** The driver's statistics subtree. */
@@ -301,70 +379,51 @@ class UtlbDriver
     void audit(check::AuditReport &report) const;
 
   private:
-    /** One registered process' driver-side state, on lines of its
-     *  own: ioctls for different processes write no common line. */
-    struct alignas(64) DirEntry {
-        std::unique_ptr<HostPageTable> table;
-        std::unique_ptr<NicTranslationTable> nicTable;
-        mem::AddressSpace *space = nullptr;
-        /** pinAndInstallLocked's buffers, reused across ioctls: the
-         *  run's frames, and the pages it demand-mapped. */
-        mem::PageBuf pinFrames;
-        mem::PageBuf pinMapped;
-    };
-
     /**
      * Record an ioctl's outcome in the latency stats (@p sh's when
      * given) before returning it. Rejects sample their own histogram
      * so ioctl_latency_us stays a pure success-cost (Table 1)
      * distribution.
      */
-    IoctlResult recordLocked(IoctlResult res, Shard *sh = nullptr)
-        UTLB_REQUIRES(mu)
-    {
-        const double us = sim::ticksToUs(res.cost);
-        if (res.status != mem::PinStatus::Ok) {
-            if (sh) {
-                ++sh->rejects;
-                sh->rejectLatency.sample(us);
-            } else {
-                ++statIoctlRejects;
-                statIoctlRejectLatency.sample(us);
-            }
-        } else if (sh) {
-            sh->latency.sample(us);
-        } else {
-            statIoctlLatency.sample(us);
-        }
-        return res;
-    }
+    IoctlResult recordLocked(IoctlResult res, Shard *sh);
+
+    /** Count @p n into @p sh's @p field, or, for a caller without a
+     *  shard (which holds the registry lock), into @p global. */
+    void countLocked(sim::Counter UtlbDriver::*global,
+                     std::uint64_t Shard::*field, Shard *sh,
+                     std::uint64_t n = 1);
+
+    /** An ioctl on an unregistered pid: counted and rejected. */
+    IoctlResult unknownProcessLocked() UTLB_REQUIRES(registryMu);
 
     /** @name Process directory probes @{ */
-    DirEntry *findEntryLocked(mem::ProcId pid) UTLB_REQUIRES(mu)
+    Process *findLocked(mem::ProcId pid) UTLB_REQUIRES(registryMu)
     {
-        return dir.find(pid);
+        std::unique_ptr<Process> *box = dir.find(pid);
+        return box ? box->get() : nullptr;
     }
     /** Quiescent-only probe (the unlocked accessors). */
-    const DirEntry *findEntry(mem::ProcId pid) const;
+    const Process *findEntry(mem::ProcId pid) const;
     /** @} */
 
-    /** @name Locked ioctl bodies (Session records and unlocks) @{ */
-    IoctlResult pinAndInstallLocked(mem::ProcId pid, mem::Vpn start,
+    /** @name Locked ioctl bodies (their callers record and unlock) @{ */
+    IoctlResult pinAndInstallLocked(Process &p, mem::Vpn start,
                                     std::size_t npages, Shard *sh)
-        UTLB_REQUIRES(mu);
-    IoctlResult unpinAndInvalidateLocked(mem::ProcId pid,
-                                         mem::Vpn start,
+        UTLB_REQUIRES(p.mu);
+    IoctlResult unpinAndInvalidateLocked(Process &p, mem::Vpn start,
                                          std::size_t npages, Shard *sh)
-        UTLB_REQUIRES(mu);
-    IoctlResult pinAtIndexLocked(mem::ProcId pid, mem::Vpn vpn,
-                                 UtlbIndex index) UTLB_REQUIRES(mu);
-    IoctlResult unpinIndexLocked(mem::ProcId pid, mem::Vpn vpn,
-                                 UtlbIndex index) UTLB_REQUIRES(mu);
+        UTLB_REQUIRES(p.mu);
+    IoctlResult pinAtIndexLocked(Process &p, mem::Vpn vpn,
+                                 UtlbIndex index)
+        UTLB_REQUIRES(registryMu, p.mu);
+    IoctlResult unpinIndexLocked(Process &p, mem::Vpn vpn,
+                                 UtlbIndex index)
+        UTLB_REQUIRES(registryMu, p.mu);
     /** @} */
 
-    /** The driver mutex (class comment); mutable for the locked
-     *  const query isRegistered(). */
-    mutable sim::Mutex mu;
+    /** The registry lock (class comment); mutable for the locked
+     *  const queries. */
+    mutable sim::Mutex registryMu;
 
     mem::PhysMemory *hostMem;
     mem::PinFacility *pins;
@@ -375,26 +434,31 @@ class UtlbDriver
     /** Set once in the constructor, immutable afterwards. */
     mem::Pfn garbagePfn;
 
-    /** Registered processes, open-addressed on pid. */
-    sim::FlatMap<DirEntry> dir UTLB_GUARDED_BY(mu);
+    /** Registered processes, open-addressed on pid; each entry boxed
+     *  so its address outlives a rehash. */
+    sim::FlatMap<std::unique_ptr<Process>> dir UTLB_GUARDED_BY(registryMu);
+
+    /** Session-lock contention of processes that have unregistered. */
+    std::uint64_t retiredContended UTLB_GUARDED_BY(registryMu) = 0;
+    std::uint64_t retiredParks UTLB_GUARDED_BY(registryMu) = 0;
 
     sim::StatGroup statsGrp{"driver"};
-    sim::Counter statIoctls UTLB_GUARDED_BY(mu){
+    sim::Counter statIoctls UTLB_GUARDED_BY(registryMu){
         &statsGrp, "ioctl_calls",
         "ioctl invocations (all four entry points)"};
-    sim::Counter statIoctlRejects UTLB_GUARDED_BY(mu){
+    sim::Counter statIoctlRejects UTLB_GUARDED_BY(registryMu){
         &statsGrp, "ioctl_rejects",
         "ioctls that returned a non-Ok status"};
-    sim::Counter statPagesPinned UTLB_GUARDED_BY(mu){
+    sim::Counter statPagesPinned UTLB_GUARDED_BY(registryMu){
         &statsGrp, "pages_pinned", "pages pinned through ioctls"};
-    sim::Counter statPagesUnpinned UTLB_GUARDED_BY(mu){
+    sim::Counter statPagesUnpinned UTLB_GUARDED_BY(registryMu){
         &statsGrp, "pages_unpinned",
         "pages unpinned through ioctls"};
-    sim::Histogram statIoctlLatency UTLB_GUARDED_BY(mu){
+    sim::Histogram statIoctlLatency UTLB_GUARDED_BY(registryMu){
         &statsGrp, "ioctl_latency_us",
         "modeled cost per successful ioctl (Table 1 batch curve)",
         200.0, 40};
-    sim::Histogram statIoctlRejectLatency UTLB_GUARDED_BY(mu){
+    sim::Histogram statIoctlRejectLatency UTLB_GUARDED_BY(registryMu){
         &statsGrp, "ioctl_reject_latency_us",
         "modeled cost charged to rejected ioctls (syscall floor)",
         200.0, 40};

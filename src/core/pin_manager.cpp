@@ -16,9 +16,11 @@ using sim::warn;
 
 PinManager::PinManager(UtlbDriver &drv, mem::ProcId pid,
                        const PinManagerConfig &config)
-    : driver(&drv), procId(pid), cfg(config),
+    : proc(drv.processShared(pid)), procId(pid), cfg(config),
       repl(ReplacementPolicy::create(cfg.policy, cfg.seed))
 {
+    if (!proc)
+        sim::panic("pin manager for unregistered process %u", pid);
     if (cfg.budget)
         cfg.budget->attach(procId, cfg.quotaCapPages, cfg.quotaWeight);
 }
@@ -123,7 +125,7 @@ PinManager::evictOne(UtlbDriver::Session &drv, EnsureResult &res)
                 static_cast<unsigned long long>(*victim));
 
     // Unpin one page at a time (§6.5).
-    IoctlResult io = drv.unpinAndInvalidate(procId, *victim, 1);
+    IoctlResult io = drv.unpinAndInvalidate(*victim, 1);
     res.cost += io.cost;
     res.unpinCost += io.cost;
     ++res.unpinIoctls;
@@ -143,10 +145,10 @@ PinManager::evictOne(UtlbDriver::Session &drv, EnsureResult &res)
 bool
 PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
 {
-    // One driver-mutex hold for the evictions and the pin. Lock
-    // order: this manager's mutex (held by the caller), the driver,
-    // then PinBudget inside limitFor().
-    UtlbDriver::Session drv(*driver, drvShard);
+    // One session for the evictions and the pin. Lock order: this
+    // manager's mutex (held by the caller), the driver session, then
+    // PinBudget inside limitFor().
+    UtlbDriver::Session drv(*proc, drvShard);
 
     // Make room under the effective budget first: the library's own
     // limit, tightened by the fleet quota when one is configured.
@@ -171,7 +173,7 @@ PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
     }
 
     while (true) {
-        IoctlResult io = drv.pinAndInstall(procId, start, npages);
+        IoctlResult io = drv.pinAndInstall(start, npages);
         res.cost += io.cost;
         res.pinCost += io.cost;
         ++res.pinIoctls;
@@ -286,8 +288,8 @@ PinManager::releasePage(Vpn vpn)
     auto g = guard();
     if (!bits.test(vpn))
         return false;
-    IoctlResult io = UtlbDriver::Session(*driver, drvShard)
-                         .unpinAndInvalidate(procId, vpn, 1);
+    IoctlResult io = UtlbDriver::Session(*proc, drvShard)
+                         .unpinAndInvalidate(vpn, 1);
     if (io.status != PinStatus::Ok || io.pagesDone != 1)
         return false;
     bits.clear(vpn);
@@ -307,7 +309,7 @@ PinManager::audit(check::AuditReport &report) const
                        bits.count(), cfg.memLimitPages);
     }
 
-    const mem::PinFacility &pins = driver->pinFacility();
+    const mem::PinFacility &pins = proc->driver().pinFacility();
     bits.forEachSet([&](mem::Vpn vpn) {
         report.require(pins.isPinned(procId, vpn),
                        "page %llu marked pinned in the bit vector but "

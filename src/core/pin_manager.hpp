@@ -105,6 +105,8 @@ struct EnsureResult {
 class PinManager
 {
   public:
+    /** @pre @p pid is registered with @p drv, and stays so until
+     *  this manager is destroyed. */
     PinManager(UtlbDriver &drv, mem::ProcId pid,
                const PinManagerConfig &cfg);
 
@@ -220,7 +222,7 @@ class PinManager
     /**
      * Pin a contiguous run of currently-unpinned pages. The evictions
      * that make room and the pin that follows share one driver
-     * session (one driver-mutex hold).
+     * session (one hold of this process' session lock).
      */
     bool pinRun(mem::Vpn start, std::size_t npages, EnsureResult &res);
 
@@ -232,7 +234,10 @@ class PinManager
     EnsureResult ensureSlow(mem::Vpn start, std::size_t npages,
                             mem::Vpn firstUnpinned, EnsureResult res);
 
-    UtlbDriver *driver;
+    /** This process' driver entry, resolved once at construction
+     *  (UtlbDriver::processShared): sessions never probe the
+     *  directory that tenant churn rehashes. */
+    UtlbDriver::Process *proc;
     mem::ProcId procId;
 
     PinManagerConfig cfg;

@@ -322,8 +322,8 @@ class SharedUtlbCache
 
     /**
      * Drop one translation. In concurrent mode the drop counts into
-     * @p sh when given (an unpin that runs under the driver mutex
-     * then leaves the shared counter's line alone).
+     * @p sh when given (an unpin in a sharded driver session then
+     * leaves the shared counter's line alone).
      * @return true if it was present.
      */
     bool invalidate(mem::ProcId pid, mem::Vpn vpn, Shard *sh = nullptr);

@@ -327,8 +327,9 @@ class UserUtlb
     SharedUtlbCache::Shard *shard = nullptr;
 
     /** Concurrent mode only: where pinMgr's ioctls count. Its
-     *  sessions write it under the driver mutex, and so does
-     *  flushShardStats() through UtlbDriver::absorbShard(). */
+     *  sessions write it under this process' session lock, and
+     *  flushShardStats() folds it in through
+     *  UtlbDriver::absorbShard() after the worker quiesces. */
     std::optional<UtlbDriver::Shard> driverShard;
 
     /** MRU "L0" slot: the line that served the last first-page hit. */

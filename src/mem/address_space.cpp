@@ -99,6 +99,8 @@ AddressSpace::release([[maybe_unused]] bool checked)
     for (const auto &[key, leaf] : leaves)
         order.emplace_back(key, leaf.get());
     std::sort(order.begin(), order.end());
+    std::vector<Pfn> frames;
+    frames.reserve(numMapped);
     for (const auto &[key, leaf] : order) {
         for (const Pte &e : leaf->ptes) {
             if (!e.mapped())
@@ -106,9 +108,10 @@ AddressSpace::release([[maybe_unused]] bool checked)
             UTLB_ASSERT(!checked || e.pins == 0,
                         "unmapAll with a pinned page in leaf %llu",
                         static_cast<unsigned long long>(key));
-            physMem->freeFrame(e.frame());
+            frames.push_back(e.frame());
         }
     }
+    physMem->freeFrames(frames);
     leaves = {};
     numMapped = 0;
 }

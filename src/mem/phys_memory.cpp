@@ -20,31 +20,54 @@ std::optional<Pfn>
 PhysMemory::allocFrame(ProcId owner)
 {
     Pfn pfn;
-    if (!freeList.empty()) {
-        pfn = freeList.back();
-        freeList.pop_back();
-        // Frames read as zero, like DRAM handed out by an OS.
-        std::memset(bytes.data() + frameAddr(pfn), 0, kPageSize);
-        ++numZeroFills;
-        owners[pfn] = owner;
-    } else if (owners.size() < numFrames) {
-        // Never handed out: still the mapping's zero page.
-        pfn = static_cast<Pfn>(owners.size());
-        owners.push_back(owner);
-    } else {
-        return std::nullopt;
+    bool reused = false;
+    {
+        sim::SpinGuard g(allocLock.value);
+        if (!freeList.empty()) {
+            pfn = freeList.back();
+            freeList.pop_back();
+            reused = true;
+            ++numZeroFills;
+            owners[pfn] = owner;
+        } else if (owners.size() < numFrames) {
+            // Never handed out: still the mapping's zero page.
+            pfn = static_cast<Pfn>(owners.size());
+            owners.push_back(owner);
+        } else {
+            return std::nullopt;
+        }
+        ++numAllocated;
+        ++numAllocs;
     }
+    // The frame is the caller's from here on, so it is cleared
+    // outside the lock. Frames read as zero, like DRAM handed out by
+    // an OS.
+    if (reused)
+        std::memset(bytes.data() + frameAddr(pfn), 0, kPageSize);
     if (written(pfn)) {
         writtenBits[pfn / 64].fetch_and(~(std::uint64_t{1} << (pfn % 64)),
                                         std::memory_order_relaxed);
     }
-    ++numAllocated;
-    ++numAllocs;
     return pfn;
 }
 
 void
 PhysMemory::freeFrame(Pfn pfn)
+{
+    sim::SpinGuard g(allocLock.value);
+    freeLocked(pfn);
+}
+
+void
+PhysMemory::freeFrames(std::span<const Pfn> pfns)
+{
+    sim::SpinGuard g(allocLock.value);
+    for (Pfn pfn : pfns)
+        freeLocked(pfn);
+}
+
+void
+PhysMemory::freeLocked(Pfn pfn)
 {
     if (pfn >= owners.size() || owners[pfn] == kNoOwner)
         panic("freeFrame of unallocated frame %llu",
@@ -55,14 +78,15 @@ PhysMemory::freeFrame(Pfn pfn)
     ++numFrees;
 }
 
+// Owner queries run when no session does (class comment).
 ProcId
-PhysMemory::ownerOf(Pfn pfn) const
+PhysMemory::ownerOf(Pfn pfn) const UTLB_NO_THREAD_SAFETY_ANALYSIS
 {
     return pfn < owners.size() ? owners[pfn] : kNoOwner;
 }
 
 bool
-PhysMemory::isAllocated(Pfn pfn) const
+PhysMemory::isAllocated(Pfn pfn) const UTLB_NO_THREAD_SAFETY_ANALYSIS
 {
     return pfn < owners.size() && owners[pfn] != kNoOwner;
 }

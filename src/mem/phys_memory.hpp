@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "mem/page.hpp"
+#include "sim/annotations.hpp"
+#include "sim/spinlock.hpp"
 #include "sim/zeroed_pages.hpp"
 
 namespace utlb::mem {
@@ -47,6 +49,13 @@ inline constexpr ProcId kNoOwner = ~ProcId{0};
  * faults its page in nor pulls it through the cache. The bitmap's
  * words are atomics, so read() may test a bit while another thread's
  * write() sets one beside it.
+ *
+ * Thread safety: allocFrame() and freeFrame() serialize on a small
+ * lock of the allocator's own, the one piece of host state that
+ * concurrent driver sessions of different processes share. read(),
+ * write() and populate() take no lock: a frame's bytes belong to
+ * whoever holds the frame. The owner queries and the counters read
+ * the allocator unlocked: call them when no session runs.
  */
 class PhysMemory
 {
@@ -64,10 +73,13 @@ class PhysMemory
     }
 
     /** Frames currently allocated. */
-    std::size_t allocatedFrames() const { return numAllocated; }
+    std::size_t allocatedFrames() const UTLB_NO_THREAD_SAFETY_ANALYSIS
+    {
+        return numAllocated;
+    }
 
     /** Frames still free. */
-    std::size_t freeFrames() const { return numFrames - numAllocated; }
+    std::size_t freeFrames() const { return numFrames - allocatedFrames(); }
 
     /**
      * Allocate one frame for @p owner. The frame reads as zero: a
@@ -79,6 +91,10 @@ class PhysMemory
 
     /** Release a frame. @pre the frame is allocated. */
     void freeFrame(Pfn pfn);
+
+    /** Release @p pfns in order under one hold of the allocator
+     *  lock (a process teardown). @pre each frame is allocated. */
+    void freeFrames(std::span<const Pfn> pfns);
 
     /** Owner of @p pfn, or kNoOwner. */
     ProcId ownerOf(Pfn pfn) const;
@@ -113,14 +129,26 @@ class PhysMemory
      */
     void populate(Pfn pfn);
 
-    /** Lifetime counters. */
-    std::uint64_t totalAllocs() const { return numAllocs; }
-    std::uint64_t totalFrees() const { return numFrees; }
+    /** @name Lifetime counters (read when no session runs) @{ */
+    std::uint64_t totalAllocs() const UTLB_NO_THREAD_SAFETY_ANALYSIS
+    {
+        return numAllocs;
+    }
+    std::uint64_t totalFrees() const UTLB_NO_THREAD_SAFETY_ANALYSIS
+    {
+        return numFrees;
+    }
     /** Allocations that had to zero-fill a reused frame. */
-    std::uint64_t totalZeroFills() const { return numZeroFills; }
+    std::uint64_t totalZeroFills() const UTLB_NO_THREAD_SAFETY_ANALYSIS
+    {
+        return numZeroFills;
+    }
+    /** @} */
 
   private:
     void checkRange(PhysAddr pa, std::size_t len) const;
+
+    void freeLocked(Pfn pfn) UTLB_REQUIRES(allocLock.value);
 
     /** True if @p pfn has been written since it was handed out. */
     bool
@@ -133,22 +161,24 @@ class PhysMemory
     /** Zero when mapped; a frame is zeroed again only when reused. */
     sim::ZeroedPages bytes;
     std::size_t numFrames;
+    /** The allocator lock (class comment), on a line of its own. */
+    sim::CachePadded<sim::Spinlock> allocLock;
     /** Owner of each frame handed out at least once: frames
      * [0, owners.size()) have been, the rest are still fresh. */
-    std::vector<ProcId> owners;
+    std::vector<ProcId> owners UTLB_GUARDED_BY(allocLock.value);
     /** Returned frames; freeFrame appends and allocFrame pops the
      * back, so they are reused LIFO, before any fresh frame. */
-    std::vector<Pfn> freeList;
+    std::vector<Pfn> freeList UTLB_GUARDED_BY(allocLock.value);
     /** Bit pfn % 64 of word pfn / 64: frame pfn has been written
      *  since allocFrame last handed it out. Relaxed is enough: a
      *  thread can only rely on a frame's bytes after synchronising
-     *  with the thread that wrote them (the driver mutex, the one
+     *  with the thread that wrote them (the allocator lock, the one
      *  event-loop thread), and that orders the bit too. */
     std::vector<std::atomic<std::uint64_t>> writtenBits;
-    std::size_t numAllocated = 0;
-    std::uint64_t numAllocs = 0;
-    std::uint64_t numFrees = 0;
-    std::uint64_t numZeroFills = 0;
+    std::size_t numAllocated UTLB_GUARDED_BY(allocLock.value) = 0;
+    std::uint64_t numAllocs UTLB_GUARDED_BY(allocLock.value) = 0;
+    std::uint64_t numFrees UTLB_GUARDED_BY(allocLock.value) = 0;
+    std::uint64_t numZeroFills UTLB_GUARDED_BY(allocLock.value) = 0;
 };
 
 } // namespace utlb::mem

@@ -20,20 +20,37 @@ toString(PinStatus s)
     return "?";
 }
 
-void
+PinFacility::Proc *
+PinFacility::findProc(ProcId pid)
+{
+    std::unique_ptr<Proc> *p = procs.find(pid);
+    return p ? p->get() : nullptr;
+}
+
+const PinFacility::Proc *
+PinFacility::findProc(ProcId pid) const
+{
+    const std::unique_ptr<Proc> *p = procs.find(pid);
+    return p ? p->get() : nullptr;
+}
+
+PinFacility::Proc &
 PinFacility::registerSpace(AddressSpace &space)
 {
     auto [p, inserted] = procs.tryEmplace(space.pid());
-    if (!inserted && p->space != &space)
+    if (inserted)
+        *p = std::make_unique<Proc>();
+    else if ((*p)->space != &space)
         panic("process %u registered twice with different spaces",
               space.pid());
-    p->space = &space;
+    (*p)->space = &space;
+    return **p;
 }
 
 void
 PinFacility::unregisterProcess(ProcId pid)
 {
-    ProcState *p = findProc(pid);
+    Proc *p = findProc(pid);
     if (!p)
         return;
     if (p->pinned != 0)
@@ -58,7 +75,7 @@ PinFacility::pinLimit(ProcId pid) const
 }
 
 std::optional<Pfn>
-PinFacility::pinOne(ProcState *p, Vpn vpn, PinStatus &st,
+PinFacility::pinOne(Proc *p, Vpn vpn, PinStatus &st,
                     bool *mapped_now, Shard *sh)
 {
     sim::countInto(statPinOps, &Shard::pinOps, sh);
@@ -110,24 +127,23 @@ PinFacility::pinPage(ProcId pid, Vpn vpn, PinStatus *st)
 }
 
 PinStatus
-PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
+PinFacility::pinRange(Proc &p, Vpn start, std::size_t npages,
                       PageBuf &frames, PageBuf &mapped, Shard *sh)
 {
     frames.clear();
     mapped.clear();
-    ProcState *p = findProc(pid);
     for (std::size_t i = 0; i < npages; ++i) {
         PinStatus st = PinStatus::Ok;
         bool fresh = false;
-        auto pfn = pinOne(p, start + i, st, &fresh, sh);
+        auto pfn = pinOne(&p, start + i, st, &fresh, sh);
         if (!pfn) {
             // Roll back: all-or-nothing semantics. Pages this call
             // demand-mapped purely to pin them are unmapped again so
             // a failed pin does not strand physical frames.
             for (std::size_t j = i; j-- > 0;)
-                unpinPage(pid, start + j, sh);
+                unpinPage(p, start + j, sh);
             for (std::size_t k = mapped.size(); k-- > 0;)
-                p->space->unmap(mapped[k]);
+                p.space->unmap(mapped[k]);
             frames.clear();
             mapped.clear();
             return st;
@@ -142,15 +158,21 @@ PinFacility::pinRange(ProcId pid, Vpn start, std::size_t npages,
 PinStatus
 PinFacility::unpinPage(ProcId pid, Vpn vpn, Shard *sh)
 {
+    if (Proc *p = findProc(pid))
+        return unpinPage(*p, vpn, sh);
     sim::countInto(statUnpinOps, &Shard::unpinOps, sh);
-    auto *p = findProc(pid);
-    if (!p)
-        return PinStatus::UnknownProcess;
-    AddressSpace::Pte *e = p->space->find(vpn);
+    return PinStatus::UnknownProcess;
+}
+
+PinStatus
+PinFacility::unpinPage(Proc &p, Vpn vpn, Shard *sh)
+{
+    sim::countInto(statUnpinOps, &Shard::unpinOps, sh);
+    AddressSpace::Pte *e = p.space->find(vpn);
     if (!e || e->pins == 0)
         return PinStatus::NotPinned;
     if (--e->pins == 0) {
-        --p->pinned;
+        --p.pinned;
         sim::countInto(statPagesUnpinned, &Shard::pagesUnpinned, sh);
     }
     return PinStatus::Ok;
@@ -167,9 +189,8 @@ PinFacility::absorbShard(Shard &sh)
 }
 
 const AddressSpace::Pte *
-PinFacility::pinnedEntry(ProcId pid, Vpn vpn) const
+PinFacility::pinnedEntry(const Proc *p, Vpn vpn)
 {
-    const auto *p = findProc(pid);
     if (!p)
         return nullptr;
     const AddressSpace::Pte *e = p->space->find(vpn);
@@ -179,13 +200,19 @@ PinFacility::pinnedEntry(ProcId pid, Vpn vpn) const
 bool
 PinFacility::isPinned(ProcId pid, Vpn vpn) const
 {
-    return pinnedEntry(pid, vpn) != nullptr;
+    return pinnedEntry(findProc(pid), vpn) != nullptr;
+}
+
+bool
+PinFacility::isPinned(const Proc &p, Vpn vpn)
+{
+    return pinnedEntry(&p, vpn) != nullptr;
 }
 
 std::uint32_t
 PinFacility::pinRefs(ProcId pid, Vpn vpn) const
 {
-    const AddressSpace::Pte *e = pinnedEntry(pid, vpn);
+    const AddressSpace::Pte *e = pinnedEntry(findProc(pid), vpn);
     return e ? e->pins : 0;
 }
 
@@ -199,7 +226,7 @@ PinFacility::pinnedPages(ProcId pid) const
 std::optional<Pfn>
 PinFacility::pinnedFrame(ProcId pid, Vpn vpn) const
 {
-    const AddressSpace::Pte *e = pinnedEntry(pid, vpn);
+    const AddressSpace::Pte *e = pinnedEntry(findProc(pid), vpn);
     if (!e)
         return std::nullopt;
     return e->frame();
@@ -208,7 +235,8 @@ PinFacility::pinnedFrame(ProcId pid, Vpn vpn) const
 void
 PinFacility::audit(check::AuditReport &report) const
 {
-    for (const auto &[pid, p] : procs) {
+    for (const auto &[pid, box] : procs) {
+        const Proc &p = *box;
         report.component("pin-facility", pid);
         report.require(p.space != nullptr,
                        "registered process has no address space");

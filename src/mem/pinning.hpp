@@ -15,6 +15,7 @@
 #define UTLB_MEM_PINNING_HPP
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "check/test_tamper.hpp"
@@ -54,6 +55,14 @@ using PageBuf = sim::SmallVector<std::uint64_t, 16>;
  * before its frame may be evicted/reused. The per-process limit
  * counts distinct pinned pages, not refcounts, matching how a real
  * OS accounts locked memory.
+ *
+ * Thread safety: none of its own. The pid-keyed calls probe the
+ * process map that (un)registration rehashes, so they run under the
+ * caller's serialization (the driver's registry lock) or at
+ * quiescence. The calls that take a Proc handle touch only that
+ * process' state, plus the global counters when no shard is given:
+ * the driver runs them inside a session on the process, which holds
+ * the registry lock whenever it passes no shard.
  */
 class PinFacility
 {
@@ -79,11 +88,16 @@ class PinFacility
     };
 
     /** Fold @p sh into the global counters and zero it. Same
-     *  locking as the pin calls. */
+     *  locking as the pin calls without a shard. */
     void absorbShard(Shard &sh);
 
-    /** Register a process' address space. */
-    void registerSpace(AddressSpace &space);
+    /** A registered process' state, heap-stable from registration
+     *  until the process unregisters (the handle the Proc calls
+     *  take). */
+    struct Proc;
+
+    /** Register a process' address space. @return its handle. */
+    Proc &registerSpace(AddressSpace &space);
 
     /** Remove a process; implicitly unpins everything it had. */
     void unregisterProcess(ProcId pid);
@@ -114,12 +128,17 @@ class PinFacility
      * call, and the pages it demand-mapped are unmapped again.
      * @return Ok, or why the run could not be pinned.
      */
-    PinStatus pinRange(ProcId pid, Vpn start, std::size_t npages,
+    PinStatus pinRange(Proc &p, Vpn start, std::size_t npages,
                        PageBuf &frames, PageBuf &mapped,
                        Shard *sh = nullptr);
 
     /** Drop one pin reference. */
     PinStatus unpinPage(ProcId pid, Vpn vpn, Shard *sh = nullptr);
+
+    /** @name unpinPage() and isPinned() on a resolved process @{ */
+    PinStatus unpinPage(Proc &p, Vpn vpn, Shard *sh = nullptr);
+    static bool isPinned(const Proc &p, Vpn vpn);
+    /** @} */
 
     /** True if the page has at least one pin reference. */
     bool isPinned(ProcId pid, Vpn vpn) const;
@@ -164,31 +183,21 @@ class PinFacility
   private:
     friend struct check::TestTamper;
 
-    /** A registered process. Its per-page pin refcounts live in its
-     *  address space's page-table entries (AddressSpace::Pte::pins).
-     *  One cache line each, so two processes pinning in turn do not
-     *  share their pinned counts' line. */
-    struct alignas(64) ProcState {
-        AddressSpace *space = nullptr;
-        std::size_t limit = 0;   //!< pages; 0 = unlimited
-        std::size_t pinned = 0;  //!< entries with pins > 0
-    };
+    /** The entry of a pinned page of @p p (may be null), or
+     *  nullptr. */
+    static const AddressSpace::Pte *pinnedEntry(const Proc *p, Vpn vpn);
 
-    /** The entry of a pinned page of @p pid, or nullptr. */
-    const AddressSpace::Pte *pinnedEntry(ProcId pid, Vpn vpn) const;
-
-    ProcState *findProc(ProcId pid) { return procs.find(pid); }
-    const ProcState *findProc(ProcId pid) const
-    {
-        return procs.find(pid);
-    }
+    Proc *findProc(ProcId pid);
+    const Proc *findProc(ProcId pid) const;
 
     /** pinPage's body for an already-resolved process (@p p may be
      *  null: unknown process). */
-    std::optional<Pfn> pinOne(ProcState *p, Vpn vpn, PinStatus &st,
+    std::optional<Pfn> pinOne(Proc *p, Vpn vpn, PinStatus &st,
                               bool *mapped_now, Shard *sh);
 
-    sim::FlatMap<ProcState> procs;
+    /** Registered processes, each boxed so a handle survives the
+     *  map's rehash. */
+    sim::FlatMap<std::unique_ptr<Proc>> procs;
 
     sim::StatGroup statsGrp{"pin_facility"};
     sim::Counter statPinOps{&statsGrp, "pin_ops",
@@ -203,6 +212,16 @@ class PinFacility
     sim::Counter statFailedPins{&statsGrp, "failed_pins",
                                 "pin requests rejected (limit, OOM, "
                                 "unknown process)"};
+};
+
+/** A registered process. Its per-page pin refcounts live in its
+ *  address space's page-table entries (AddressSpace::Pte::pins). One
+ *  cache line each, so two processes pinning at once do not share
+ *  their pinned counts' line. */
+struct alignas(64) PinFacility::Proc {
+    AddressSpace *space = nullptr;
+    std::size_t limit = 0;   //!< pages; 0 = unlimited
+    std::size_t pinned = 0;  //!< entries with pins > 0
 };
 
 } // namespace utlb::mem

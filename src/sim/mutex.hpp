@@ -54,11 +54,11 @@ class alignas(64) UTLB_CAPABILITY("mutex") Mutex
      * pause between attempts, 256 of them last about 5 us on a
      * 4-core AVX2 VM, about twice the ~2.3 us a parked waiter waited
      * there, so a waiter never spins much longer than parking would
-     * have cost it. Measured on perfbench mt_shared (two workers
-     * on the driver mutex): parking at once never left the slow
-     * regime, any bound from 64 to 4096 halved wall time per probe
-     * in a third to a half of the runs, and an unbounded spin did not
-     * (docs/performance.md has the runs).
+     * have cost it. Measured on perfbench mt_shared when its two
+     * workers still shared one driver mutex: parking at once never
+     * left the slow regime, any bound from 64 to 4096 halved wall
+     * time per probe in a third to a half of the runs, and an
+     * unbounded spin did not (docs/performance.md has the runs).
      */
     static constexpr unsigned kSpinAttempts = 256;
 

@@ -16,12 +16,16 @@ namespace utlb::simd {
 
 namespace {
 
-/** Drop mask bits past way n-1 (overread lanes, n < 32 always). */
+#if UTLB_SIMD_X86
+/** Drop mask bits past way n-1 (overread lanes, n < 32 always). Only
+ *  the vector kernels overread, so a scalar-only build has no use for
+ *  it. */
 unsigned
 clampMask(unsigned mask, unsigned n)
 {
     return n < 32 ? mask & ((1u << n) - 1u) : mask;
 }
+#endif
 
 Path
 hostBest()

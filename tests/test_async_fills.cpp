@@ -210,7 +210,8 @@ TEST(AsyncMissPath, FillsVsPinChurnStressAuditsClean)
     // Two workers (own pids, own pin managers under a tight pin
     // budget) drive async translateRange loops: each worker's fill
     // installs race the other's budget-forced unpins' stripe
-    // invalidates, and the driver mutex arbitrates the ioctls. Run
+    // invalidates, and each pid's ioctls run under its own driver
+    // session lock. Run
     // under UTLB_SANITIZE=thread to make this a race detector.
     UtlbConfig cfg = asyncConfig(8);
     cfg.pin.memLimitPages = 96;

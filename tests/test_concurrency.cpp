@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -330,23 +332,26 @@ TEST(ConcurrentStack, ParallelProcessesTranslateCoherently)
 }
 
 // ---------------------------------------------------------------------
-// Driver sessions: evict-then-pin under one driver-mutex hold, racing
-// tenant churn
+// Driver sessions: one process' evict-then-pin under its own session
+// lock, independent of other processes' sessions and of tenant churn
 // ---------------------------------------------------------------------
 
 TEST(ConcurrentStack, EvictThenPinSessionsRaceTenantChurn)
 {
-    // Two views under a 64-page pin budget sweep 512 pages each, so
+    // Three views under a 64-page pin budget sweep 512 pages each, so
     // almost every lookup evicts and then pins inside one driver
-    // session while the other view does the same. A third thread
+    // session while the other views do the same. A fourth thread
     // registers, translates through and unregisters short-lived
-    // tenants, rehashing the driver directory the views' miss path
-    // no longer locks. Every translation must name the frame its
-    // page is mapped to, and the stack must audit clean afterwards.
-    constexpr unsigned kViews = 2;
+    // tenants for as long as the views run, rehashing the driver
+    // directory the views' sessions and miss path no longer probe.
+    // Every translation must name the frame its page is mapped to,
+    // and the stack must audit clean afterwards.
+    constexpr unsigned kViews = 3;
     constexpr std::size_t kPages = 512;
     constexpr int kCalls = 1500;
-    constexpr int kChurnCycles = 150;
+    // Each view also keeps going until this many tenants have
+    // unregistered since it started.
+    constexpr int kChurnDuring = 4;
 
     utlb::NodeStack node({1024, 4, true}, 8192, 4u << 20);
     auto &[costs, timings, phys, pins, sram, cache, driver] = node;
@@ -360,12 +365,11 @@ TEST(ConcurrentStack, EvictThenPinSessionsRaceTenantChurn)
         views.push_back(node.attach(t + 1, ucfg));
 
     std::atomic<bool> stop{false};
+    std::atomic<int> unregistered{0};
     std::thread churn([&] {
         UtlbConfig churnCfg = ucfg;
         churnCfg.pin.memLimitPages = 0;
-        for (int i = 0; i < kChurnCycles
-                        && !stop.load(std::memory_order_acquire);
-             ++i) {
+        for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
             auto pid = static_cast<utlb::mem::ProcId>(100 + i % 8);
             auto t = node.attach(pid, churnCfg);
             Translation tr =
@@ -373,6 +377,7 @@ TEST(ConcurrentStack, EvictThenPinSessionsRaceTenantChurn)
             EXPECT_TRUE(tr.ok) << "churn tenant " << pid;
             t.utlb.reset();
             driver.unregisterProcess(pid);
+            unregistered.fetch_add(1, std::memory_order_release);
         }
     });
 
@@ -383,7 +388,13 @@ TEST(ConcurrentStack, EvictThenPinSessionsRaceTenantChurn)
             UserUtlb &u = *views[t].utlb;
             const utlb::mem::AddressSpace &space = *views[t].space;
             Rng rng(0x5e55 + t);
-            for (int call = 0; call < kCalls; ++call) {
+            const int churnedBefore =
+                unregistered.load(std::memory_order_acquire);
+            for (int call = 0;
+                 call < kCalls
+                 || unregistered.load(std::memory_order_acquire)
+                        < churnedBefore + kChurnDuring;
+                 ++call) {
                 Vpn start = rng.below(kPages);
                 std::size_t n = 1 + rng.below(8);
                 Translation tr = u.translateRange(
@@ -413,6 +424,58 @@ TEST(ConcurrentStack, EvictThenPinSessionsRaceTenantChurn)
     for (unsigned t = 0; t < kViews; ++t)
         EXPECT_GT(unpins[t], static_cast<std::size_t>(kCalls)) << t;
     EXPECT_EQ(node.audit(views), "");
+}
+
+TEST(ConcurrentStack, OpenSessionDoesNotBlockAnotherProcess)
+{
+    // Thread A holds pid 1's driver session open; pid 2's lookup on
+    // thread B must still evict and pin through its own session. A
+    // session on one process locks that process alone, whether it
+    // counts into a shard (a concurrent view's) or not (which holds
+    // the registry lock as well).
+    using namespace std::chrono_literals;
+    for (bool sharded : {true, false}) {
+        SCOPED_TRACE(sharded ? "holder with a shard" : "holder without");
+        utlb::NodeStack node({256, 1, true}, 4096);
+        UtlbConfig ucfg;
+        ucfg.concurrent = true;
+        ucfg.pin.memLimitPages = 4;
+        std::vector<utlb::NodeStack::Tenant> views;
+        views.push_back(node.attach(1, ucfg));
+        views.push_back(node.attach(2, ucfg));
+        UserUtlb &b = *views[1].utlb;
+        // Fill pid 2's budget: its next miss must evict, then pin.
+        ASSERT_TRUE(b.translateRange(0, 4 * utlb::mem::kPageSize).ok);
+
+        UtlbDriver::Process *p1 = node.driver.processShared(1);
+        ASSERT_NE(p1, nullptr);
+        std::promise<void> held, release;
+        std::thread holder([&] {
+            UtlbDriver::Shard shard = node.driver.makeShard();
+            {
+                UtlbDriver::Session s(*p1, sharded ? &shard : nullptr);
+                held.set_value();
+                release.get_future().wait();
+            }
+            node.driver.absorbShard(shard);
+        });
+        held.get_future().wait();
+
+        auto lookup = std::async(std::launch::async, [&b] {
+            return b.translateRange(16 * utlb::mem::kPageSize,
+                                    2 * utlb::mem::kPageSize);
+        });
+        std::future_status st = lookup.wait_for(10s);
+        release.set_value();
+        holder.join();
+        ASSERT_EQ(st, std::future_status::ready)
+            << "pid 2's session waited on pid 1's";
+        Translation tr = lookup.get();
+        EXPECT_TRUE(tr.ok);
+        EXPECT_EQ(tr.pagesUnpinned, 2u);
+        EXPECT_EQ(tr.pagesPinned, 2u);
+        EXPECT_EQ(node.audit(views), "");
+    }
 }
 
 } // namespace

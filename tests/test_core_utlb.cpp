@@ -186,9 +186,9 @@ TEST_F(UtlbStack, UnregisterDropsEverything)
     driver.unregisterProcess(1);
     EXPECT_FALSE(driver.isRegistered(1));
     EXPECT_FALSE(cache.peek(1, 0).has_value());
-    // The exiting process' frames go back to host memory under the
-    // driver mutex, not later in the space's destructor: only the
-    // garbage page stays allocated.
+    // The exiting process' frames go back to host memory inside
+    // unregisterProcess, not later in the space's destructor: only
+    // the garbage page stays allocated.
     EXPECT_EQ(space.mappedPages(), 0u);
     EXPECT_EQ(physMem.allocatedFrames(), 1u);
 }

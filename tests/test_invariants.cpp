@@ -187,7 +187,7 @@ struct TestTamper {
     static void
     zeroPinRefcount(mem::PinFacility &pf, mem::ProcId pid)
     {
-        auto *proc = pf.procs.find(pid);
+        mem::PinFacility::Proc *proc = pf.findProc(pid);
         ASSERT_NE(proc, nullptr);
         ASSERT_NE(proc->space, nullptr);
         for (auto &[key, leaf] : proc->space->leaves) {

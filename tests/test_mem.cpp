@@ -420,14 +420,14 @@ TEST(AddressSpace, SpacesAreIsolated)
 class PinFacilityTest : public ::testing::Test
 {
   protected:
-    PinFacilityTest() : pm(64), as(1, pm)
+    PinFacilityTest() : pm(64), as(1, pm), proc(&pf.registerSpace(as))
     {
-        pf.registerSpace(as);
     }
 
     PhysMemory pm;
     AddressSpace as;
     PinFacility pf;
+    PinFacility::Proc *proc;  //!< pid 1
 };
 
 TEST_F(PinFacilityTest, PinDemandMapsAndReturnsFrame)
@@ -483,12 +483,12 @@ TEST_F(PinFacilityTest, PinRangeIsAllOrNothing)
 {
     pf.setPinLimit(1, 3);
     PageBuf frames, mapped;
-    EXPECT_EQ(pf.pinRange(1, 0, 5, frames, mapped),
+    EXPECT_EQ(pf.pinRange(*proc, 0, 5, frames, mapped),
               PinStatus::LimitExceeded);
     EXPECT_TRUE(frames.empty());
     EXPECT_EQ(pf.pinnedPages(1), 0u);  // rollback happened
 
-    EXPECT_EQ(pf.pinRange(1, 0, 3, frames, mapped), PinStatus::Ok);
+    EXPECT_EQ(pf.pinRange(*proc, 0, 3, frames, mapped), PinStatus::Ok);
     EXPECT_EQ(frames.size(), 3u);
     EXPECT_EQ(pf.pinnedPages(1), 3u);
 }
@@ -498,7 +498,7 @@ TEST_F(PinFacilityTest, PinRangeReportsAndRollsBackDemandMaps)
     as.touch(1);           // mapped, not pinned
     pf.pinPage(1, 2);      // mapped and pinned
     PageBuf frames, mapped;
-    ASSERT_EQ(pf.pinRange(1, 0, 4, frames, mapped), PinStatus::Ok);
+    ASSERT_EQ(pf.pinRange(*proc, 0, 4, frames, mapped), PinStatus::Ok);
     EXPECT_EQ(frames.size(), 4u);
     for (Vpn v = 0; v < 4; ++v)
         EXPECT_EQ(frames[v], *as.lookup(v));
@@ -509,7 +509,7 @@ TEST_F(PinFacilityTest, PinRangeReportsAndRollsBackDemandMaps)
     // A failing run unmaps what it mapped and nothing else.
     pf.setPinLimit(1, 6);
     std::size_t mappedBefore = as.mappedPages();
-    EXPECT_EQ(pf.pinRange(1, 3, 5, frames, mapped),
+    EXPECT_EQ(pf.pinRange(*proc, 3, 5, frames, mapped),
               PinStatus::LimitExceeded);
     EXPECT_TRUE(frames.empty());
     EXPECT_TRUE(mapped.empty());
