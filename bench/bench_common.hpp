@@ -195,10 +195,7 @@ class JsonReporter
 #else
         w.field("build_type", "debug");
 #endif
-        // Which packed tag-compare kernel the dispatch selected
-        // (avx2/sse2/scalar) -- modeled results are identical across
-        // the three, but throughput numbers are only comparable
-        // between runs that used the same kernel.
+        // The set probe's tag-compare kernel ("scalar").
         w.field("simd", utlb::simd::activePathName());
         w.endObject();
         w.beginArray("points");

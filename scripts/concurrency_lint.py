@@ -14,9 +14,8 @@ annotations cannot express:
                          stronger memory orders, no unprotected
                          reads of the seqlock-paired fields
                          (valid/pid/vpn/pfn), and no plain-load
-                         packed-probe kernels
-                         (probePacked<DirectLoads> / simd::matchWays
-                         issue non-atomic loads). A function whose
+                         packed probes (probePacked<DirectLoads>
+                         issues non-atomic loads). A function whose
                          body carries a
                          `// utlb-lint: seqlock-read-helper` marker
                          is held to the same purity rules over its
@@ -331,8 +330,7 @@ NONRELAXED_ORDER_RE = re.compile(
     r"memory_order_(?:acquire|release|acq_rel|seq_cst|consume)")
 PROTECTED_READ_RE = re.compile(
     r"[\w\)\]]+(?:\.|->)(?:valid|pid|vpn|pfn|pidVpn)\b")
-DIRECT_PROBE_RE = re.compile(
-    r"\bprobePacked\s*<\s*DirectLoads\b|\bsimd::matchWays\s*\(")
+DIRECT_PROBE_RE = re.compile(r"\bprobePacked\s*<\s*DirectLoads\b")
 READBEGIN_RE = re.compile(r"=\s*[\w\.\->\[\]]*[\w\]]\s*\.readBegin\s*\(")
 READRETRY_RE = re.compile(r"(?:\.|->)readRetry\s*\(")
 
@@ -421,8 +419,8 @@ def lint_file(path, rel, text, force_src=False):
         if DIRECT_PROBE_RE.search(text_line):
             report(lineno, "seqlock-read-section",
                    "plain-load packed probe inside a seqlock read "
-                   "section; DirectLoads/simd::matchWays issue "
-                   "non-atomic loads -- optimistic readers go "
+                   "section; DirectLoads issues non-atomic "
+                   "loads -- optimistic readers go "
                    "through RelaxedLoads")
         if STOREISH_CALL_RE.search(text_line):
             report(lineno, "seqlock-read-section",

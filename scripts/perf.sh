@@ -59,10 +59,4 @@ step "tlbsim --batch replay (radix)"
 cp "$OUT/BENCH_hotpath.json" BENCH_hotpath.json
 cp "$OUT/BENCH_mt.json" BENCH_mt.json
 step "done"
-# Surface which packed tag-compare kernel the run dispatched to
-# (host_info.simd): throughput is only comparable between runs that
-# report the same value.
-SIMD=$(python3 -c "import json; \
-print(json.load(open('BENCH_hotpath.json'))['host_info']['simd'])")
-echo "simd kernel: $SIMD (host_info.simd)"
 echo "results in $OUT; baselines refreshed at BENCH_hotpath.json and BENCH_mt.json"

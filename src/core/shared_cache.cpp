@@ -57,11 +57,9 @@ storeRelaxed(T &field, T value)
  * @name Load policies for the shared packed-probe helper
  *
  * probePacked() is the single way-scan authority; these policies are
- * the only thing that differs between its read paths. DirectLoads
- * issues plain loads and the SIMD tag compare — the unlocked path.
- * LockedLoads issues plain loads but never reads past the set (the
- * vector kernels overread into the next set, which may belong to
- * another stripe's writer) — legal under the set's stripe lock.
+ * the only thing that differs between its read paths. Both compare
+ * one tag word per way and read nothing outside the set. DirectLoads
+ * issues plain loads — the unlocked path, and the stripe-locked one.
  * RelaxedLoads issues relaxed atomic loads exclusively, the contract
  * for code running inside a seqlock read section
  * (scripts/concurrency_lint.py checks the marked helpers).
@@ -71,7 +69,10 @@ struct DirectLoads {
     static unsigned matchMask(std::uint64_t *tags, unsigned n,
                               std::uint64_t key)
     {
-        return simd::matchWays(tags, n, key);
+        unsigned mask = 0;
+        for (unsigned w = 0; w < n; ++w)
+            mask |= (tags[w] == key ? 1u : 0u) << w;
+        return mask;
     }
     template <class C>
     static std::uint64_t pidVpn(C &c)
@@ -82,14 +83,6 @@ struct DirectLoads {
     static Pfn pfn(C &c)
     {
         return c.pfn;
-    }
-};
-
-struct LockedLoads : DirectLoads {
-    static unsigned matchMask(std::uint64_t *tags, unsigned n,
-                              std::uint64_t key)
-    {
-        return simd::detail::matchScalar(tags, n, key);
     }
 };
 
@@ -132,7 +125,7 @@ SharedUtlbCache::SharedUtlbCache(const CacheConfig &cfg,
               config.entries, config.assoc);
     numSets = config.entries / config.assoc;
     setsMask = (numSets & (numSets - 1)) == 0 ? numSets - 1 : 0;
-    tagWords.assign(config.entries + simd::kTagPadWords, 0);
+    tagWords.assign(config.entries, 0);
     cold.assign(config.entries, Cold{});
 
     if (board_sram) {
@@ -228,18 +221,15 @@ SharedUtlbCache::scanWaysLocked(std::size_t set, ProcId pid, Vpn vpn,
                                 std::uint64_t key, unsigned &way,
                                 Pfn &pfn)
 {
-    return probePacked<LockedLoads>(set, pid, vpn, key, way, pfn);
+    return probePacked<DirectLoads>(set, pid, vpn, key, way, pfn);
 }
 
 /**
- * The single-threaded lock policy: plain loads and stores, the SIMD
- * way scan, ++useClock stamps, and the global counters. Legal only
- * when no other thread touches the cache.
+ * The single-threaded lock policy: plain loads and stores, ++useClock
+ * stamps, and the global counters. Legal only when no other thread
+ * touches the cache.
  */
 struct SharedUtlbCache::Unlocked {
-    /** The way scan writers use (no lock to hold here). */
-    using ScanLoads = DirectLoads;
-
     SharedUtlbCache &c;
 
     unsigned probe(std::size_t set, ProcId pid, Vpn vpn,
@@ -257,11 +247,6 @@ struct SharedUtlbCache::Unlocked {
         pfn = l.pfn;
         return true;
     }
-    bool reprobe(const LineRef &ref, ProcId pid, Vpn vpn, Pfn &pfn)
-    {
-        return probeLine(ref.set, pid, vpn, pfn);
-    }
-    void mint(LineRef &) {}
     void stampHit(std::size_t set, unsigned way, ProcId, Vpn)
     {
         c.cold[set * c.config.assoc + way].lastUse = nextStamp();
@@ -302,14 +287,9 @@ struct SharedUtlbCache::Unlocked {
  * statistics into the worker's Shard.
  */
 struct SharedUtlbCache::Striped {
-    /** The way scan writers use, under the stripe lock. */
-    using ScanLoads = LockedLoads;
-
     SharedUtlbCache &c;
     /** The worker's shard; null on the shardless removal paths. */
     Shard *sh = nullptr;
-    /** The set version the last probe() validated at. */
-    std::uint32_t seen = 0;
 
     /**
      * Removals (invalidate, invalidateProcess) run from the unpin and
@@ -332,8 +312,7 @@ struct SharedUtlbCache::Striped {
     /**
      * Seqlock-validated way scan: relaxed atomic reads, retried on a
      * torn version; after kSeqlockMaxRetries torn reads it takes the
-     * stripe lock instead (the readers' progress guarantee). Records
-     * the version the scan is valid at in `seen`.
+     * stripe lock instead (the readers' progress guarantee).
      */
     unsigned probe(std::size_t set, ProcId pid, Vpn vpn,
                    std::uint64_t key, unsigned &way, Pfn &pfn)
@@ -344,14 +323,11 @@ struct SharedUtlbCache::Striped {
             std::uint32_t v = seq.readBegin();
             unsigned probes = c.probePacked<RelaxedLoads>(set, pid, vpn,
                                                           key, way, pfn);
-            if (!seq.readRetry(v)) {
-                seen = v;
+            if (!seq.readRetry(v))
                 return probes;
-            }
             ++sh->seqRetries;
         }
         sim::SpinGuard g(c.stripeOf(set));
-        seen = seq.value();
         return c.scanWaysLocked(set, pid, vpn, key, way, pfn);
     }
     bool probeLine(std::size_t idx, ProcId pid, Vpn vpn, Pfn &pfn)
@@ -360,26 +336,6 @@ struct SharedUtlbCache::Striped {
         probe(idx, pid, vpn, tagKey(pid, vpn), way, pfn);
         return way == 0;
     }
-    /**
-     * Lock-free: the ref holds only while the set's version still
-     * equals the one it was minted at, so any tag write in the set
-     * since (an eviction may have reclaimed the way) or a torn read
-     * is a clean miss and the caller re-probes.
-     */
-    bool reprobe(const LineRef &ref, ProcId pid, Vpn vpn, Pfn &pfn)
-    {
-        sim::SeqCount &seq = c.seqs[ref.set];
-        Cold &l = c.cold[ref.set];
-        const std::uint32_t v = seq.readBegin();
-        const bool live = v == ref.version
-            && loadRelaxed(c.tagWords[ref.set]) == tagKey(pid, vpn)
-            && loadRelaxed(l.pidVpn) == packPidVpn(pid, vpn);
-        pfn = loadRelaxed(l.pfn);
-        return !seq.readRetry(v) && live;
-    }
-    /** The minted version is the validated snapshot's: it is even,
-     *  and it stands until the next tag write in the set. */
-    void mint(LineRef &ref) { ref.version = seen; }
     /**
      * Stamp a hit under the stripe lock, re-validating the way first:
      * if a writer reclaimed or retagged it since the optimistic read,
@@ -470,7 +426,7 @@ SharedUtlbCache::lookupWith(ProcId pid, Vpn vpn, Sync s)
 template <class Sync>
 RunHits
 SharedUtlbCache::lookupRunWith(ProcId pid, Vpn start, std::size_t n,
-                               Pfn *pfns, LineRef *first_hit, Sync s)
+                               Pfn *pfns, Sync s)
 {
     // A cost-model restriction, not a structural one: RunHits models
     // one shared perHitCost, which only holds when every hit is a
@@ -493,11 +449,6 @@ SharedUtlbCache::lookupRunWith(ProcId pid, Vpn start, std::size_t n,
         if (!s.probeLine(set, pid, start + i, pfn))
             break;  // first miss: record nothing, caller re-probes
         pfns[i] = pfn;
-        if (i == 0 && first_hit) {
-            first_hit->set = static_cast<std::uint32_t>(set);
-            first_hit->way = 0;
-            s.mint(*first_hit);
-        }
         if (++set == numSets)
             set = 0;
     }
@@ -508,30 +459,6 @@ SharedUtlbCache::lookupRunWith(ProcId pid, Vpn start, std::size_t n,
         s.hitRun(out.perHitCost, i);
     }
     return out;
-}
-
-template <class Sync>
-bool
-SharedUtlbCache::hitViaRefWith(LineRef &ref, ProcId pid, Vpn vpn,
-                               CacheProbe &out, Sync s)
-{
-    if (ref.way == LineRef::kNoWay)
-        return false;
-    UTLB_ASSERT(config.assoc == 1,
-                "hitViaRef requires a direct-mapped cache (refs are "
-                "minted by lookupRun)");
-    // Revalidate the packed word first (0 = reclaimed), then the
-    // full tags: any churn since the mint is a clean miss. The ref
-    // pins way 0 of a direct-mapped set, so the modeled firmware
-    // re-probe is the constant hit cost.
-    Pfn pfn = mem::kInvalidPfn;
-    if (!s.reprobe(ref, pid, vpn, pfn))
-        return false;
-    out.hit = true;
-    out.pfn = pfn;
-    out.cost = timings->cacheHitCost;
-    s.probed(out.cost, true);
-    return true;
 }
 
 template <class Sync>
@@ -614,8 +541,8 @@ SharedUtlbCache::invalidateWith(ProcId pid, Vpn vpn, Sync s)
     const bool dropped = s.exclusive(set, [&] {
         unsigned way = config.assoc;
         Pfn pfn = mem::kInvalidPfn;
-        probePacked<typename Sync::ScanLoads>(set, pid, vpn,
-                                              tagKey(pid, vpn), way, pfn);
+        probePacked<DirectLoads>(set, pid, vpn, tagKey(pid, vpn), way,
+                                 pfn);
         if (way == config.assoc)
             return false;
         const std::size_t idx = set * config.assoc + way;
@@ -670,20 +597,10 @@ SharedUtlbCache::lookup(ProcId pid, Vpn vpn, Shard *sh)
 
 RunHits
 SharedUtlbCache::lookupRun(ProcId pid, Vpn start, std::size_t n,
-                           Pfn *pfns, LineRef *first_hit, Shard *sh)
+                           Pfn *pfns, Shard *sh)
 {
-    return sh ? lookupRunWith(pid, start, n, pfns, first_hit,
-                              Striped{*this, sh})
-              : lookupRunWith(pid, start, n, pfns, first_hit,
-                              Unlocked{*this});
-}
-
-bool
-SharedUtlbCache::hitViaRef(LineRef &ref, ProcId pid, Vpn vpn,
-                           CacheProbe &out, Shard *sh)
-{
-    return sh ? hitViaRefWith(ref, pid, vpn, out, Striped{*this, sh})
-              : hitViaRefWith(ref, pid, vpn, out, Unlocked{*this});
+    return sh ? lookupRunWith(pid, start, n, pfns, Striped{*this, sh})
+              : lookupRunWith(pid, start, n, pfns, Unlocked{*this});
 }
 
 std::optional<EvictedEntry>
@@ -765,10 +682,7 @@ std::size_t
 SharedUtlbCache::validEntries() const
 {
     return static_cast<std::size_t>(
-        std::count_if(tagWords.begin(),
-                      tagWords.begin()
-                          + static_cast<std::ptrdiff_t>(
-                              config.entries),
+        std::count_if(tagWords.begin(), tagWords.end(),
                       [](std::uint64_t t) { return t != 0; }));
 }
 
@@ -855,18 +769,6 @@ SharedUtlbCache::audit(check::AuditReport &report) const
                                w, w2, set);
             }
         }
-    }
-
-    // The SIMD overread padding must stay zero: a nonzero pad word
-    // can only come from an out-of-bounds write (the vector kernels
-    // mask pad lanes off, so this is a canary, not a correctness
-    // dependency).
-    for (std::size_t p = config.entries; p < tagWords.size(); ++p) {
-        report.require(tagWords[p] == 0,
-                       "SIMD overread pad word %zu is nonzero "
-                       "(0x%llx)",
-                       p - config.entries,
-                       static_cast<unsigned long long>(tagWords[p]));
     }
 
     // Removal-taxonomy conservation: every line present was installed

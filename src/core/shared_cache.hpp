@@ -23,18 +23,21 @@
  *
  * Layout: structure-of-arrays. Each set's tag words (one 64-bit
  * pid⊕vpn key per way, 0 = invalid) are packed contiguously and
- * cache-line aligned so a whole-set probe — optionally SIMD
- * (sim/simd.hpp) — touches a single 64-byte line; the frame, full
- * tags, and LRU stamp live in a parallel cold array touched only
- * once the tag mask names a candidate way. docs/performance.md has
- * the byte-level diagram and the correctness argument.
+ * cache-line aligned so a whole-set probe — one scalar compare per
+ * way, like the firmware's — touches a single 64-byte line; the
+ * frame, full tags, and LRU stamp live in a parallel cold array
+ * touched only once the tag mask names a candidate way.
+ * docs/performance.md has the byte-level diagram and the correctness
+ * argument.
  */
 
 #ifndef UTLB_CORE_SHARED_CACHE_HPP
 #define UTLB_CORE_SHARED_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -44,7 +47,6 @@
 #include "nic/timing.hpp"
 #include "sim/annotations.hpp"
 #include "sim/mutex.hpp"
-#include "sim/simd.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -60,6 +62,37 @@ struct CacheConfig {
     std::size_t entries = 8192;   //!< total entries (8 K = 32 KB, §4.2)
     unsigned assoc = 1;           //!< 1 (direct), 2, or 4 in the paper
     bool indexOffsetting = true;  //!< process-dependent index offset
+};
+
+/**
+ * 64-byte-aligned allocator for the packed tag array: with the base
+ * cache-line aligned, a set's tag block (8 x assoc bytes) never
+ * straddles a line for any power-of-two assoc <= 8, so a full 4-way
+ * probe touches exactly one line.
+ */
+template <class T>
+struct CacheAlignedAlloc {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheAlignedAlloc() = default;
+    template <class U>
+    CacheAlignedAlloc(const CacheAlignedAlloc<U> &) {}
+
+    T *allocate(std::size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T *p, std::size_t) noexcept
+    {
+        ::operator delete(p, kAlign);
+    }
+    template <class U>
+    bool operator==(const CacheAlignedAlloc<U> &) const
+    {
+        return true;
+    }
 };
 
 /** An entry pushed out of the cache by an insertion. */
@@ -136,52 +169,15 @@ class SharedUtlbCache
     std::optional<mem::Pfn> peek(mem::ProcId pid, mem::Vpn vpn) const;
 
     /**
-     * A stable handle to the way that served a hit, letting a
-     * repeat lookup of the same (pid, vpn) skip the probe. The ref
-     * is a (set, way) index pair into the packed arrays (way ==
-     * kNoWay means "no ref"). Obtained from lookupRun(); becomes a
-     * guaranteed miss (never a wrong hit) if the way is since
-     * evicted or retagged — the re-probe revalidates the packed tag
-     * word and the full cold (pid, vpn) tags.
-     *
-     * A ref minted in concurrent mode also carries the set's seqlock
-     * version from the validated read that minted it: hitViaRef()
-     * honours the ref only while that version still stands, so a
-     * stale ref can never return a reclaimed way — any insert,
-     * eviction, or invalidation in the set since the mint demotes
-     * the ref to a clean miss.
-     */
-    class LineRef
-    {
-        friend class SharedUtlbCache;
-        static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
-        std::uint32_t set = 0;
-        std::uint32_t way = kNoWay;
-        std::uint32_t version = 0;
-    };
-
-    /**
      * Probe a run of consecutive pages of one process, stopping at
      * (and recording nothing for) the first miss. Slot i of @p pfns
      * receives the frame of vpn + i for each hit. Stats end up
      * exactly as the equivalent lookup() sequence over the hit
-     * prefix would leave them. If @p first_hit is non-null and the
-     * first page hits, it is filled for later hitViaRef() shortcuts.
-     * Requires assoc() == 1 (the per-way cost model makes wider
-     * probes take the page-at-a-time path).
+     * prefix would leave them. Requires assoc() == 1 (the per-way
+     * cost model makes wider probes take the page-at-a-time path).
      */
     RunHits lookupRun(mem::ProcId pid, mem::Vpn start, std::size_t n,
-                      mem::Pfn *pfns, LineRef *first_hit = nullptr,
-                      Shard *sh = nullptr);
-
-    /**
-     * Re-probe via a LineRef from an earlier lookupRun (so assoc() ==
-     * 1). On a still-valid match, records the hit exactly like
-     * lookup() and returns true; on any mismatch returns false with
-     * no state change, and the caller falls back to a full probe.
-     */
-    bool hitViaRef(LineRef &ref, mem::ProcId pid, mem::Vpn vpn,
-                   CacheProbe &out, Shard *sh = nullptr);
+                      mem::Pfn *pfns, Shard *sh = nullptr);
 
     /**
      * Install a translation, evicting the set's LRU entry if the
@@ -396,12 +392,12 @@ class SharedUtlbCache
      * way indexes to the set it lives in, no (pid, vpn) pair
      * occupies two ways, no LRU stamp runs ahead of the use clock,
      * dead ways carry no recency stamp, no way of a direct-mapped
-     * cache carries one either, the SIMD overread padding is
-     * zero, every seqlock version is even at quiescence (an odd one
-     * means a writer died mid-update and readers would spin), and
-     * the removal counters' taxonomy balances against the current
-     * occupancy (lines present = lines installed minus lines
-     * evicted/shed/invalidated/cleared since the last stats reset).
+     * cache carries one either, every seqlock version is even at
+     * quiescence (an odd one means a writer died mid-update and
+     * readers would spin), and the removal counters' taxonomy
+     * balances against the current occupancy (lines present = lines
+     * installed minus lines evicted/shed/invalidated/cleared since
+     * the last stats reset).
      */
     void audit(check::AuditReport &report) const;
 
@@ -471,9 +467,9 @@ class SharedUtlbCache
 
     /**
      * The one way-scan authority every probe shares: build the
-     * candidate mask from the packed tag words (Loads::matchMask —
-     * SIMD on the unlocked path, a scalar scan under a stripe lock,
-     * relaxed atomic loads on the seqlock read path), then confirm
+     * candidate mask from the packed tag words with one compare per
+     * way (Loads::matchMask — plain loads unlocked or under a stripe
+     * lock, relaxed atomic loads on the seqlock read path), then confirm
      * candidates against the cold (pid, vpn) tags in way order.
      * Returns the modeled probe count (hit way + 1, or assoc on a
      * miss); on a hit sets @p way and @p pfn, on a miss leaves
@@ -490,7 +486,7 @@ class SharedUtlbCache
      *
      * Unlocked and Striped (defined in shared_cache.cpp) are the only
      * place the single-threaded and the concurrent paths differ: the
-     * way scan, the stripe lock and seqlock version bumps around tag
+     * probe's loads, the stripe lock and seqlock version bumps around tag
      * writes, where recency stamps come from, and which counters the
      * statistics land in. Each public operation dispatches once to
      * its body below, instantiated for one policy.
@@ -503,11 +499,7 @@ class SharedUtlbCache
     CacheProbe lookupWith(mem::ProcId pid, mem::Vpn vpn, Sync s);
     template <class Sync>
     RunHits lookupRunWith(mem::ProcId pid, mem::Vpn start,
-                          std::size_t n, mem::Pfn *pfns,
-                          LineRef *first_hit, Sync s);
-    template <class Sync>
-    bool hitViaRefWith(LineRef &ref, mem::ProcId pid, mem::Vpn vpn,
-                       CacheProbe &out, Sync s);
+                          std::size_t n, mem::Pfn *pfns, Sync s);
     template <class Sync>
     std::optional<EvictedEntry>
     insertWith(mem::ProcId pid, mem::Vpn vpn, mem::Pfn pfn,
@@ -554,11 +546,10 @@ class SharedUtlbCache
      * per way, 0 = invalid. The base is 64-byte aligned, so a set's
      * whole tag block (8 x assoc bytes) sits in one cache line for
      * any power-of-two assoc <= 8 and a full 4-way probe touches a
-     * single line. simd::kTagPadWords zero words trail the last set
-     * so the vector compares may overread.
+     * single line. The array holds exactly entries words, so a probe
+     * that reads past the last set faults under AddressSanitizer.
      */
-    std::vector<std::uint64_t,
-                simd::CacheAlignedAlloc<std::uint64_t>>
+    std::vector<std::uint64_t, CacheAlignedAlloc<std::uint64_t>>
         tagWords;
 
     /** Cold per-way payload, parallel to tagWords (entries). */

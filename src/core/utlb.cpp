@@ -260,27 +260,12 @@ UserUtlb::nicPageByPage(Vpn start, std::size_t npages, Translation &tr)
     }
 }
 
-CacheProbe
-UserUtlb::serveL0(Vpn start, mem::Pfn &slot, Translation &tr)
-{
-    CacheProbe fast;
-    if (nicCache->hitViaRef(l0, procId, start, fast, shard)) {
-        // Same first page as a recent call: the L0 handle
-        // revalidated, recorded the hit, and spared us the probe.
-        statTranslateLatency.sample(sim::ticksToUs(fast.cost));
-        tr.nicCost += fast.cost;
-        slot = fast.pfn;
-    }
-    return fast;
-}
-
 RunHits
 UserUtlb::serveRun(Vpn start, std::size_t i, std::size_t npages,
                    mem::Pfn *slots, Translation &tr)
 {
     RunHits run = nicCache->lookupRun(procId, start + i, npages - i,
-                                      slots + i, i == 0 ? &l0 : nullptr,
-                                      shard);
+                                      slots + i, shard);
     if (run.hits > 0) {
         // Every hit in the run has the same modeled latency;
         // sampleN folds them without perturbing the histogram.
@@ -325,7 +310,7 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
         return tr;
     }
 
-    std::size_t i = serveL0(start, slots[0], tr).hit ? 1 : 0;
+    std::size_t i = 0;
     while (i < npages) {
         if (std::size_t hits = serveRun(start, i, npages, slots, tr).hits) {
             i += hits;
@@ -370,9 +355,7 @@ UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
     // Engines already claimed by this window's posted fills.
     std::uint32_t engineUsed = 0;
 
-    CacheProbe fast = serveL0(start, slots[0], tr);
-    tNow += fast.cost;
-    std::size_t i = fast.hit ? 1 : 0;
+    std::size_t i = 0;
     while (i < npages) {
         RunHits run = serveRun(start, i, npages, slots, tr);
         if (run.hits > 0) {

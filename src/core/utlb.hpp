@@ -206,10 +206,9 @@ class UserUtlb
     /**
      * Batched translate(): identical results, modeled costs, and
      * stats as translate() over the same buffer, but the NIC half
-     * probes the cache across the whole run at once (lookupRun),
-     * serves repeated same-page lookups from a per-process MRU "L0"
-     * line handle, and lets each miss's prefetch-width DMA refill
-     * the run so contiguous misses coalesce into wide fetches. Falls
+     * probes the cache across the whole run at once (lookupRun) and
+     * lets each miss's prefetch-width DMA refill the run so
+     * contiguous misses coalesce into wide fetches. Falls
      * back to the per-page loop when a tracer is attached or the
      * cache is set-associative (per-way probe costs need per-page
      * accounting).
@@ -239,10 +238,6 @@ class UserUtlb
     /** The NIC half one page at a time. */
     void nicPageByPage(mem::Vpn start, std::size_t npages,
                        Translation &tr);
-
-    /** Batched walks: serve page @p start from the L0 handle if it
-     *  still holds (a miss returns an untouched probe, cost 0). */
-    CacheProbe serveL0(mem::Vpn start, mem::Pfn &slot, Translation &tr);
 
     /** Batched walks: one lookupRun from page @p i, charging @p tr
      *  for the hit prefix (zero hits: page i missed). */
@@ -320,7 +315,7 @@ class UserUtlb
     /**
      * Per-worker shared-cache context (concurrent mode only) and the
      * pointer every cache call takes (null in sequential mode). Like
-     * runBuf and l0, this is single-owner state: one thread drives
+     * runBuf, this is single-owner state: one thread drives
      * this UserUtlb, so no lock guards it.
      */
     std::optional<SharedUtlbCache::Shard> shardStore;
@@ -331,9 +326,6 @@ class UserUtlb
      *  flushShardStats() folds it in through
      *  UtlbDriver::absorbShard() after the worker quiesces. */
     std::optional<UtlbDriver::Shard> driverShard;
-
-    /** MRU "L0" slot: the line that served the last first-page hit. */
-    SharedUtlbCache::LineRef l0;
 
     sim::StatGroup statsGrp;
     sim::Counter statMisses{&statsGrp, "nic_misses",

@@ -1,142 +1,25 @@
 /**
  * @file
- * SIMD dispatch for the packed tag-word probe.
+ * The set-probe kernel name the bench documents report.
  *
- * The Shared UTLB-Cache packs each set's tag words contiguously (one
- * 64-bit key per way, 0 = invalid way) so a whole-set probe compares
- * a single cache line. matchWays() turns that compare into a way
- * bitmask, vectorized with SSE2 or AVX2 when the build (UTLB_SIMD)
- * and the host CPU both allow it, with a scalar fallback that is
- * bit-identical in every observable way — the mask, and therefore
- * probe counts, modeled costs, LRU stamps, and stats, never depend
- * on the selected path.
- *
- * Dispatch is resolved once at startup: compile-time gate
- * (UTLB_SIMD_ENABLED, x86 only) ∧ runtime CPU support, overridable
- * with UTLB_SIMD_FORCE=scalar|sse2|avx2 (clamped to what the host
- * supports) or forcePath() from tests. bench::JsonReporter publishes
- * the selected path as host_info.simd.
- *
- * Concurrency: the vector kernels issue plain (non-atomic) loads, so
- * they are used only on the sequential probe paths and under the
- * stripe locks. The seqlock read path scans the same packed words
- * with relaxed atomic loads instead (see RelaxedLoads in
- * shared_cache.cpp).
+ * The Shared UTLB-Cache compares a set's packed tag words one way at
+ * a time, as the paper's firmware does (docs/performance.md, "Why the
+ * set probe is scalar"), so there is one kernel and its name is
+ * "scalar". bench::JsonReporter and the repository benchmark still
+ * publish it as host_info.simd.
  */
 
 #ifndef UTLB_SIM_SIMD_HPP
 #define UTLB_SIM_SIMD_HPP
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <new>
-
 namespace utlb::simd {
 
-/** A tag-compare implementation, from portable to widest. */
-enum class Path : std::uint8_t { Scalar = 0, Sse2 = 1, Avx2 = 2 };
-
-/**
- * Zero tag words appended after the last real one so the vector
- * kernels may overread: the widest kernel (AVX2) reads 4-word chunks
- * starting at most at word n-1, touching up to word n+2.
- */
-inline constexpr unsigned kTagPadWords = 4;
-
-/** "scalar", "sse2", or "avx2". */
-const char *pathName(Path p);
-
-/** Widest path the build and the host CPU both support. */
-Path bestSupported();
-
-/** The path matchWays() currently dispatches to. */
-Path activePath();
-
-/** pathName(activePath()), for bench/JSON reporting. */
-const char *activePathName();
-
-/**
- * Test hook: force a dispatch path, clamped to bestSupported() (you
- * can always force a *narrower* path; forcing a wider one than the
- * host runs degrades to the widest supported). Returns the path
- * actually selected.
- */
-Path forcePath(Path p);
-
-namespace detail {
-
-extern std::atomic<Path> g_path;
-
-unsigned matchSse2(const std::uint64_t *tags, unsigned n,
-                   std::uint64_t key);
-unsigned matchAvx2(const std::uint64_t *tags, unsigned n,
-                   std::uint64_t key);
-
-inline unsigned
-matchScalar(const std::uint64_t *tags, unsigned n, std::uint64_t key)
+/** The set probe's kernel, for bench/JSON reporting: "scalar". */
+inline const char *
+activePathName()
 {
-    unsigned mask = 0;
-    for (unsigned w = 0; w < n; ++w)
-        mask |= (tags[w] == key ? 1u : 0u) << w;
-    return mask;
+    return "scalar";
 }
-
-} // namespace detail
-
-/**
- * Bitmask of ways whose packed tag word equals @p key (bit w set iff
- * tags[w] == key, w < n). @p tags must be followed by kTagPadWords
- * zero words (or further valid words) — the vector kernels overread
- * and mask the excess lanes off.
- */
-inline unsigned
-matchWays(const std::uint64_t *tags, unsigned n, std::uint64_t key)
-{
-    if (n == 1)
-        // Direct-mapped: a single compare beats any dispatch.
-        return tags[0] == key ? 1u : 0u;
-#if defined(UTLB_SIMD_ENABLED) \
-    && (defined(__x86_64__) || defined(__i386__))
-    Path p = detail::g_path.load(std::memory_order_relaxed);
-    if (p == Path::Avx2)
-        return detail::matchAvx2(tags, n, key);
-    if (p == Path::Sse2)
-        return detail::matchSse2(tags, n, key);
-#endif
-    return detail::matchScalar(tags, n, key);
-}
-
-/**
- * 64-byte-aligned allocator for the packed tag array: with the base
- * cache-line aligned, a set's tag block (8 x assoc bytes) never
- * straddles a line for any power-of-two assoc <= 8, so a full 4-way
- * probe touches exactly one line.
- */
-template <class T>
-struct CacheAlignedAlloc {
-    using value_type = T;
-    static constexpr std::align_val_t kAlign{64};
-
-    CacheAlignedAlloc() = default;
-    template <class U>
-    CacheAlignedAlloc(const CacheAlignedAlloc<U> &) {}
-
-    T *allocate(std::size_t n)
-    {
-        return static_cast<T *>(
-            ::operator new(n * sizeof(T), kAlign));
-    }
-    void deallocate(T *p, std::size_t) noexcept
-    {
-        ::operator delete(p, kAlign);
-    }
-    template <class U>
-    bool operator==(const CacheAlignedAlloc<U> &) const
-    {
-        return true;
-    }
-};
 
 } // namespace utlb::simd
 

@@ -6,9 +6,9 @@
 // reads the packed cold fields directly and refreshes a recency
 // stamp -- data races for a helper the seqlock no longer protects
 // with a version check at each access. Second, a reader calls the
-// plain-load probe flavor (probePacked<DirectLoads>, whose SIMD
-// kernels issue non-atomic loads) between readBegin() and
-// readRetry() instead of the RelaxedLoads flavor.
+// plain-load probe flavor (probePacked<DirectLoads>, which issues
+// non-atomic loads) between readBegin() and readRetry() instead of
+// the RelaxedLoads flavor.
 //
 // utlb-lint-expect: seqlock-read-section
 
@@ -60,7 +60,7 @@ probeWithPlainLoads(SeqCount &seq, std::size_t set, unsigned pid,
         unsigned way = 0;
         std::uint64_t pfn = 0;
         // BAD: the plain-load probe flavor inside the read section;
-        // its SIMD kernels issue non-atomic loads.
+        // it issues non-atomic loads.
         probePacked<DirectLoads>(set, pid, vpn, key, way, pfn);
         if (!seq.readRetry(v))
             return pfn;

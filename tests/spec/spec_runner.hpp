@@ -27,7 +27,6 @@
 #include "mem/address_space.hpp"
 #include "node_stack.hpp"
 #include "sim/random.hpp"
-#include "sim/simd.hpp"
 #include "sim/tracer.hpp"
 #include "spec/utlb_spec.hpp"
 
@@ -123,41 +122,27 @@ struct Config {
     std::string_view name;
     Walk walk = Walk::PerPage;
     bool striped = false;  //!< UtlbConfig::concurrent, one thread
-    bool scalar = false;   //!< SIMD forced scalar, else default dispatch
     bool traced = false;   //!< a sim::Tracer attached to every view
     bool async = false;    //!< UtlbConfig::asyncFills
 };
 
-inline const Config kReference{"per-page/unlocked/scalar", Walk::PerPage,
-                               false, true};
-inline const Config kStripedReference{"per-page/striped/scalar",
-                                      Walk::PerPage, true, true};
+inline const Config kReference{"per-page/unlocked", Walk::PerPage};
+inline const Config kStripedReference{"per-page/striped", Walk::PerPage,
+                                      true};
 
-/**
- * Every configuration, references first. Without a SIMD kernel the
- * dispatch axis collapses to the scalar path.
- */
+/** Every configuration, references first. */
 inline std::vector<Config>
 matrix()
 {
-    std::vector<Config> out{
+    return {
         kReference,
         kStripedReference,
-        {"batched/unlocked/scalar", Walk::Batched, false, true},
-        {"batched/striped/scalar", Walk::Batched, true, true},
-        {"mixed/unlocked/default", Walk::Mixed},
-        {"batched/unlocked/default+tracer", Walk::Batched, false, false,
-         true},
-        {"batched/striped/default+async", Walk::Batched, true, false, false,
-         true},
+        {"batched/unlocked", Walk::Batched},
+        {"batched/striped", Walk::Batched, true},
+        {"mixed/unlocked", Walk::Mixed},
+        {"batched/unlocked+tracer", Walk::Batched, false, true},
+        {"batched/striped+async", Walk::Batched, true, false, true},
     };
-    if (simd::bestSupported() != simd::Path::Scalar) {
-        out.push_back({"per-page/unlocked/simd", Walk::PerPage});
-        out.push_back({"per-page/striped/simd", Walk::PerPage, true});
-        out.push_back({"batched/unlocked/simd", Walk::Batched});
-        out.push_back({"batched/striped/simd", Walk::Batched, true});
-    }
-    return out;
 }
 
 /** The configuration a run is held to besides the oracle. */
@@ -321,13 +306,6 @@ struct Run {
 /** Called before op i runs (the tamper gate plants faults here). */
 using Hook = std::function<void(std::size_t, Stack &)>;
 
-/** Force a SIMD dispatch path for a scope. */
-struct ScopedPath {
-    simd::Path prev = simd::activePath();
-    explicit ScopedPath(simd::Path p) { simd::forcePath(p); }
-    ~ScopedPath() { simd::forcePath(prev); }
-};
-
 /**
  * Replay @p ops through @p cfg on a fresh stack. Under LRU and MRU
  * each call is held to the oracle, else to @p ref's outcome; the
@@ -342,8 +320,6 @@ replay(const Case &c, bool offsetting, const Config &cfg,
        const std::vector<Op> &ops, const Run *ref, bool refWhole = true,
        const Hook &hook = {})
 {
-    ScopedPath path(cfg.scalar ? simd::Path::Scalar
-                               : simd::bestSupported());
     Stack st(c, offsetting, cfg);
     std::optional<Oracle> oracle;
     if (c.policy == core::PolicyKind::Lru

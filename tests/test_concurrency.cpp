@@ -225,7 +225,7 @@ TEST(ConcurrentCache, SharedSetsStressAuditsClean)
                     break;
                 case 2:
                     cache.lookupRun(pid, vpn, 1 + rng.below(64),
-                                    pfns.data(), nullptr, &sh);
+                                    pfns.data(), &sh);
                     break;
                 default:
                     cache.invalidate(pid, vpn);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Associative concurrent mode: multiset equivalence and seqlock
- * torture.
+ * Associative concurrent mode: multiset equivalence, seqlock
+ * torture, and a packed-probe stress run.
  *
  * The executable spec (test_spec.cpp) holds one concurrent worker at
  * assoc ∈ {2, 4} to the oracle; this file covers what the per-set
@@ -15,10 +15,12 @@
  *  2. Optimistic readers racing writers must never surface a torn
  *     line (a pfn that does not belong to the tag they matched),
  *     must retry at most kSeqlockMaxRetries times per probe, and a
- *     version-guarded LineRef must never serve a reclaimed way.
+ *     direct-mapped optimistic probe must never serve a reclaimed way.
+ *  3. Packed probes, pin-churn evictions and asynchronous-fill views
+ *     mixed on one 4-way cache leave every structure auditable.
  *
- * Run under UTLB_SANITIZE=thread to turn the torture tests into race
- * detectors. The BenchGoldenRegression tests re-check the
+ * Run under UTLB_SANITIZE=thread to turn the torture and stress tests
+ * into race detectors. The BenchGoldenRegression tests re-check the
  * golden_equivalence markers bench_mt publishes for the pin-churn
  * and associative scenarios.
  */
@@ -271,9 +273,11 @@ TEST(SeqlockTorture, HotSetReadersNeverSeeTornLines)
 TEST(SeqlockTorture, StaleRefNeverServesReclaimedWay)
 {
     utlb::nic::NicTimings timings;
-    // Direct-mapped (the ref-minting path is assoc==1 only): the
+    // Direct-mapped, the optimistic lookupRun/lookup path: the
     // reader's (pid 1, vpn 0) and the writer's (pid 2, vpn 0) fight
-    // over set 0, so refs go stale constantly.
+    // over set 0, so the way the reader last saw is reclaimed
+    // constantly. Every pfn encodes its tag, so a served pfn other
+    // than packPfn(1, 0) came from a reclaimed or retagged way.
     SharedUtlbCache cache(CacheConfig{8, 1, false}, timings);
     cache.enableConcurrent();
 
@@ -281,6 +285,7 @@ TEST(SeqlockTorture, StaleRefNeverServesReclaimedWay)
     constexpr int kReaderOps = 30000;
 
     std::atomic<std::uint64_t> staleServes{0};
+    std::atomic<std::uint64_t> served{0};
     std::atomic<bool> writerDone{false};
 
     std::thread writer([&cache, &writerDone] {
@@ -296,39 +301,92 @@ TEST(SeqlockTorture, StaleRefNeverServesReclaimedWay)
         writerDone.store(true, std::memory_order_relaxed);
     });
 
-    std::thread reader([&cache, &staleServes] {
+    std::thread reader([&cache, &staleServes, &served] {
         SharedUtlbCache::Shard sh = cache.makeShard();
-        std::vector<Pfn> pfns(1);
+        const Pfn mine = packPfn(1, 0);
         std::uint64_t stale = 0;
+        std::uint64_t hits = 0;
         for (int op = 0; op < kReaderOps; ++op) {
-            // (Re)install our line and mint a version-carrying ref.
-            cache.insert(1, 0, packPfn(1, 0), InsertMode::Demand, &sh);
-            SharedUtlbCache::LineRef ref;
-            RunHits run =
-                cache.lookupRun(1, 0, 1, pfns.data(), &ref, &sh);
-            if (run.hits == 0)
-                continue;  // writer got between install and probe
+            cache.insert(1, 0, mine, InsertMode::Demand, &sh);
             for (int spin = 0; spin < 4; ++spin) {
-                CacheProbe p;
-                if (!cache.hitViaRef(ref, 1, 0, p, &sh))
-                    break;  // version guard: ref went stale
-                if (p.pfn != packPfn(1, 0))
-                    ++stale;
+                Pfn pfn = utlb::mem::kInvalidPfn;
+                if (cache.lookupRun(1, 0, 1, &pfn, &sh).hits != 0) {
+                    ++hits;
+                    stale += pfn != mine;
+                }
+                CacheProbe p = cache.lookup(1, 0, &sh);
+                if (p.hit) {
+                    ++hits;
+                    stale += p.pfn != mine;
+                }
             }
         }
         staleServes.fetch_add(stale, std::memory_order_relaxed);
+        served.fetch_add(hits, std::memory_order_relaxed);
         cache.absorbShard(sh);
     });
 
     writer.join();
     reader.join();
     EXPECT_TRUE(writerDone.load());
+    EXPECT_GT(served.load(), 0u);
     EXPECT_EQ(staleServes.load(), 0u)
-        << "a version-guarded ref returned a reclaimed way";
+        << "an optimistic probe returned a reclaimed way";
 
     AuditReport report;
     cache.audit(report);
     EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// ---------------------------------------------------------------------
+// Torture: packed probes vs pin churn vs async fills
+// ---------------------------------------------------------------------
+
+TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
+{
+    // Two async-fill views under a tight pin budget drive
+    // translateRange loops (packed probes + budget-forced unpin
+    // invalidates + miss installs), while a raw reader hammers lookup()
+    // through the seqlock path on the same sets. Run under
+    // UTLB_SANITIZE=thread to make this a race detector for the
+    // packed tag/cold write protocol.
+    utlb::NodeStack node({256, 4, true}, 8192, 4u << 20);
+    auto &[costs, timings, phys, pins, sram, cache, driver] = node;
+
+    UtlbConfig cfg;
+    cfg.concurrent = true;
+    cfg.asyncFills = true;
+    cfg.prefetchEntries = 8;
+    cfg.pin.memLimitPages = 96;
+    std::vector<utlb::NodeStack::Tenant> views;
+    views.push_back(node.attach(1, cfg));
+    views.push_back(node.attach(2, cfg));
+
+    auto work = [](UserUtlb &view, std::uint64_t seed) {
+        Rng rng(seed);
+        for (int it = 0; it < 200; ++it) {
+            Vpn start = rng.below(512);
+            std::size_t n = 1 + rng.below(32);
+            view.translateRange(start * utlb::mem::kPageSize,
+                                n * utlb::mem::kPageSize);
+        }
+    };
+    std::thread w1([&] { work(*views[0].utlb, 0x511); });
+    std::thread w2([&] { work(*views[1].utlb, 0x522); });
+    std::thread reader([&] {
+        SharedUtlbCache::Shard sh = cache.makeShard();
+        Rng rng(0x4ead51);
+        for (int it = 0; it < 60000; ++it) {
+            auto pid = static_cast<ProcId>(1 + rng.below(2));
+            cache.lookup(pid, rng.below(512), &sh);
+        }
+        cache.absorbShard(sh);
+    });
+    w1.join();
+    w2.join();
+    reader.join();
+
+    EXPECT_EQ(node.audit(views), "");
 }
 
 // ---------------------------------------------------------------------

@@ -719,6 +719,66 @@ TEST_F(SharedCacheTest, ClaimsSramBudget)
     EXPECT_EQ(sram.regionSize("utlb-cache"), 32u * 1024);
 }
 
+TEST_F(SharedCacheTest, LastSetOperationsStayInsideTheTagArray)
+{
+    // The packed tag array holds exactly entries words, so a probe
+    // that reads past the last set faults under AddressSanitizer.
+    // Every operation runs on the last set, at each associativity,
+    // under both lock policies.
+    for (unsigned assoc : {1u, 2u, 4u}) {
+        for (bool concurrent : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << assoc << "-way "
+                         << (concurrent ? "striped" : "unlocked"));
+            SharedUtlbCache c({16, assoc, false}, timings);
+            std::optional<SharedUtlbCache::Shard> shard;
+            if (concurrent) {
+                c.enableConcurrent();
+                shard.emplace(c.makeShard());
+            }
+            SharedUtlbCache::Shard *sh = shard ? &*shard : nullptr;
+            // Without offsetting, page last + w * sets lands in the
+            // last set for every w.
+            const Vpn last = c.sets() - 1;
+            auto page = [&](unsigned w) { return last + w * c.sets(); };
+
+            // Fill every way, then one more page evicts the LRU way.
+            for (unsigned w = 0; w <= assoc; ++w)
+                c.insert(1, page(w), 100 + w, InsertMode::Demand, sh);
+            EXPECT_FALSE(c.lookup(1, page(0), sh).hit);
+            EXPECT_FALSE(c.peek(1, page(0)).has_value());
+            for (unsigned w = 1; w <= assoc; ++w) {
+                CacheProbe p = c.lookup(1, page(w), sh);
+                EXPECT_TRUE(p.hit);
+                EXPECT_EQ(p.pfn, 100u + w);
+                EXPECT_EQ(c.peek(1, page(w)), 100u + w);
+            }
+            if (assoc == 1) {
+                // The run wraps from the last set to set 0 and stops.
+                Pfn pfns[2] = {};
+                EXPECT_EQ(c.lookupRun(1, page(1), 2, pfns, sh).hits, 1u);
+                EXPECT_EQ(pfns[0], 101u);
+            }
+
+            auto shed = c.shed(1, page(assoc));
+            ASSERT_TRUE(shed.has_value());
+            EXPECT_EQ(shed->pfn, 100u + assoc);
+            EXPECT_FALSE(c.insert(1, page(assoc), 200, InsertMode::Demand,
+                                  sh));
+            EXPECT_TRUE(c.invalidate(1, page(assoc), sh));
+            EXPECT_FALSE(c.invalidate(1, page(assoc), sh));
+            EXPECT_EQ(c.invalidateProcess(1), assoc - 1);
+            if (sh)
+                c.absorbShard(*sh);
+            EXPECT_EQ(c.evictions(), 1u);
+            EXPECT_EQ(c.validEntries(), 0u);
+            utlb::check::AuditReport report;
+            c.audit(report);
+            EXPECT_TRUE(report.ok()) << report.summary();
+        }
+    }
+}
+
 /** Parameterized sweep: invariants hold for all configs. */
 class CacheSweep
     : public ::testing::TestWithParam<std::tuple<int, int, bool>>

@@ -159,13 +159,6 @@ struct TestTamper {
         return top;
     }
 
-    /** Scribble on the SIMD overread padding after the last set. */
-    static void
-    scribblePadWord(core::SharedUtlbCache &c)
-    {
-        c.tagWords[c.config.entries] = 0xdeadbeefull;
-    }
-
     /** Leave set 0's seqlock version odd (unclosed write section). */
     static void
     wedgeSeqlock(core::SharedUtlbCache &c)
@@ -408,23 +401,6 @@ TEST(SharedCacheAudit, CatchesDesyncedTagWord)
     EXPECT_GE(after.countFor("shared-cache"), 1u);
 }
 
-TEST(SharedCacheAudit, CatchesScribbledSimdPadding)
-{
-    NicTimings timings;
-    SharedUtlbCache cache(CacheConfig{64, 2, true}, timings);
-    cache.insert(1, 5, 100);
-
-    check::AuditReport before;
-    cache.audit(before);
-    ASSERT_TRUE(before.ok());
-
-    check::TestTamper::scribblePadWord(cache);
-    check::AuditReport after;
-    cache.audit(after);
-    EXPECT_FALSE(after.ok());
-    EXPECT_GE(after.countFor("shared-cache"), 1u);
-}
-
 TEST(SharedCacheAudit, CatchesStaleStampOnDeadLine)
 {
     NicTimings timings;
@@ -467,9 +443,7 @@ TEST(SharedCacheAudit, DirectMappedCacheKeepsNoRecencyStamps)
 {
     // A direct-mapped set never picks a victim, so neither lock
     // policy may write a recency stamp on any path: fills, demand
-    // and prefetch refreshes, conflict evictions, hits, runs and
-    // L0 ref re-hits.
-    using utlb::core::CacheProbe;
+    // and prefetch refreshes, conflict evictions, hits and runs.
     using utlb::core::InsertMode;
     for (bool concurrent : {false, true}) {
         SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
@@ -488,11 +462,7 @@ TEST(SharedCacheAudit, DirectMappedCacheKeepsNoRecencyStamps)
         cache.insert(1, 64 + 9, 400, InsertMode::Demand, sh);
         EXPECT_TRUE(cache.lookup(1, 3, sh).hit);
         std::vector<utlb::mem::Pfn> pfns(8);
-        SharedUtlbCache::LineRef ref;
-        EXPECT_EQ(cache.lookupRun(1, 0, 8, pfns.data(), &ref, sh).hits,
-                  8u);
-        CacheProbe p;
-        EXPECT_TRUE(cache.hitViaRef(ref, 1, 0, p, sh));
+        EXPECT_EQ(cache.lookupRun(1, 0, 8, pfns.data(), sh).hits, 8u);
         if (sh)
             cache.absorbShard(*sh);
 
