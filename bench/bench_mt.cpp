@@ -23,23 +23,17 @@
  *   mt_warm_assoc4   the warm disjoint sweep at 4-way associativity:
  *                    page-at-a-time lookup() through the per-set
  *                    seqlock way search;
- *   mt_miss_overlap  capacity-miss streams with asynchronous fills:
- *                    misses post modeled outstanding fills and the
- *                    walk keeps serving the window while their DMAs
- *                    run on the modeled fill engines. Timed with
- *                    fills on and off; async_speedup is the wall-clock
- *                    ratio, modeled_us_per_page the modeled overlap;
+ *   mt_miss_overlap  capacity-miss streams, one vpn range per
+ *                    worker: every window is a run of misses, each
+ *                    served in place by a prefetch-8 DMA refill;
  *   mt_zipf_mix      Zipf(1.1) window choice over a working set
  *                    larger than the cache: hot all-hit windows mixed
- *                    with a cold miss tail, fills overlapping hits.
+ *                    with a cold miss tail.
  *
  * Before timing anything, a fixed-iteration golden check replays an
  * identical workload through a sequential-mode and a concurrent-mode
  * single-worker stack and dies unless every per-call field and the
- * full stats tree match bit-for-bit. Async scenarios additionally
- * gate on mtAsyncReplay: asynchronous fills may reorder miss service
- * but must return identical translations, and the replay's modeled
- * cost per page must repeat exactly on fresh stacks.
+ * full stats tree match bit-for-bit.
  *
  * UTLB_MT_MS bounds the per-cell budget (default 300 ms);
  * UTLB_MT_THREADS caps the sweep (default 4). BENCH_mt.json records
@@ -112,21 +106,18 @@ hostCores()
 constexpr int kBaseRuns = 3;
 
 /**
- * Time @p sc on @p t workers over a fresh stack, kept in @p stack
- * for its counters. At one worker, the best of kBaseRuns stacks.
+ * Time @p sc on @p t workers over a fresh stack. At one worker, the
+ * best of kBaseRuns stacks.
  */
 MtCell
-timeCell(const MtScenario &sc, unsigned t, double ms, bool async,
-         std::unique_ptr<MtStack> &stack)
+timeCell(const MtScenario &sc, unsigned t, double ms)
 {
     MtCell best;
     for (int run = 0; run < (t == 1 ? kBaseRuns : 1); ++run) {
-        auto s = std::make_unique<MtStack>(sc, t, true, async);
-        MtCell cell = runMtCell(sc, *s, t, ms);
-        if (run == 0 || cell.pagesPerSec() > best.pagesPerSec()) {
+        auto stack = std::make_unique<MtStack>(sc, t, true);
+        MtCell cell = runMtCell(sc, *stack, t, ms);
+        if (run == 0 || cell.pagesPerSec() > best.pagesPerSec())
             best = cell;
-            stack = std::move(s);
-        }
     }
     return best;
 }
@@ -139,9 +130,8 @@ timeCell(const MtScenario &sc, unsigned t, double ms, bool async,
  */
 void
 emitCell(bench::JsonReporter &json, sim::TextTable &table,
-         const std::string &scenario, const char *mode, unsigned t,
-         const MtCell &cell, double base, unsigned cores,
-         const std::vector<std::pair<const char *, double>> &extra = {})
+         const std::string &scenario, unsigned t,
+         const MtCell &cell, double base, unsigned cores)
 {
     bool oversub = t > cores;
     double pps = cell.pagesPerSec();
@@ -167,10 +157,8 @@ emitCell(bench::JsonReporter &json, sim::TextTable &table,
         {"driver_lock_parks_per_page", cell.perPage(cell.driverParks)}};
     if (!oversub && base > 0)
         metrics.emplace_back("scaling_efficiency", eff);
-    for (const auto &m : extra)
-        metrics.push_back(m);
     json.add({{"scenario", scenario},
-              {"mode", mode},
+              {"mode", "mt"},
               {"threads", std::to_string(t)}},
              metrics);
 }
@@ -183,9 +171,9 @@ main()
     const MtScenario scenarios[] = {bench::kMtWarm,
                                     bench::kMtMissPrefetch,
                                     bench::kMtPinChurn,
-                                    bench::kMtWarmAssoc4};
-    const MtScenario asyncScenarios[] = {bench::kMtMissOverlap,
-                                         bench::kMtZipfMix};
+                                    bench::kMtWarmAssoc4,
+                                    bench::kMtMissOverlap,
+                                    bench::kMtZipfMix};
     double ms = budgetMs();
     unsigned nmax = maxThreads();
     unsigned cores = hostCores();
@@ -211,74 +199,10 @@ main()
 
         double base = 0.0;
         for (unsigned t = 1; t <= nmax; t *= 2) {
-            std::unique_ptr<MtStack> stack;
-            MtCell cell = timeCell(sc, t, ms, false, stack);
+            MtCell cell = timeCell(sc, t, ms);
             if (t == 1)
                 base = cell.pagesPerSec();
-            emitCell(json, table, sc.name, "mt", t, cell, base, cores);
-        }
-    }
-
-    for (const MtScenario &sc : asyncScenarios) {
-        // Gate 1: threads=1 concurrent (fills off) is still
-        // bit-identical to sequential for this workload shape.
-        MtScenario syncShape = sc;
-        syncShape.asyncFill = false;
-        std::string divergence = bench::mtGoldenDivergence(syncShape);
-        if (!divergence.empty())
-            sim::fatal("%s", divergence.c_str());
-        json.add({{"scenario", sc.name}, {"mode", "golden"}},
-                 {{"golden_equivalence", 1.0}});
-
-        // Gate 2: fills change miss timing, never translations, and
-        // the async modeled cost is a pure function of the window
-        // sequence (it repeats exactly on fresh stacks).
-        bench::MtAsyncReplay replay = bench::mtAsyncReplay(sc);
-        if (!replay.divergence.empty())
-            sim::fatal("%s", replay.divergence.c_str());
-        bench::MtAsyncReplay repeat = bench::mtAsyncReplay(sc);
-        if (repeat.modeledUsPerPage != replay.modeledUsPerPage)
-            sim::fatal("%s: async modeled us/page did not repeat "
-                       "(%.17g vs %.17g)",
-                       sc.name, replay.modeledUsPerPage,
-                       repeat.modeledUsPerPage);
-        json.add({{"scenario", sc.name}, {"mode", "async_golden"}},
-                 {{"async_consistency", 1.0},
-                  {"modeled_us_per_page", replay.modeledUsPerPage},
-                  {"modeled_us_per_page_repeat",
-                   repeat.modeledUsPerPage}});
-
-        // Scaling efficiency is measured within each mode (sync
-        // cells against the sync 1-thread rate, async against async):
-        // the cross-mode comparison is async_speedup.
-        double baseSync = 0.0;
-        double baseAsync = 0.0;
-        for (unsigned t = 1; t <= nmax; t *= 2) {
-            // Serialized baseline: same shape, every miss serviced
-            // in place by the walk.
-            std::unique_ptr<MtStack> syncStack;
-            MtCell syncCell = timeCell(syncShape, t, ms, false, syncStack);
-            if (t == 1)
-                baseSync = syncCell.pagesPerSec();
-            emitCell(json, table, std::string(sc.name) + "(sync)",
-                     "mt_sync", t, syncCell, baseSync, cores);
-
-            std::unique_ptr<MtStack> stack;
-            MtCell cell = timeCell(sc, t, ms, true, stack);
-            if (t == 1)
-                baseAsync = cell.pagesPerSec();
-            double speedup = syncCell.pagesPerSec() > 0
-                ? cell.pagesPerSec() / syncCell.pagesPerSec()
-                : 0.0;
-            double hiddenUs = sim::ticksToUs(static_cast<sim::Tick>(
-                stack->viewCounter("async_hidden_ticks")));
-            emitCell(json, table, sc.name, "mt", t, cell, baseAsync,
-                     cores,
-                     {{"async_speedup", speedup},
-                      {"hidden_modeled_us", hiddenUs},
-                      {"async_fills",
-                       static_cast<double>(
-                           stack->viewCounter("async_fills"))}});
+            emitCell(json, table, sc.name, t, cell, base, cores);
         }
     }
 

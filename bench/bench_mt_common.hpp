@@ -64,7 +64,6 @@ struct MtScenario {
     bool sharedRange;            //!< all workers sweep the same vpns
     unsigned assoc = 1;          //!< cache ways (1 = direct-mapped)
     std::size_t memLimitPages = 0;  //!< per-process pin cap (0 = off)
-    bool asyncFill = false;      //!< UtlbConfig::asyncFills views
     double zipfAlpha = 0.0;      //!< >0: Zipf(alpha) window choice
 };
 
@@ -94,24 +93,20 @@ inline constexpr MtScenario kMtWarmAssoc4{"mt_warm_assoc4", 512, 64,
                                           8192, 1, false, 4};
 
 /**
- * Miss-overlap cell: each worker streams 8x the cache's capacity, so
- * every window is a stretch of capacity misses. With asyncFill the
- * misses post modeled outstanding fills and the walk keeps serving
- * the window while their DMAs run on the modeled fill engines — the
- * outstanding-DMA overlap. Run with asyncFill both on and off to
- * measure the modeled overlap win.
+ * Capacity-miss stream: each worker streams 8x the cache's capacity
+ * over its own vpn range, so every window is a stretch of capacity
+ * misses served one at a time, each a prefetch-8 DMA refill.
  */
 inline constexpr MtScenario kMtMissOverlap{"mt_miss_overlap", 8192, 64,
-                                           1024, 8, false, 1, 0, true};
+                                           1024, 8, false};
 
 /**
  * Miss-heavy Zipf mix: workers pick windows Zipf(1.1)-distributed
  * over a working set larger than the cache, mixing hot always-hit
- * windows with a long cold-miss tail — hits keep flowing while the
- * tail's fills are in flight.
+ * windows with a long cold-miss tail.
  */
 inline constexpr MtScenario kMtZipfMix{"mt_zipf_mix", 4096, 64, 1024,
-                                       8, false, 1, 0, true, 1.1};
+                                       8, false, 1, 0, 1.1};
 
 /** One NIC, N worker processes, each with a concurrent UserUtlb. */
 struct MtStack {
@@ -125,8 +120,7 @@ struct MtStack {
     std::vector<std::unique_ptr<mem::AddressSpace>> spaces;
     std::vector<std::unique_ptr<core::UserUtlb>> views;
 
-    MtStack(const MtScenario &sc, unsigned nworkers, bool concurrent,
-            bool async = false)
+    MtStack(const MtScenario &sc, unsigned nworkers, bool concurrent)
         : phys(sc.perWorkerPages * nworkers + 2048),
           sram(4u << 20),
           costs(core::HostProfile::PentiumIINT),
@@ -145,26 +139,10 @@ struct MtStack {
             core::UtlbConfig ucfg;
             ucfg.prefetchEntries = sc.prefetch;
             ucfg.concurrent = concurrent;
-            ucfg.asyncFills = async;
             ucfg.pin.memLimitPages = sc.memLimitPages;
             views.push_back(std::make_unique<core::UserUtlb>(
                 driver, cache, timings, pid, ucfg));
         }
-    }
-
-    /** Sum of a counter over every view's stats subtree. */
-    std::uint64_t
-    viewCounter(const char *name) const
-    {
-        std::uint64_t sum = 0;
-        for (const auto &v : views) {
-            const auto *stat = v->stats().find(name);
-            if (!stat)
-                utlb::sim::fatal("no view stat named %s", name);
-            sum += static_cast<const utlb::sim::Counter *>(stat)
-                       ->value();
-        }
-        return sum;
     }
 
     /** The vpn a worker's buffer starts at. */
@@ -271,69 +249,6 @@ mtGoldenDivergence(const MtScenario &sc)
         return std::string(sc.name)
             + ": concurrent-mode stats tree diverged from sequential";
     return "";
-}
-
-/** Outcome of mtAsyncReplay: a divergence, or the async cost. */
-struct MtAsyncReplay {
-    std::string divergence;        //!< "" when results matched
-    double modeledUsPerPage = 0.0; //!< async stack, second pass
-};
-
-/**
- * Async-fill consistency: asynchronous fills must change *when* a
- * miss is serviced, never *what* a translation returns. Replays the
- * same (possibly Zipf-shuffled) window sequence through a synchronous
- * and an async-fill concurrent stack and compares every call's
- * results. Modeled costs legitimately differ (the fill engines hide
- * DMA time), so — unlike mtGoldenDivergence — only ok and the
- * translated addresses are compared. The async stack's modeled cost
- * per page over the second (steady-state) pass is reported
- * alongside: posted fills are serviced by the walking thread, so it
- * is a pure function of the sequence and repeats exactly run to run.
- */
-inline MtAsyncReplay
-mtAsyncReplay(const MtScenario &sc)
-{
-    MtStack sync(sc, 1, true, false);
-    MtStack async(sc, 1, true, true);
-    std::size_t nbytes = sc.windowPages * mem::kPageSize;
-    std::size_t nwindows = sc.perWorkerPages / sc.windowPages;
-
-    std::vector<std::size_t> order;
-    order.reserve(2 * nwindows);
-    for (std::size_t w = 0; w < 2 * nwindows; ++w)
-        order.push_back(w % nwindows);
-    if (sc.zipfAlpha > 0) {
-        // Keep the first full pass linear (pins every page), then
-        // replay the Zipf mix both stacks will see.
-        ZipfPicker zipf(nwindows, sc.zipfAlpha, 0x5eedull);
-        for (std::size_t w = nwindows; w < 2 * nwindows; ++w)
-            order[w] = zipf.next();
-    }
-
-    MtAsyncReplay out;
-    std::uint64_t pages = 0;
-    utlb::sim::Tick modeled = 0;
-    for (std::size_t w = 0; w < order.size(); ++w) {
-        mem::VirtAddr va =
-            (order[w] * sc.windowPages) * mem::kPageSize;
-        core::Translation a = sync.views[0]->translateRange(va, nbytes);
-        core::Translation b =
-            async.views[0]->translateRange(va, nbytes);
-        if (a.ok != b.ok || a.pageAddrs != b.pageAddrs) {
-            out.divergence = std::string(sc.name)
-                + ": async fill changed translation results at window "
-                + std::to_string(w);
-            return out;
-        }
-        if (w >= nwindows) {
-            modeled += b.hostCost + b.nicCost;
-            pages += b.pageAddrs.size();
-        }
-    }
-    out.modeledUsPerPage =
-        utlb::sim::ticksToUs(modeled) / static_cast<double>(pages);
-    return out;
 }
 
 /**

@@ -13,9 +13,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A want=(
-    [sweep_cold]=7cd6eda84859753c
-    [replay_warm]=59b87129e323327c
-    [vmmc_stores]=e6e9cb79f2ba20d7
+    [sweep_cold]=eded8f4229918aa5
+    [replay_warm]=24e5d6335dfc67bc
+    [vmmc_stores]=e0c97f3f1c137f1a
 )
 
 status=0

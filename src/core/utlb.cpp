@@ -111,18 +111,10 @@ UserUtlb::UserUtlb(UtlbDriver &drv, SharedUtlbCache &cache,
     if (cfg.prefetchEntries == 0)
         sim::fatal("prefetchEntries must be >= 1");
     statsGrp.adopt(pinMgr.stats());
-    if (cfg.asyncFills && !cfg.concurrent)
-        sim::fatal("asyncFills requires concurrent mode "
-                   "(UtlbConfig::concurrent)");
     if (cfg.concurrent) {
         nicCache->enableConcurrent();
         pinMgr.enableConcurrent(&driverShard.emplace(drv.makeShard()));
         shard = &shardStore.emplace(nicCache->makeShard());
-    }
-    if (cfg.asyncFills) {
-        asyncPending.reserve(kMaxOutstandingFills);
-        asyncWaiters.reserve(kMaxOutstandingFills);
-        engineReadyAt.assign(kMaxOutstandingFills, 0);
     }
 }
 
@@ -189,24 +181,6 @@ UserUtlb::nicTranslateImpl(Vpn vpn)
     return out;
 }
 
-void
-UserUtlb::syncServicePage(Vpn vpn, sim::Tick probeCost, mem::Pfn &slot,
-                          Translation &tr)
-{
-    MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
-                                 *timings, procId, vpn,
-                                 cfg.prefetchEntries, runBuf, repairBuf,
-                                 shard, nullptr);
-    if (mo.fault) {
-        ++statFaults;
-        ++tr.faults;
-    }
-    statPrefetchInstalls += mo.prefetchInstalls;
-    tr.nicCost += mo.cost;
-    statTranslateLatency.sample(sim::ticksToUs(probeCost + mo.cost));
-    slot = mo.pfn;
-}
-
 namespace {
 
 /** Copy an EnsureResult's accounting into a Translation. */
@@ -260,22 +234,6 @@ UserUtlb::nicPageByPage(Vpn start, std::size_t npages, Translation &tr)
     }
 }
 
-RunHits
-UserUtlb::serveRun(Vpn start, std::size_t i, std::size_t npages,
-                   mem::Pfn *slots, Translation &tr)
-{
-    RunHits run = nicCache->lookupRun(procId, start + i, npages - i,
-                                      slots + i, shard);
-    if (run.hits > 0) {
-        // Every hit in the run has the same modeled latency;
-        // sampleN folds them without perturbing the histogram.
-        statTranslateLatency.sampleN(sim::ticksToUs(run.perHitCost),
-                                     run.hits);
-        tr.nicCost += run.cost;
-    }
-    return run;
-}
-
 Translation
 UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
 {
@@ -303,17 +261,17 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
     // place, then convert to frame addresses in one pass at the end.
     mem::Pfn *slots = tr.pageAddrs.data();
 
-    if (cfg.asyncFills) {
-        nicRangeAsync(start, npages, slots, tr);
-        for (std::size_t p = 0; p < npages; ++p)
-            slots[p] = mem::frameAddr(slots[p]);
-        return tr;
-    }
-
     std::size_t i = 0;
     while (i < npages) {
-        if (std::size_t hits = serveRun(start, i, npages, slots, tr).hits) {
-            i += hits;
+        RunHits run = nicCache->lookupRun(procId, start + i, npages - i,
+                                          slots + i, shard);
+        if (run.hits > 0) {
+            // Every hit in the run has the same modeled latency;
+            // sampleN folds them without perturbing the histogram.
+            statTranslateLatency.sampleN(sim::ticksToUs(run.perHitCost),
+                                         run.hits);
+            tr.nicCost += run.cost;
+            i += run.hits;
             continue;
         }
         // First page of the window misses: take the one-page miss
@@ -333,162 +291,6 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
     for (std::size_t p = 0; p < npages; ++p)
         slots[p] = mem::frameAddr(slots[p]);
     return tr;
-}
-
-void
-UserUtlb::nicRangeAsync(Vpn start, std::size_t npages, mem::Pfn *slots,
-                        Translation &tr)
-{
-    asyncPending.clear();
-    asyncWaiters.clear();
-
-    // Modeled overlap accounting. tNow is the view's modeled clock
-    // (ticks of NIC service it has consumed), persistent across
-    // windows. A posted fill starts its DMA at post time on its
-    // slot's modeled engine and runs concurrently with the walk's
-    // subsequent hit service, completing at postTick + cost. Nothing
-    // is charged at the window edge: a fill still in flight then
-    // costs only whichever later post needs its engine before
-    // engineReadyAt.
-    sim::Tick tNow = asyncClock;
-
-    // Engines already claimed by this window's posted fills.
-    std::uint32_t engineUsed = 0;
-
-    std::size_t i = 0;
-    while (i < npages) {
-        RunHits run = serveRun(start, i, npages, slots, tr);
-        if (run.hits > 0) {
-            tNow += run.cost;
-            i += run.hits;
-            continue;
-        }
-        // First page of the window misses. Probe it individually,
-        // recording hit-or-miss in the shard like the synchronous
-        // walk's nicTranslate would.
-        Vpn vpn = start + i;
-        CacheProbe probe = nicCache->lookup(procId, vpn, shard);
-        tr.nicCost += probe.cost;
-        tNow += probe.cost;
-        if (probe.hit) {
-            statTranslateLatency.sample(sim::ticksToUs(probe.cost));
-            slots[i] = probe.pfn;
-            ++i;
-            continue;
-        }
-        ++statMisses;
-        ++tr.niMisses;
-        tr.missPages.push_back(static_cast<std::uint32_t>(i));
-
-        // If a posted fill's prefetch width already covers this page,
-        // don't duplicate the DMA — re-probe after that fill lands.
-        bool covered = false;
-        for (const PendingFill &p : asyncPending) {
-            if (vpn >= p.vpn && vpn < p.vpn + p.width) {
-                covered = true;
-                break;
-            }
-        }
-        if (covered) {
-            ++statAsyncCoalesced;
-            asyncWaiters.push_back(static_cast<std::uint32_t>(i));
-            ++i;
-            continue;
-        }
-
-        // Post a fill and keep walking: later pages of the buffer are
-        // served (hits and all) while this one's DMA is outstanding.
-        if (asyncPending.size() < kMaxOutstandingFills) {
-            // Take the free modeled engine that is ready soonest
-            // (lowest index breaks ties), so a window never stalls on
-            // a busy engine while an idle one exists.
-            std::size_t slot = 0;
-            bool found = false;
-            for (std::size_t e = 0; e < kMaxOutstandingFills; ++e) {
-                if (engineUsed & (1u << e))
-                    continue;
-                if (!found || engineReadyAt[e] < engineReadyAt[slot]) {
-                    slot = e;
-                    found = true;
-                }
-            }
-            ++statAsyncFills;
-            engineUsed |= 1u << slot;
-            if (engineReadyAt[slot] > tNow) {
-                // The engine is still finishing an earlier window's
-                // DMA: the carried residual is charged here, to the
-                // post that actually had to wait.
-                sim::Tick stall = engineReadyAt[slot] - tNow;
-                tr.nicCost += stall;
-                tNow += stall;
-            }
-            asyncPending.push_back(
-                {static_cast<std::uint32_t>(i), vpn,
-                 cfg.prefetchEntries, static_cast<std::uint32_t>(slot),
-                 probe.cost, tNow});
-            ++i;
-            continue;
-        }
-        // Outstanding window exhausted: the bounded-DMA model says
-        // service this one in place, fully on the view's clock.
-        ++statAsyncFallbacks;
-        sim::Tick before = tr.nicCost;
-        syncServicePage(vpn, probe.cost, slots[i], tr);
-        tNow += tr.nicCost - before;
-        ++i;
-    }
-
-    // Service the posted fills, in post order. Each fill slot is its
-    // own modeled DMA engine — the bounded-window model of the
-    // paper's firmware posting a translation-miss DMA per miss — so
-    // fill k completes at postTick + cost, independent of its
-    // siblings, and the time it overlapped the walk is hidden.
-    for (const PendingFill &p : asyncPending) {
-        MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
-                                     *timings, procId, p.vpn, p.width,
-                                     runBuf, repairBuf, shard, nullptr);
-        if (mo.fault) {
-            ++statFaults;
-            ++tr.faults;
-        }
-        statPrefetchInstalls += mo.prefetchInstalls;
-        sim::Tick done = p.postTick + mo.cost;
-        sim::Tick hidden = tNow - p.postTick;
-        statAsyncHiddenTicks += static_cast<std::uint64_t>(
-            hidden < mo.cost ? hidden : mo.cost);
-        engineReadyAt[p.slot] = done;
-        if (done > tNow)
-            ++statAsyncCarried;
-        statTranslateLatency.sample(sim::ticksToUs(p.probeCost));
-        slots[p.page] = mo.pfn;
-    }
-
-    // Pages that waited on a neighbour's fill re-probe now that the
-    // covering fill has landed. The scan probe already paid the full
-    // cache reference and computed the set index; the recheck
-    // re-reads that set only, so it is modeled as one way probe, not
-    // a second full lookup.
-    for (std::uint32_t page : asyncWaiters) {
-        Vpn vpn = start + page;
-        CacheProbe probe = nicCache->lookup(procId, vpn, shard);
-        sim::Tick recheck = timings->perWayProbeCost;
-        tr.nicCost += recheck;
-        tNow += recheck;
-        if (probe.hit) {
-            statTranslateLatency.sample(sim::ticksToUs(recheck));
-            slots[page] = probe.pfn;
-            continue;
-        }
-        // The covering fill's run had an invalid entry for this page
-        // (or a later fill evicted it already): service it here.
-        sim::Tick before = tr.nicCost;
-        syncServicePage(vpn, recheck, slots[page], tr);
-        tNow += tr.nicCost - before;
-    }
-
-    // Persist the view's modeled clock so the next window's posts
-    // compare against the engines' busy-until times on one timeline.
-    asyncClock = tNow;
 }
 
 } // namespace utlb::core

@@ -67,29 +67,14 @@ struct UtlbConfig {
      * policy — concurrency changes wall-clock behaviour only.
      */
     bool concurrent = false;
-
-    /**
-     * Service translateRange() misses out of order (concurrent mode
-     * only; fatal otherwise): each miss posts a modeled outstanding
-     * fill and the walk keeps serving later pages of the window. The
-     * posted fills are serviced, in post order, when the walk ends.
-     * Each of the view's eight fill slots is a modeled DMA engine
-     * whose busy-until time persists across windows, so only the
-     * stall of a post that finds its engine still busy is charged to
-     * nicCost — the paper's firmware keeping translation-miss DMAs
-     * outstanding while it accepts more work (docs/performance.md).
-     * Translation results are identical to the synchronous path;
-     * modeled costs differ by design.
-     */
-    bool asyncFills = false;
 };
 
 /**
  * Outcome of servicing one NIC-cache miss: the host-table fetch,
- * the optional fault-repair ioctl, and the cache installs. Shared
- * between the per-page miss path (UserUtlb::nicTranslate) and the
- * posted fills of UtlbConfig::asyncFills, so both charge the same
- * modeled costs and count the same statistics.
+ * the optional fault-repair ioctl, and the cache installs. Every
+ * walk of UserUtlb serves its misses one at a time through
+ * serviceMiss (from UserUtlb::nicTranslate), as the paper's firmware
+ * does (§4.2); it is public so tests can drive one miss directly.
  */
 struct MissOutcome {
     mem::Pfn pfn = mem::kInvalidPfn;
@@ -239,25 +224,6 @@ class UserUtlb
     void nicPageByPage(mem::Vpn start, std::size_t npages,
                        Translation &tr);
 
-    /** Batched walks: one lookupRun from page @p i, charging @p tr
-     *  for the hit prefix (zero hits: page i missed). */
-    RunHits serveRun(mem::Vpn start, std::size_t i, std::size_t npages,
-                     mem::Pfn *slots, Translation &tr);
-
-    /**
-     * The asynchronous NIC half of translateRange() (asyncFills):
-     * batched lookups with misses posted as outstanding fills; the
-     * posted fills are serviced (demand pages first, then pages
-     * covered by a neighbour's fill) before returning. @p slots
-     * receives pfns, converted to frame addresses by the caller.
-     */
-    void nicRangeAsync(mem::Vpn start, std::size_t npages,
-                       mem::Pfn *slots, Translation &tr);
-
-    /** Service one missing page synchronously (shared tail). */
-    void syncServicePage(mem::Vpn vpn, sim::Tick probeCost,
-                         mem::Pfn &slot, Translation &tr);
-
     UtlbDriver *driver;
     SharedUtlbCache *nicCache;
     const nic::NicTimings *timings;
@@ -278,39 +244,6 @@ class UserUtlb
 
     /** Scratch for the fault path's 1-wide repair re-fetch. */
     std::vector<std::optional<mem::Pfn>> repairBuf;
-
-    /**
-     * Outstanding fills this view may have in flight at once — the
-     * model's bounded outstanding-DMA window. Misses beyond it are
-     * serviced synchronously.
-     */
-    static constexpr std::size_t kMaxOutstandingFills = 8;
-
-    /** One posted fill of the current window. */
-    struct PendingFill {
-        std::uint32_t page;  //!< page index within the buffer
-        mem::Vpn vpn;        //!< first entry of the fetch
-        std::size_t width;   //!< entries the fetch covers
-        std::uint32_t slot;  //!< modeled DMA engine
-        sim::Tick probeCost; //!< the missing probe's modeled cost
-        sim::Tick postTick;  //!< modeled post time (view clock)
-    };
-
-    /** Posted fills of the current window, in post order. */
-    std::vector<PendingFill> asyncPending;
-
-    /** Pages covered by a posted neighbour fill (re-probed). */
-    std::vector<std::uint32_t> asyncWaiters;
-
-    /**
-     * Cross-window modeled state: the view's persistent modeled
-     * clock, and per fill slot the modeled time its DMA engine frees
-     * up. engineReadyAt[k] > asyncClock means slot k's last fill is
-     * still in flight at the model level; the residual is charged to
-     * whichever later post next needs that engine.
-     */
-    sim::Tick asyncClock = 0;
-    std::vector<sim::Tick> engineReadyAt;
 
     /**
      * Per-worker shared-cache context (concurrent mode only) and the
@@ -336,27 +269,6 @@ class UserUtlb
     sim::Counter statPrefetchInstalls{&statsGrp, "prefetch_installs",
                                       "speculative neighbour entries "
                                       "installed alongside misses"};
-    sim::Counter statAsyncFills{&statsGrp, "async_fills",
-                                "misses serviced through the fill "
-                                "pipeline"};
-    sim::Counter statAsyncCoalesced{&statsGrp, "async_coalesced",
-                                    "missing pages covered by an "
-                                    "already in-flight fill"};
-    sim::Counter statAsyncFallbacks{&statsGrp, "async_sync_fallbacks",
-                                    "misses serviced synchronously "
-                                    "because the fill queue was full, "
-                                    "stopped, or the outstanding "
-                                    "window was exhausted"};
-    sim::Counter statAsyncCarried{&statsGrp, "async_carried_fills",
-                                  "fills whose modeled DMA was still "
-                                  "in flight when their window ended "
-                                  "(residual cost carried into a "
-                                  "later window)"};
-    sim::Counter statAsyncHiddenTicks{&statsGrp, "async_hidden_ticks",
-                                      "modeled miss-service ticks "
-                                      "hidden behind concurrent hit "
-                                      "service (DMA time off the "
-                                      "window's critical path)"};
     sim::Histogram statTranslateLatency{
         &statsGrp, "translate_latency_us",
         "modeled per-page NIC translation latency", 50.0, 50};

@@ -6,9 +6,8 @@
  * tenant fleet, the MT bench cells, tests) all share one seed
  * contract: the same (n, alpha, seed) triple always yields the same
  * rank sequence, bit-for-bit, across platforms. Draws come from the
- * project's Xorshift64* Rng (sim/random.hpp), so paired runs (async
- * consistency, ablation pairs, repeated bench cells) replay
- * identical workloads.
+ * project's Xorshift64* Rng (sim/random.hpp), so paired runs
+ * (ablation pairs, repeated bench cells) replay identical workloads.
  *
  * Portability note: the inverse-CDF table is built from rank weights
  * 1/rank^alpha. For *integral* alpha (0, 1, 2, ...) the power is

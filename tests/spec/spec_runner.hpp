@@ -123,7 +123,6 @@ struct Config {
     Walk walk = Walk::PerPage;
     bool striped = false;  //!< UtlbConfig::concurrent, one thread
     bool traced = false;   //!< a sim::Tracer attached to every view
-    bool async = false;    //!< UtlbConfig::asyncFills
 };
 
 inline const Config kReference{"per-page/unlocked", Walk::PerPage};
@@ -141,7 +140,6 @@ matrix()
         {"batched/striped", Walk::Batched, true},
         {"mixed/unlocked", Walk::Mixed},
         {"batched/unlocked+tracer", Walk::Batched, false, true},
-        {"batched/striped+async", Walk::Batched, true, false, true},
     };
 }
 
@@ -186,7 +184,6 @@ struct Stack : NodeStack {
         view.prefetchEntries = c.prefetch;
         view.pin = {c.memLimit, c.prepin, c.policy, c.seed};
         view.concurrent = cfg.striped;
-        view.asyncFills = cfg.async;
     }
 
     core::Translation
@@ -308,12 +305,11 @@ using Hook = std::function<void(std::size_t, Stack &)>;
 
 /**
  * Replay @p ops through @p cfg on a fresh stack. Under LRU and MRU
- * each call is held to the oracle, else to @p ref's outcome; the
- * async configuration on results and the host half only (its NIC
- * costs differ by design), as is every call when @p refWhole is
- * false. The final stats tree is held to @p ref's (not for async or
- * when @p refWhole is false), the cache, driver and each tenant's
- * pin manager to their auditors.
+ * each call is held to the oracle; each call is also held to @p ref's
+ * outcome, on results and the host half only when @p refWhole is
+ * false. The final stats tree is held to @p ref's (not when
+ * @p refWhole is false), the cache, driver and each tenant's pin
+ * manager to their auditors.
  */
 inline Run
 replay(const Case &c, bool offsetting, const Config &cfg,
@@ -352,7 +348,6 @@ replay(const Case &c, bool offsetting, const Config &cfg,
             return lockOf(op) != held.end();
         return op.kind != Op::Release || lockOf(op) == held.end();
     };
-    const bool nic = refWhole && !cfg.async;
 
     Run run;
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -372,10 +367,11 @@ replay(const Case &c, bool offsetting, const Config &cfg,
                 std::erase_if(held,
                               [&](const Op &l) { return l.pid == op.pid; });
         }
-        std::string d = oracle ? diff(want, got, !cfg.async) : "";
+        std::string d = oracle ? diff(want, got) : "";
         if (!d.empty())
             d += " (oracle)";
-        else if (ref && !(d = diff(ref->outcomes[i], got, nic)).empty())
+        else if (ref
+                 && !(d = diff(ref->outcomes[i], got, refWhole)).empty())
             d += " (reference)";
         if (!d.empty()) {
             std::ostringstream os;
@@ -395,9 +391,9 @@ replay(const Case &c, bool offsetting, const Config &cfg,
         t.utlb->pinManager().audit(audit);
     if (!audit.ok())
         run.mismatch = "audit: " + audit.summary();
-    else if (oracle && !cfg.async)
+    else if (oracle)
         run.mismatch = diffCounts(oracle->counts(), st.cache);
-    if (run.mismatch.empty() && ref && nic && run.stats != ref->stats)
+    if (run.mismatch.empty() && ref && refWhole && run.stats != ref->stats)
         run.mismatch = "final stats tree differs from the reference's";
     return run;
 }

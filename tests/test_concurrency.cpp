@@ -331,6 +331,42 @@ TEST(ConcurrentStack, ParallelProcessesTranslateCoherently)
     }
 }
 
+TEST(ConcurrentStack, BatchedMissesVsPinChurnAuditsClean)
+{
+    // Two workers (own pids, own pin managers under a tight pin
+    // budget) drive translateRange loops over a direct-mapped cache,
+    // so each runs the batched walk: one worker's lookupRun probes
+    // and miss installs race the other's budget-forced unpins'
+    // stripe invalidates, and each pid's ioctls run under its own
+    // driver session lock. Run under UTLB_SANITIZE=thread to make
+    // this a race detector.
+    utlb::NodeStack node({512, 1, true}, 16384, 4u << 20);
+    UtlbConfig ucfg;
+    ucfg.concurrent = true;
+    ucfg.prefetchEntries = 8;
+    ucfg.pin.memLimitPages = 96;
+    std::vector<utlb::NodeStack::Tenant> views;
+    views.push_back(node.attach(1, ucfg));
+    views.push_back(node.attach(2, ucfg));
+
+    auto work = [](UserUtlb &view, std::uint64_t seed) {
+        Rng rng(seed);
+        for (int it = 0; it < 200; ++it) {
+            Vpn start = rng.below(512);
+            std::size_t n = 1 + rng.below(32);
+            view.translateRange(start * utlb::mem::kPageSize,
+                                n * utlb::mem::kPageSize);
+        }
+    };
+    std::thread w1([&] { work(*views[0].utlb, 0x111); });
+    std::thread w2([&] { work(*views[1].utlb, 0x222); });
+    w1.join();
+    w2.join();
+
+    // The cache, the driver and both pin managers.
+    EXPECT_EQ(node.audit(views), "");
+}
+
 // ---------------------------------------------------------------------
 // Driver sessions: one process' evict-then-pin under its own session
 // lock, independent of other processes' sessions and of tenant churn

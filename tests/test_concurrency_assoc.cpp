@@ -1,7 +1,7 @@
 /**
  * @file
  * Associative concurrent mode: multiset equivalence, seqlock
- * torture, and a packed-probe stress run.
+ * torture, and a probe-vs-pin-churn stress run.
  *
  * The executable spec (test_spec.cpp) holds one concurrent worker at
  * assoc ∈ {2, 4} to the oracle; this file covers what the per-set
@@ -16,8 +16,8 @@
  *     line (a pfn that does not belong to the tag they matched),
  *     must retry at most kSeqlockMaxRetries times per probe, and a
  *     direct-mapped optimistic probe must never serve a reclaimed way.
- *  3. Packed probes, pin-churn evictions and asynchronous-fill views
- *     mixed on one 4-way cache leave every structure auditable.
+ *  3. Set probes, pin-churn evictions and miss installs mixed on
+ *     one 4-way cache leave every structure auditable.
  *
  * Run under UTLB_SANITIZE=thread to turn the torture and stress tests
  * into race detectors. The BenchGoldenRegression tests re-check the
@@ -339,23 +339,21 @@ TEST(SeqlockTorture, StaleRefNeverServesReclaimedWay)
 }
 
 // ---------------------------------------------------------------------
-// Torture: packed probes vs pin churn vs async fills
+// Torture: set probes vs pin churn
 // ---------------------------------------------------------------------
 
-TEST(SimdStress, PackedProbesVsPinChurnAndAsyncFills)
+TEST(AssocStress, ProbesVsPinChurn)
 {
-    // Two async-fill views under a tight pin budget drive
-    // translateRange loops (packed probes + budget-forced unpin
-    // invalidates + miss installs), while a raw reader hammers lookup()
-    // through the seqlock path on the same sets. Run under
-    // UTLB_SANITIZE=thread to make this a race detector for the
-    // packed tag/cold write protocol.
+    // Two views under a tight pin budget drive translateRange loops
+    // (per-page set probes + budget-forced unpin invalidates + miss
+    // installs), while a raw reader hammers lookup() through the
+    // seqlock path on the same sets. Run under UTLB_SANITIZE=thread
+    // to make this a race detector for the tag/cold write protocol.
     utlb::NodeStack node({256, 4, true}, 8192, 4u << 20);
     auto &[costs, timings, phys, pins, sram, cache, driver] = node;
 
     UtlbConfig cfg;
     cfg.concurrent = true;
-    cfg.asyncFills = true;
     cfg.prefetchEntries = 8;
     cfg.pin.memLimitPages = 96;
     std::vector<utlb::NodeStack::Tenant> views;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "core/cost_model.hpp"
@@ -462,6 +464,88 @@ TEST_F(UtlbStack, EvictionFromNicCacheDoesNotUnpin)
     EXPECT_FALSE(tr.checkMiss);
     EXPECT_EQ(tr.pagesPinned, 0u);
     EXPECT_EQ(tr.niMisses, 1u);
+}
+
+// ---------------------------------------------------------------------
+// serviceMiss fault repair: each transferred entry counted once
+// ---------------------------------------------------------------------
+
+/** A stack with process 1 registered, for driving serviceMiss. */
+struct Stack : NodeStack {
+    AddressSpace space;
+
+    Stack()
+        : NodeStack({1024, 1, true}, 16384, 4u << 20), space(1, physMem)
+    {
+        driver.registerProcess(space);
+    }
+};
+
+TEST(ServiceMissRepair, SpliceKeepsNeighboursAndCountsOnce)
+{
+    // Wide fetch around an invalid first entry: vpns 101..107 are
+    // pinned, 100 is not. The repair must splice the single repaired
+    // entry into the already-transferred run — installing all 8
+    // entries, counting 7 prefetch installs, and charging one 1-wide
+    // re-fetch on top of the original 8-wide DMA. The old fallback
+    // re-issued the full fetch and double-counted the neighbours.
+    Stack st, twin;
+    ASSERT_EQ(st.driver.ioctlPinAndInstall(1, 101, 7).status,
+              utlb::mem::PinStatus::Ok);
+    ASSERT_EQ(twin.driver.ioctlPinAndInstall(1, 101, 7).status,
+              utlb::mem::PinStatus::Ok);
+    // The twin measures what the in-service repair ioctl will cost.
+    IoctlResult repairIo = twin.driver.ioctlPinAndInstall(1, 100, 1);
+    ASSERT_EQ(repairIo.status, utlb::mem::PinStatus::Ok);
+
+    std::vector<std::optional<utlb::mem::Pfn>> runBuf, repairBuf;
+    MissOutcome mo =
+        serviceMiss(st.driver, st.driver.pageTable(1), st.cache,
+                    st.timings, 1, 100, 8, runBuf, repairBuf, nullptr,
+                    nullptr);
+
+    EXPECT_TRUE(mo.fault);
+    EXPECT_TRUE(mo.ok);
+    EXPECT_EQ(mo.fetched, 8u);
+    EXPECT_EQ(mo.prefetchInstalls, 7u);
+    EXPECT_EQ(mo.cost,
+              st.timings.interruptCost + repairIo.cost
+                  + st.timings.entryFetchCost(1)
+                  + st.timings.missHandleCost(8));
+    // The repaired demand entry matches the host table.
+    auto entry = st.driver.pageTable(1).readRun(100, 1);
+    ASSERT_FALSE(entry.empty());
+    ASSERT_TRUE(entry[0].has_value());
+    EXPECT_EQ(mo.pfn, *entry[0]);
+    // Conservation: every entry of the run is installed exactly once
+    // and the structures still agree.
+    for (Vpn v = 100; v < 108; ++v)
+        EXPECT_TRUE(st.cache.lookup(1, v).hit) << "vpn " << v;
+    EXPECT_EQ(st.audit(), "");
+}
+
+TEST(ServiceMissRepair, EmptyRunStillChargesSingleFetch)
+{
+    // No leaf table at all: the repair provides the only entry, so
+    // the service fetches exactly one entry and installs exactly one.
+    Stack st, twin;
+    IoctlResult repairIo =
+        twin.driver.ioctlPinAndInstall(1, 5000, 1);
+    ASSERT_EQ(repairIo.status, utlb::mem::PinStatus::Ok);
+
+    std::vector<std::optional<utlb::mem::Pfn>> runBuf, repairBuf;
+    MissOutcome mo =
+        serviceMiss(st.driver, st.driver.pageTable(1), st.cache,
+                    st.timings, 1, 5000, 8, runBuf, repairBuf, nullptr,
+                    nullptr);
+
+    EXPECT_TRUE(mo.fault);
+    EXPECT_TRUE(mo.ok);
+    EXPECT_EQ(mo.fetched, 1u);
+    EXPECT_EQ(mo.prefetchInstalls, 0u);
+    EXPECT_EQ(mo.cost,
+              st.timings.interruptCost + repairIo.cost
+                  + st.timings.missHandleCost(1));
 }
 
 // ---------------------------------------------------------------------

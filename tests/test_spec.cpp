@@ -4,9 +4,9 @@
  * point of the stack's parameter space; its seeded op list runs
  * through every configuration of spec::matrix(), index offsetting on
  * and off (docs/checking.md, "The executable spec"). Cases in the
- * BatchedRange, ConcurrentGolden, AssocGolden, SimdGolden,
- * IndexOffsetting and AsyncMissPath suites keep the names of the
- * pairwise golden tests whose parameter points they took over.
+ * BatchedRange, ConcurrentGolden, AssocGolden, SimdGolden and
+ * IndexOffsetting suites keep the names of the pairwise golden tests
+ * whose parameter points they took over.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ expectSpec(const Case &c, const std::vector<Op> &ops)
         expectSpec(c, generate(c));                                       \
     }
 
-// Direct-mapped: the batched walk's run probes and L0 handle.
+// Direct-mapped: the batched walk's run probes.
 SPEC_CASE(BatchedRange, GoldenDirectMappedNoLimit, 1024, 1, 1, 0, Lru, 1, 1)
 SPEC_CASE(BatchedRange, GoldenPrefetchWide, 256, 1, 8, 0, Lru, 1, 2)
 SPEC_CASE(BatchedRange, GoldenMemLimitLru, 1024, 1, 4, 64, Lru, 1, 3)
@@ -60,7 +60,8 @@ SPEC_CASE(ConcurrentGolden, BatchedPrefetchWide, 256, 1, 8, 0, Lru, 1, 15)
 SPEC_CASE(ConcurrentGolden, BatchedMemLimit, 1024, 1, 4, 64, Lru, 1, 16)
 SPEC_CASE(ConcurrentGolden, BatchedSmallCacheEvictions, 64, 1, 4, 0, Lru,
           1, 17)
-SPEC_CASE(AsyncMissPath, MatchesSyncResults, 256, 1, 8, 0, Lru, 1, 18)
+SPEC_CASE(ConcurrentGolden, BatchedPrefetchWideSeed18, 256, 1, 8, 0, Lru,
+          1, 18)
 
 // Set-associative, tenant 1 alone: a lone Striped view must make the
 // Unlocked policy's every stat, so each configuration's stats tree is
