@@ -89,11 +89,11 @@ rangeMask(std::uint64_t w, mem::Vpn start, mem::Vpn end)
 
 } // namespace
 
-std::optional<mem::Vpn>
-PinBitVector::firstClearInRange(mem::Vpn start, std::size_t npages) const
+mem::Vpn
+PinBitVector::scanClear(mem::Vpn start, std::size_t npages) const
 {
     if (npages == 0)
-        return std::nullopt;
+        return kNoVpn;
     mem::Vpn end = start + npages;
     std::uint64_t wstart = start / 64;
     std::uint64_t wend = (end - 1) / 64;
@@ -104,7 +104,7 @@ PinBitVector::firstClearInRange(mem::Vpn start, std::size_t npages) const
                 w * 64 + static_cast<unsigned>(std::countr_zero(missing)));
         }
     }
-    return std::nullopt;
+    return kNoVpn;
 }
 
 std::optional<mem::Vpn>
@@ -134,7 +134,7 @@ PinBitVector::firstSetInRange(mem::Vpn start, std::size_t npages) const
 bool
 PinBitVector::allSetInRange(mem::Vpn start, std::size_t npages) const
 {
-    return !firstClearInRange(start, npages).has_value();
+    return scanClear(start, npages) == kNoVpn;
 }
 
 CheckResult
@@ -149,10 +149,11 @@ PinBitVector::checkRange(mem::Vpn start, std::size_t npages) const
     std::size_t scanned_pages = 0;
     if (npages > 0) {
         mem::Vpn last = start + npages - 1;
-        if (auto clear = firstClearInRange(start, npages)) {
+        mem::Vpn clear = scanClear(start, npages);
+        if (clear != kNoVpn) {
             res.allPinned = false;
-            res.firstUnpinned = *clear;
-            last = *clear;
+            res.firstUnpinned = clear;
+            last = clear;
         }
         scanned_pages = static_cast<std::size_t>(last - start) + 1;
         res.wordsScanned =

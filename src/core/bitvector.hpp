@@ -28,6 +28,12 @@ class AuditReport;
 
 namespace utlb::core {
 
+/**
+ * "No page" sentinel of PinBitVector::scanClear(). Never a real page
+ * of a scanned range: such a range would end past the last vpn.
+ */
+inline constexpr mem::Vpn kNoVpn = ~mem::Vpn{0};
+
 /** Result of a pin-status check over a page range. */
 struct CheckResult {
     bool allPinned;                 //!< every page in range pinned
@@ -82,11 +88,21 @@ class PinBitVector
     bool allSetInRange(mem::Vpn start, std::size_t npages) const;
 
     /**
-     * First clear page in [start, start + npages), or nullopt if the
-     * range is fully set. Word-at-a-time scan.
+     * First clear page in [start, start + npages), or kNoVpn if the
+     * range is fully set (or empty). Word-at-a-time scan. The result
+     * is a plain word, not an optional: checkRange() runs it on every
+     * ensurePinned(), and an optional's engaged flag travels through
+     * the stack.
      */
+    mem::Vpn scanClear(mem::Vpn start, std::size_t npages) const;
+
+    /** scanClear() as an optional: nullopt if the range is fully set. */
     std::optional<mem::Vpn>
-    firstClearInRange(mem::Vpn start, std::size_t npages) const;
+    firstClearInRange(mem::Vpn start, std::size_t npages) const
+    {
+        mem::Vpn v = scanClear(start, npages);
+        return v == kNoVpn ? std::nullopt : std::optional<mem::Vpn>(v);
+    }
 
     /**
      * First set page in [start, start + npages), or nullopt if the

@@ -132,7 +132,12 @@ class HostCosts
     /** Reading the CPU cycle counter. */
     sim::Tick cycleCounterRead() const { return cycleReadTicks; }
 
-  private:
+    /**
+     * @name A profile's Table 1 curves
+     * The calibrated curves behind checkCostMin/checkCostMax/pinCost/
+     * unpinCost, built afresh on each call.
+     * @{
+     */
     static sim::CalCurve
     makeCheckMin(HostProfile profile)
     {
@@ -173,7 +178,9 @@ class HostCosts
         return sim::CalCurve{{1, 25.0}, {2, 30.0}, {4, 36.0},
                              {8, 50.0}, {16, 80.0}, {32, 139.0}};
     }
+    /** @} */
 
+  private:
     sim::CalCurve checkMinCurve;
     sim::CalCurve checkMaxCurve;
     sim::CalCurve pinCurve;

@@ -202,6 +202,9 @@ EnsureResult
 PinManager::ensurePinned(Vpn start, std::size_t npages)
 {
     auto g = guard();
+    // One named result on every path, built in place in the caller's
+    // slot: a second return expression would turn off the elision
+    // and copy it out on every check.
     EnsureResult res;
     ++statChecks;
 
@@ -211,17 +214,16 @@ PinManager::ensurePinned(Vpn start, std::size_t npages)
     if (check.allPinned) {
         repl->onAccessRange(start, npages);
         statPolicyAccesses += npages;
-        statEnsureLatency.sample(sim::ticksToUs(res.cost));
-        return res;
+    } else {
+        ensureSlow(start, npages, check.firstUnpinned, res);
     }
-
-    return ensureSlow(start, npages, check.firstUnpinned,
-                      std::move(res));
+    statEnsureLatency.sample(sim::ticksToUs(res.cost));
+    return res;
 }
 
-EnsureResult
+void
 PinManager::ensureSlow(Vpn start, std::size_t npages, Vpn firstUnpinned,
-                       EnsureResult res)
+                       EnsureResult &res)
 {
     res.checkMiss = true;
     ++statCheckMisses;
@@ -268,8 +270,7 @@ PinManager::ensureSlow(Vpn start, std::size_t npages, Vpn firstUnpinned,
         if (!pinRun(start + i, run, res)) {
             res.ok = false;
             unlockRangeImpl(start, npages);
-            statEnsureLatency.sample(sim::ticksToUs(res.cost));
-            return res;
+            return;
         }
         i += run;
     }
@@ -278,8 +279,6 @@ PinManager::ensureSlow(Vpn start, std::size_t npages, Vpn firstUnpinned,
     // Touch all requested pages for recency/frequency accounting.
     repl->onAccessRange(start, npages);
     statPolicyAccesses += npages;
-    statEnsureLatency.sample(sim::ticksToUs(res.cost));
-    return res;
 }
 
 bool

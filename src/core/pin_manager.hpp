@@ -229,10 +229,10 @@ class PinManager
     /**
      * ensurePinned's check-miss path: pins every unpinned run in the
      * request, skipping pinned stretches a 64-page bitmap word at a
-     * time.
+     * time. Accumulates into the caller's @p res.
      */
-    EnsureResult ensureSlow(mem::Vpn start, std::size_t npages,
-                            mem::Vpn firstUnpinned, EnsureResult res);
+    void ensureSlow(mem::Vpn start, std::size_t npages,
+                    mem::Vpn firstUnpinned, EnsureResult &res);
 
     /** This process' driver entry, resolved once at construction
      *  (UtlbDriver::processShared): sessions never probe the

@@ -446,8 +446,10 @@ SharedUtlbCache::lookupRunWith(ProcId pid, Vpn start, std::size_t n,
     std::size_t i = 0;
     for (; i < n; ++i) {
         Pfn pfn = mem::kInvalidPfn;
-        if (!s.probeLine(set, pid, start + i, pfn))
-            break;  // first miss: record nothing, caller re-probes
+        if (!s.probeLine(set, pid, start + i, pfn)) {
+            out.missed = true;
+            break;
+        }
         pfns[i] = pfn;
         if (++set == numSets)
             set = 0;
@@ -458,6 +460,10 @@ SharedUtlbCache::lookupRunWith(ProcId pid, Vpn start, std::size_t n,
         out.cost = static_cast<Tick>(i) * out.perHitCost;
         s.hitRun(out.perHitCost, i);
     }
+    // After the hits, as a lookup() of the missing page would follow
+    // them: the probe histogram's samples keep their order.
+    if (out.missed)
+        s.probed(out.perHitCost, false);
     return out;
 }
 

@@ -114,6 +114,9 @@ struct RunHits {
     std::size_t hits = 0;     //!< consecutive hits before first miss
     sim::Tick cost = 0;       //!< total modeled cost of those hits
     sim::Tick perHitCost = 0; //!< modeled cost of each hit probe
+    /** The run stopped on a miss, at slot hits. lookupRun counted
+     *  that probe (one perHitCost probe, not part of cost). */
+    bool missed = false;
 };
 
 /**
@@ -170,11 +173,13 @@ class SharedUtlbCache
 
     /**
      * Probe a run of consecutive pages of one process, stopping at
-     * (and recording nothing for) the first miss. Slot i of @p pfns
-     * receives the frame of vpn + i for each hit. Stats end up
-     * exactly as the equivalent lookup() sequence over the hit
-     * prefix would leave them. Requires assoc() == 1 (the per-way
-     * cost model makes wider probes take the page-at-a-time path).
+     * the first miss. Slot i of @p pfns receives the frame of
+     * vpn + i for each hit. Stats end up exactly as the equivalent
+     * lookup() sequence over the hit prefix — and the missing page,
+     * when the run stops on one (RunHits::missed) — would leave them,
+     * so the caller serves that miss without probing it again.
+     * Requires assoc() == 1 (the per-way cost model makes wider
+     * probes take the page-at-a-time path).
      */
     RunHits lookupRun(mem::ProcId pid, mem::Vpn start, std::size_t n,
                       mem::Pfn *pfns, Shard *sh = nullptr);

@@ -257,7 +257,8 @@ HostPageTable::readRun(Vpn vpn, std::size_t n) const
 
 void
 HostPageTable::readRun(Vpn vpn, std::size_t n,
-                       std::vector<std::optional<Pfn>> &out) const
+                       std::vector<std::optional<Pfn>> &out,
+                       bool concurrent) const
 {
     out.clear();
     const DirEntry *de = residentLeaf(vpn);
@@ -265,8 +266,12 @@ HostPageTable::readRun(Vpn vpn, std::size_t n,
         return;
 
     // Concurrent-mode views may read one table from several threads
-    // (serviceMiss holds no lock here); the bump must not tear.
-    statRunReads.addRelaxed(1);
+    // (serviceMiss holds no lock here); their bump must not tear. A
+    // single-threaded reader skips the locked add.
+    if (concurrent)
+        statRunReads.addRelaxed(1);
+    else
+        ++statRunReads;
     std::size_t in_leaf = kLeafEntries
         - static_cast<std::size_t>(vpn % kLeafEntries);
     std::size_t count = std::min(n, in_leaf);

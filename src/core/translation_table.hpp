@@ -170,10 +170,14 @@ class HostPageTable
      * Allocation-free readRun variant for the miss hot path: fills
      * @p out (cleared first, capacity reused across calls) instead
      * of returning a fresh vector, and reads the whole run from the
-     * leaf frame as one contiguous block.
+     * leaf frame as one contiguous block. Pass @p concurrent when
+     * other threads may read this table at the same time (a
+     * concurrent view's miss path): the run-read counter is then
+     * bumped with a relaxed atomic add instead of a plain one.
      */
     void readRun(mem::Vpn vpn, std::size_t n,
-                 std::vector<std::optional<mem::Pfn>> &out) const;
+                 std::vector<std::optional<mem::Pfn>> &out,
+                 bool concurrent = false) const;
 
     /** Number of valid entries. */
     std::size_t validEntries() const { return numValid; }

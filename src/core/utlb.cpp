@@ -16,7 +16,7 @@ serviceMiss(UtlbDriver &driver, HostPageTable &table,
             SharedUtlbCache::Shard *shard, sim::Tracer *tracer)
 {
     MissOutcome mo;
-    table.readRun(vpn, width, runBuf);
+    table.readRun(vpn, width, runBuf, shard != nullptr);
     auto &run = runBuf;
 
     if (run.empty() || !run[0]) {
@@ -41,7 +41,7 @@ serviceMiss(UtlbDriver &driver, HostPageTable &table,
         // The host pinned exactly one page for us; fetch that single
         // repaired entry rather than re-charging a full prefetch-width
         // DMA for neighbours the wide read already answered.
-        table.readRun(vpn, 1, repairBuf);
+        table.readRun(vpn, 1, repairBuf, shard != nullptr);
         if (run.empty()) {
             run.swap(repairBuf);
         } else {
@@ -145,25 +145,21 @@ UserUtlb::prepare(mem::VirtAddr va, std::size_t nbytes)
 NicLookup
 UserUtlb::nicTranslate(Vpn vpn)
 {
-    NicLookup out = nicTranslateImpl(vpn);
-    statTranslateLatency.sample(sim::ticksToUs(out.cost));
-    return out;
-}
-
-NicLookup
-UserUtlb::nicTranslateImpl(Vpn vpn)
-{
-    NicLookup out;
     CacheProbe probe = nicCache->lookup(procId, vpn, shard);
-    out.cost += probe.cost;
     if (tracer)
         tracer->complete("cache.probe", "nic", procId, probe.cost,
                          {{"vpn", vpn}, {"hit", probe.hit ? 1u : 0u}});
-    if (probe.hit) {
-        out.pfn = probe.pfn;
-        return out;
-    }
+    if (!probe.hit)
+        return nicMissAfterProbe(vpn, probe.cost);
+    statTranslateLatency.sample(sim::ticksToUs(probe.cost));
+    return NicLookup{.pfn = probe.pfn, .cost = probe.cost};
+}
 
+NicLookup
+UserUtlb::nicMissAfterProbe(Vpn vpn, sim::Tick probeCost)
+{
+    NicLookup out;
+    out.cost = probeCost;
     out.miss = true;
     ++statMisses;
     MissOutcome mo = serviceMiss(*driver, *hostTable, *nicCache,
@@ -178,6 +174,7 @@ UserUtlb::nicTranslateImpl(Vpn vpn)
     out.fetched = mo.fetched;
     out.cost += mo.cost;
     out.pfn = mo.pfn;
+    statTranslateLatency.sample(sim::ticksToUs(out.cost));
     return out;
 }
 
@@ -272,13 +269,14 @@ UserUtlb::translateRange(mem::VirtAddr va, std::size_t nbytes)
                                          run.hits);
             tr.nicCost += run.cost;
             i += run.hits;
-            continue;
         }
-        // First page of the window misses: take the one-page miss
-        // path (its prefetch-width DMA install refills the cache, so
-        // a stretch of contiguous misses costs one wide fetch per
-        // prefetchEntries pages, not one per page).
-        NicLookup nl = nicTranslate(start + i);
+        if (!run.missed)
+            break;
+        // The run stopped on a miss it has already probed and
+        // counted: serve it directly. Its prefetch-width DMA install
+        // refills the cache, so a stretch of contiguous misses costs
+        // one wide fetch per prefetchEntries pages, not one per page.
+        NicLookup nl = nicMissAfterProbe(start + i, run.perHitCost);
         tr.nicCost += nl.cost;
         ++tr.niMisses;
         tr.missPages.push_back(static_cast<std::uint32_t>(i));

@@ -95,7 +95,9 @@ struct MissOutcome {
  * process' own view guarantees. @p runBuf / @p repairBuf are caller
  * scratch (the miss path must not allocate); @p shard is passed to
  * every install (null: the unlocked policy, non-null: the Striped
- * one, see SharedUtlbCache); @p tracer may be null.
+ * one, see SharedUtlbCache), and non-null also marks @p table as
+ * shared with other readers (HostPageTable::readRun); @p tracer may
+ * be null.
  *
  * Fault repair reuses the initial wide fetch: when the wide DMA
  * returned valid neighbours around an invalid first entry, only the
@@ -191,7 +193,8 @@ class UserUtlb
     /**
      * Batched translate(): identical results, modeled costs, and
      * stats as translate() over the same buffer, but the NIC half
-     * probes the cache across the whole run at once (lookupRun) and
+     * probes the cache across the whole run at once (lookupRun),
+     * serves the miss a run stops on without probing it again, and
      * lets each miss's prefetch-width DMA refill the run so
      * contiguous misses coalesce into wide fetches. Falls
      * back to the per-page loop when a tracer is attached or the
@@ -218,7 +221,13 @@ class UserUtlb
     const sim::StatGroup &stats() const { return statsGrp; }
 
   private:
-    NicLookup nicTranslateImpl(mem::Vpn vpn);
+    /**
+     * nicTranslate()'s half after a probe of @p vpn missed (and was
+     * counted, at @p probeCost): service the miss and record the
+     * page's translation latency. translateRange() enters here
+     * straight from lookupRun(), so each miss is probed once.
+     */
+    NicLookup nicMissAfterProbe(mem::Vpn vpn, sim::Tick probeCost);
 
     /** The NIC half one page at a time. */
     void nicPageByPage(mem::Vpn start, std::size_t npages,

@@ -9,11 +9,17 @@
  * them, and extrapolates linearly beyond the last point using the
  * final segment's slope. This keeps every microbenchmark anchored to
  * the paper while still defining costs for arbitrary batch sizes.
+ *
+ * The hot paths price small operands (a bitmap check over a few
+ * pages, a pin of one page) on every call, so the tick value of each
+ * n below kTabulated is computed once, at construction, with the
+ * same usToTicks(at(n)) a lookup would make.
  */
 
 #ifndef UTLB_SIM_CALIBRATION_HPP
 #define UTLB_SIM_CALIBRATION_HPP
 
+#include <array>
 #include <initializer_list>
 #include <vector>
 
@@ -32,6 +38,9 @@ class CalCurve
         double us;
     };
 
+    /** Operands n < kTabulated read ticksAt() from a table. */
+    static constexpr std::size_t kTabulated = 64;
+
     /** Points must be in strictly increasing n order. */
     CalCurve(std::initializer_list<Point> pts) : points(pts)
     {
@@ -41,6 +50,8 @@ class CalCurve
             if (points[i].n <= points[i - 1].n)
                 panic("CalCurve points must increase in n");
         }
+        for (std::size_t n = 0; n < kTabulated; ++n)
+            smallTicks[n] = usToTicks(at(n));
     }
 
     /** Curve value at @p n, in microseconds. */
@@ -71,11 +82,12 @@ class CalCurve
     Tick
     ticksAt(std::size_t n) const
     {
-        return usToTicks(at(n));
+        return n < kTabulated ? smallTicks[n] : usToTicks(at(n));
     }
 
   private:
     std::vector<Point> points;
+    std::array<Tick, kTabulated> smallTicks{};
 };
 
 } // namespace utlb::sim

@@ -88,40 +88,6 @@ HistAccum::HistAccum(double max, std::size_t buckets)
 }
 
 void
-HistAccum::sample(double v)
-{
-    ++total;
-    sum += v;
-    minVal = std::min(minVal, v);
-    maxVal = std::max(maxVal, v);
-    if (v >= maxValBound || v < 0.0) {
-        ++overflow;
-        return;
-    }
-    ++counts[bucketOf(v)];
-}
-
-void
-HistAccum::sampleN(double v, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    total += n;
-    // Repeated addition, not sum += v * n: the contract is bit-exact
-    // equality with n individual sample() calls, and fp addition is
-    // not distributive over multiplication.
-    for (std::uint64_t i = 0; i < n; ++i)
-        sum += v;
-    minVal = std::min(minVal, v);
-    maxVal = std::max(maxVal, v);
-    if (v >= maxValBound || v < 0.0) {
-        overflow += n;
-        return;
-    }
-    counts[bucketOf(v)] += n;
-}
-
-void
 HistAccum::absorb(HistAccum &other)
 {
     if (other.counts.size() != counts.size()

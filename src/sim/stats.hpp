@@ -12,6 +12,7 @@
 #ifndef UTLB_SIM_STATS_HPP
 #define UTLB_SIM_STATS_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -140,7 +141,21 @@ class Average : public StatBase
 struct HistAccum {
     HistAccum(double max, std::size_t buckets);
 
-    void sample(double v);
+    /** Record one sample. Inline, like sampleN(): every modeled
+     *  probe and check takes one. */
+    void
+    sample(double v)
+    {
+        ++total;
+        sum += v;
+        minVal = std::min(minVal, v);
+        maxVal = std::max(maxVal, v);
+        if (v >= maxValBound || v < 0.0) {
+            ++overflow;
+            return;
+        }
+        ++counts[bucketOf(v)];
+    }
 
     /**
      * Record @p n samples of the same value @p v. State-identical to
@@ -148,7 +163,25 @@ struct HistAccum {
      * accumulation order of the running sum — so batched hot paths
      * can fold equal-valued samples without perturbing the stats.
      */
-    void sampleN(double v, std::uint64_t n);
+    void
+    sampleN(double v, std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        total += n;
+        // Repeated addition, not sum += v * n: the contract is
+        // bit-exact equality with n individual sample() calls, and fp
+        // addition is not distributive over multiplication.
+        for (std::uint64_t i = 0; i < n; ++i)
+            sum += v;
+        minVal = std::min(minVal, v);
+        maxVal = std::max(maxVal, v);
+        if (v >= maxValBound || v < 0.0) {
+            overflow += n;
+            return;
+        }
+        counts[bucketOf(v)] += n;
+    }
 
     /**
      * Fold @p other in and reset it. When this accumulator holds no

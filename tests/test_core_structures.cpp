@@ -9,12 +9,14 @@
 
 #include <optional>
 #include <set>
+#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "check/audit.hpp"
 #include "core/bitvector.hpp"
+#include "core/cost_model.hpp"
 #include "core/lookup_tree.hpp"
 #include "core/replacement.hpp"
 #include "core/shared_cache.hpp"
@@ -287,6 +289,112 @@ TEST(BitVectorRange, EmptyAndDegenerate)
     EXPECT_TRUE(bits.allSetInRange(63, 2));
     EXPECT_EQ(bits.firstClearInRange(63, 3), Vpn{65});
     EXPECT_EQ(bits.firstSetInRange(0, 200), Vpn{63});
+}
+
+/** The first page of [start, start + n) missing from @p pinned, or
+ *  kNoVpn: scanClear's per-bit reference. */
+Vpn
+firstClearByBit(const std::set<Vpn> &pinned, Vpn start, std::size_t n)
+{
+    for (Vpn v = start; v < start + n; ++v) {
+        if (!pinned.count(v))
+            return v;
+    }
+    return kNoVpn;
+}
+
+/** checkRange() of the reference: pages and words charged up to the
+ *  first clear page, Table 1's min cost when that is the first page. */
+CheckResult
+checkByBit(const std::set<Vpn> &pinned, Vpn start, std::size_t n)
+{
+    static const HostCosts costs;
+    CheckResult r{true, 0, 0, 0};
+    std::size_t scanned = 0;
+    if (n > 0) {
+        Vpn last = start + n - 1;
+        Vpn clear = firstClearByBit(pinned, start, n);
+        if (clear != kNoVpn) {
+            r.allPinned = false;
+            r.firstUnpinned = clear;
+            last = clear;
+        }
+        scanned = static_cast<std::size_t>(last - start) + 1;
+        r.wordsScanned = static_cast<std::size_t>(last / 64 - start / 64) + 1;
+    }
+    r.cost = !r.allPinned && scanned <= 1
+        ? costs.checkCostMin(n ? n : 1)
+        : costs.checkCostMax(scanned ? scanned : 1);
+    return r;
+}
+
+/** scanClear, firstClearInRange and checkRange against the reference
+ *  over [start, start + n). */
+void
+expectScansMatch(const PinBitVector &bv, const std::set<Vpn> &pinned,
+                 Vpn start, std::size_t n)
+{
+    SCOPED_TRACE(testing::Message() << "range [" << start << ", +" << n
+                                    << ")");
+    const Vpn want = firstClearByBit(pinned, start, n);
+    EXPECT_EQ(bv.scanClear(start, n), want);
+    EXPECT_EQ(bv.firstClearInRange(start, n),
+              want == kNoVpn ? std::nullopt : std::optional<Vpn>(want));
+    CheckResult got = bv.checkRange(start, n);
+    CheckResult ref = checkByBit(pinned, start, n);
+    EXPECT_EQ(got.allPinned, ref.allPinned);
+    if (!ref.allPinned) {
+        EXPECT_EQ(got.firstUnpinned, ref.firstUnpinned);
+    }
+    EXPECT_EQ(got.wordsScanned, ref.wordsScanned);
+    EXPECT_EQ(got.cost, ref.cost);
+}
+
+TEST(BitVectorRange, ScansMatchPerBitReference)
+{
+    // Random patterns over four words at a random offset, at densities
+    // from empty to full; ranges of 0 to 3 words' worth of pages that
+    // start below, inside and above the stored span.
+    Rng rng(0x5ca9c1ea);
+    for (int round = 0; round < 200; ++round) {
+        const Vpn base = (2 + rng.below(30)) * 64;
+        const std::uint64_t density = rng.below(5) * 25;  // percent
+        PinBitVector bv;
+        std::set<Vpn> pinned;
+        for (Vpn v = base; v < base + 4 * 64; ++v) {
+            if (rng.below(100) < density) {
+                bv.set(v);
+                pinned.insert(v);
+            }
+        }
+        for (int q = 0; q < 40; ++q) {
+            Vpn start = base - 2 * 64 + rng.below(8 * 64);
+            std::size_t n = rng.below(3 * 64 + 1);
+            expectScansMatch(bv, pinned, start, n);
+        }
+        expectScansMatch(bv, pinned, base, 0);
+        expectScansMatch(bv, pinned, 0, 64);                 // below
+        expectScansMatch(bv, pinned, base + 5 * 64, 3 * 64); // above
+    }
+
+    // First clear page at bit 63 of a word, then at bit 0 of the next.
+    for (Vpn clear : {Vpn{63}, Vpn{64}, Vpn{127}, Vpn{128}}) {
+        PinBitVector bv;
+        std::set<Vpn> pinned;
+        for (Vpn v = 0; v < 3 * 64; ++v) {
+            if (v != clear) {
+                bv.set(v);
+                pinned.insert(v);
+            }
+        }
+        EXPECT_EQ(bv.scanClear(0, 3 * 64), clear);
+        for (Vpn start : {Vpn{0}, Vpn{1}, clear - 1, clear}) {
+            for (std::size_t n : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{64}, std::size_t{65},
+                                  std::size_t{3 * 64 - start}})
+                expectScansMatch(bv, pinned, start, n);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -827,6 +935,67 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(16, 64, 256),
                        ::testing::Values(1, 2, 4),
                        ::testing::Bool()));
+
+TEST_F(SharedCacheTest, LookupRunCountsTheMissItStopsOn)
+{
+    // lookupRun's stop-on-miss contract under both lock policies: the
+    // run says whether it stopped on a miss and counts that probe as
+    // exactly one miss, so every page it probed lands in hits or
+    // misses once, and the stats tree equals the lookup() sequence
+    // over the same pages.
+    struct Case {
+        const char *name;
+        std::size_t resident;  //!< pages [0, resident) are cached
+    };
+    constexpr std::size_t kRun = 8;
+    for (bool concurrent : {false, true}) {
+        for (Case k : {Case{"all hits", kRun}, Case{"first-page miss", 0},
+                       Case{"3 hits then a miss", 3}}) {
+            SCOPED_TRACE(testing::Message()
+                         << k.name << ", "
+                         << (concurrent ? "striped" : "unlocked"));
+            SharedUtlbCache run({64, 1, false}, timings);
+            SharedUtlbCache twin({64, 1, false}, timings);
+            std::optional<SharedUtlbCache::Shard> runShard, twinShard;
+            if (concurrent) {
+                run.enableConcurrent();
+                twin.enableConcurrent();
+                runShard.emplace(run.makeShard());
+                twinShard.emplace(twin.makeShard());
+            }
+            SharedUtlbCache::Shard *rs = runShard ? &*runShard : nullptr;
+            SharedUtlbCache::Shard *ts = twinShard ? &*twinShard : nullptr;
+            for (Vpn v = 0; v < k.resident; ++v) {
+                run.insert(1, v, 100 + v, InsertMode::Demand, rs);
+                twin.insert(1, v, 100 + v, InsertMode::Demand, ts);
+            }
+
+            std::vector<Pfn> pfns(kRun, utlb::mem::kInvalidPfn);
+            RunHits got = run.lookupRun(1, 0, kRun, pfns.data(), rs);
+            const bool stops = k.resident < kRun;
+            const std::size_t probed = stops ? k.resident + 1 : kRun;
+            for (Vpn v = 0; v < probed; ++v)
+                twin.lookup(1, v, ts);
+            if (rs) {
+                run.absorbShard(*rs);
+                twin.absorbShard(*ts);
+            }
+
+            EXPECT_EQ(got.hits, k.resident);
+            EXPECT_EQ(got.missed, stops);
+            EXPECT_EQ(got.perHitCost, timings.cacheHitCost);
+            EXPECT_EQ(got.cost, got.hits * timings.cacheHitCost);
+            for (std::size_t i = 0; i < got.hits; ++i)
+                EXPECT_EQ(pfns[i], 100 + i) << i;
+            EXPECT_EQ(run.misses(), stops ? 1u : 0u);
+            EXPECT_EQ(run.hits() + run.misses(), probed);
+            std::ostringstream a, b;
+            run.stats().dumpJson(a);
+            twin.stats().dumpJson(b);
+            EXPECT_EQ(a.str(), b.str());
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // NicTranslationTable

@@ -9,6 +9,9 @@
 
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -91,6 +94,37 @@ TEST(HostCostModel, DerivedKernelCostsMatchDocumentation)
     EXPECT_EQ(c.kernelUnpinCost(), usToTicks(16.0));
     EXPECT_EQ(c.interruptCost(), usToTicks(10.0));
     EXPECT_EQ(c.userCheck(), usToTicks(0.5));
+}
+
+TEST(HostCostModel, TabulatedTicksMatchTheCurves)
+{
+    // CalCurve serves small operands from a table built at
+    // construction; every entry, and every operand past the table,
+    // must equal the direct conversion of the interpolated value.
+    using utlb::sim::CalCurve;
+    for (HostProfile profile :
+         {HostProfile::PentiumIINT, HostProfile::PentiumIILinux,
+          HostProfile::ModernX86}) {
+        const CalCurve curves[] = {HostCosts::makeCheckMin(profile),
+                                   HostCosts::makeCheckMax(profile),
+                                   HostCosts::makePin(profile),
+                                   HostCosts::makeUnpin(profile)};
+        for (std::size_t k = 0; k < 4; ++k) {
+            for (std::size_t n = 0; n <= 2 * CalCurve::kTabulated; ++n) {
+                ASSERT_EQ(curves[k].ticksAt(n),
+                          usToTicks(curves[k].at(n)))
+                    << "profile " << static_cast<int>(profile)
+                    << " curve " << k << " n " << n;
+            }
+        }
+        HostCosts c(profile);
+        for (std::size_t n = 1; n <= 2 * CalCurve::kTabulated; ++n) {
+            EXPECT_EQ(c.checkCostMin(n), curves[0].ticksAt(n));
+            EXPECT_EQ(c.checkCostMax(n), curves[1].ticksAt(n));
+            EXPECT_EQ(c.pinCost(n), curves[2].ticksAt(n));
+            EXPECT_EQ(c.unpinCost(n), curves[3].ticksAt(n));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -546,6 +580,68 @@ TEST(ServiceMissRepair, EmptyRunStillChargesSingleFetch)
     EXPECT_EQ(mo.cost,
               st.timings.interruptCost + repairIo.cost
                   + st.timings.missHandleCost(1));
+}
+
+// ---------------------------------------------------------------------
+// translateRange serves the miss its run probe stopped on
+// ---------------------------------------------------------------------
+
+/** The stats subtree @p g as its JSON document. */
+std::string
+statsJson(const utlb::sim::StatGroup &g)
+{
+    std::ostringstream os;
+    g.dumpJson(os);
+    return os.str();
+}
+
+TEST(TranslateRangeMiss, HitsMissHitsWindowMatchesPerPageStats)
+{
+    // A window of hits, one NIC miss, then hits: translateRange's run
+    // probe stops on the miss and serves it without probing again,
+    // and must leave every counter and histogram of the cache and the
+    // view exactly as translate()'s page-at-a-time walk does.
+    constexpr std::size_t kPages = 10;
+    constexpr Vpn kDropped = 4;
+    for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "striped" : "unlocked");
+        Stack range, perPage;
+        UtlbConfig cfg;
+        cfg.concurrent = concurrent;
+        UserUtlb r(range.driver, range.cache, range.timings, 1, cfg);
+        UserUtlb p(perPage.driver, perPage.cache, perPage.timings, 1,
+                   cfg);
+        // Warm the window, then drop one page from the NIC cache only:
+        // it stays pinned, so only the NIC walk misses.
+        const std::pair<UserUtlb *, Stack *> sides[] = {
+            {&r, &range}, {&p, &perPage}};
+        for (auto [u, st] : sides) {
+            ASSERT_TRUE(u->translate(0, kPages * kPageSize).ok);
+            ASSERT_TRUE(st->cache.invalidate(1, kDropped));
+            u->flushShardStats();
+        }
+        const std::uint64_t missesBefore = range.cache.misses();
+
+        Translation a = r.translateRange(0, kPages * kPageSize);
+        Translation b = p.translate(0, kPages * kPageSize);
+        r.flushShardStats();
+        p.flushShardStats();
+
+        ASSERT_TRUE(a.ok);
+        EXPECT_EQ(a.niMisses, 1u);
+        ASSERT_EQ(a.missPages.size(), 1u);
+        EXPECT_EQ(a.missPages[0], kDropped);
+        EXPECT_EQ(range.cache.misses(), missesBefore + 1);
+        EXPECT_EQ(a.nicCost, b.nicCost);
+        EXPECT_EQ(a.hostCost, b.hostCost);
+        ASSERT_EQ(a.pageAddrs.size(), b.pageAddrs.size());
+        for (std::size_t i = 0; i < kPages; ++i)
+            EXPECT_EQ(a.pageAddrs[i], b.pageAddrs[i]) << i;
+        EXPECT_EQ(statsJson(range.cache.stats()),
+                  statsJson(perPage.cache.stats()));
+        EXPECT_EQ(statsJson(r.stats()), statsJson(p.stats()));
+        EXPECT_EQ(range.audit(), "");
+    }
 }
 
 // ---------------------------------------------------------------------
