@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Modeled-digest pin: a wall-clock change must not move a modeled
-# number. Runs the repository benchmark at seed 1 for the three
-# deterministic workloads and fails unless each prints the digest
-# recorded below. perfbench itself only checks that a digest repeats
+# number. Runs the repository benchmark at seed 1 and at the held-out
+# seed 7919 for the three deterministic workloads and fails unless each
+# run prints the digest recorded below. perfbench itself only checks that a digest repeats
 # within one checkout, so without this a change that moved a modeled
 # number would still pass.
 #
@@ -13,20 +13,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A want=(
-    [sweep_cold]=eded8f4229918aa5
-    [replay_warm]=24e5d6335dfc67bc
-    [vmmc_stores]=e0c97f3f1c137f1a
+    [sweep_cold/1]=eded8f4229918aa5
+    [replay_warm/1]=24e5d6335dfc67bc
+    [vmmc_stores/1]=e0c97f3f1c137f1a
+    [sweep_cold/7919]=5c16e7ffde6c3709
+    [replay_warm/7919]=d11c1320beef36bf
+    [vmmc_stores/7919]=eb59ef17f98463bc
 )
 
 status=0
-for w in sweep_cold replay_warm vmmc_stores; do
-    out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1)
-    got=$(printf '%s\n' "$out" | sed -n 's/^modeled digest: //p')
-    if [ "$got" = "${want[$w]}" ]; then
-        echo "ok    $w $got"
-    else
-        echo "FAIL  $w: modeled digest '$got', recorded ${want[$w]}"
-        status=1
-    fi
+for seed in 1 7919; do
+    for w in sweep_cold replay_warm vmmc_stores; do
+        out=$(python3 perfbench/run.py --workload "$w" --seed "$seed" \
+            --seconds 1)
+        got=$(printf '%s\n' "$out" | sed -n 's/^modeled digest: //p')
+        key="$w/$seed"
+        if [ "$got" = "${want[$key]}" ]; then
+            echo "ok    $key $got"
+        else
+            echo "FAIL  $key: modeled digest '$got', recorded ${want[$key]}"
+            status=1
+        fi
+    done
 done
 exit "$status"

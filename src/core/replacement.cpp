@@ -1,8 +1,10 @@
 #include "core/replacement.hpp"
 
 #include <algorithm>
-#include <array>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -59,6 +61,11 @@ namespace {
  * paged in fixed chunks — dense chunk pointers for the low vpn
  * range, a sparse map beyond it — so huge or scattered address
  * spaces don't inflate memory.
+ *
+ * Links are stored complemented, so an all-zero node is untracked
+ * with nil links. A chunk comes from calloc and no constructor fills
+ * it: memory calloc takes fresh from the host is already zero, and
+ * calloc does not memset it.
  */
 class RecencyPolicy : public ReplacementPolicy
 {
@@ -111,7 +118,8 @@ class RecencyPolicy : public ReplacementPolicy
             return;
         unlink(*n);
         n->tracked = false;
-        n->prev = n->next = kNil;
+        n->setPrev(kNil);
+        n->setNext(kNil);
         --numTracked;
     }
 
@@ -119,12 +127,12 @@ class RecencyPolicy : public ReplacementPolicy
     victim(const Evictable &ok) const override
     {
         if (policyKind == PolicyKind::Mru) {
-            for (Vpn vpn = tail; vpn != kNil; vpn = nodeIf(vpn)->prev) {
+            for (Vpn vpn = tail; vpn != kNil; vpn = nodeIf(vpn)->prev()) {
                 if (!ok || ok(vpn))
                     return vpn;
             }
         } else {
-            for (Vpn vpn = head; vpn != kNil; vpn = nodeIf(vpn)->next) {
+            for (Vpn vpn = head; vpn != kNil; vpn = nodeIf(vpn)->next()) {
                 if (!ok || ok(vpn))
                     return vpn;
             }
@@ -149,13 +157,35 @@ class RecencyPolicy : public ReplacementPolicy
     //! vpns below kDenseChunks * kChunkPages get dense chunk slots.
     static constexpr std::size_t kDenseChunks = 4096;
 
+    /** A list node; all zero bytes read as untracked, nil links. */
     struct Node {
-        Vpn prev = kNil;
-        Vpn next = kNil;
-        bool tracked = false;
-    };
+        Vpn notPrev;  //!< ~prev
+        Vpn notNext;  //!< ~next
+        bool tracked;
 
-    using Chunk = std::array<Node, kChunkPages>;
+        Vpn prev() const { return ~notPrev; }
+        Vpn next() const { return ~notNext; }
+        void setPrev(Vpn v) { notPrev = ~v; }
+        void setNext(Vpn v) { notNext = ~v; }
+    };
+    static_assert(std::is_trivial_v<Node>,
+                  "a calloc'd chunk must hold valid nodes");
+
+    struct FreeChunk {
+        void operator()(Node *chunk) const { std::free(chunk); }
+    };
+    /** kChunkPages nodes. */
+    using Chunk = std::unique_ptr<Node[], FreeChunk>;
+
+    static Chunk
+    newChunk()
+    {
+        auto *nodes =
+            static_cast<Node *>(std::calloc(kChunkPages, sizeof(Node)));
+        if (!nodes)
+            throw std::bad_alloc();
+        return Chunk(nodes);
+    }
 
     const Node *
     nodeIf(Vpn vpn) const
@@ -164,12 +194,12 @@ class RecencyPolicy : public ReplacementPolicy
         if (c < kDenseChunks) {
             if (c >= dense.size() || !dense[c])
                 return nullptr;
-            return &(*dense[c])[vpn % kChunkPages];
+            return &dense[c][vpn % kChunkPages];
         }
         auto it = sparse.find(c);
         if (it == sparse.end())
             return nullptr;
-        return &(*it->second)[vpn % kChunkPages];
+        return &it->second[vpn % kChunkPages];
     }
 
     Node *
@@ -187,35 +217,35 @@ class RecencyPolicy : public ReplacementPolicy
             if (c >= dense.size())
                 dense.resize(c + 1);
             if (!dense[c])
-                dense[c] = std::make_unique<Chunk>();
-            return (*dense[c])[vpn % kChunkPages];
+                dense[c] = newChunk();
+            return dense[c][vpn % kChunkPages];
         }
         auto &chunk = sparse[c];
         if (!chunk)
-            chunk = std::make_unique<Chunk>();
-        return (*chunk)[vpn % kChunkPages];
+            chunk = newChunk();
+        return chunk[vpn % kChunkPages];
     }
 
     void
     unlink(Node &n)
     {
-        if (n.prev != kNil)
-            nodeIf(n.prev)->next = n.next;
+        if (n.prev() != kNil)
+            nodeIf(n.prev())->setNext(n.next());
         else
-            head = n.next;
-        if (n.next != kNil)
-            nodeIf(n.next)->prev = n.prev;
+            head = n.next();
+        if (n.next() != kNil)
+            nodeIf(n.next())->setPrev(n.prev());
         else
-            tail = n.prev;
+            tail = n.prev();
     }
 
     void
     linkTail(Vpn vpn, Node &n)
     {
-        n.prev = tail;
-        n.next = kNil;
+        n.setPrev(tail);
+        n.setNext(kNil);
         if (tail != kNil)
-            nodeIf(tail)->next = vpn;
+            nodeIf(tail)->setNext(vpn);
         else
             head = vpn;
         tail = vpn;
@@ -234,7 +264,7 @@ class RecencyPolicy : public ReplacementPolicy
         if (!n || !n->tracked)
             return false;
         for (Vpn v = start; v + 1 < start + npages; ++v) {
-            if (n->next != v + 1)
+            if (n->next() != v + 1)
                 return false;
             n = nodeIf(v + 1);
         }
@@ -253,15 +283,16 @@ class RecencyPolicy : public ReplacementPolicy
             return;  // segment already ends the list
         Node *f = nodeIf(first);
         Node *l = nodeIf(last);
-        if (f->prev != kNil)
-            nodeIf(f->prev)->next = l->next;
+        if (f->prev() != kNil)
+            nodeIf(f->prev())->setNext(l->next());
         else
-            head = l->next;
-        nodeIf(l->next)->prev = f->prev;  // l->next != kNil since tail != last
-        f->prev = tail;
-        l->next = kNil;
+            head = l->next();
+        // l->next() != kNil since tail != last
+        nodeIf(l->next())->setPrev(f->prev());
+        f->setPrev(tail);
+        l->setNext(kNil);
         if (tail != kNil)
-            nodeIf(tail)->next = first;
+            nodeIf(tail)->setNext(first);
         else
             head = first;
         tail = last;
@@ -271,8 +302,8 @@ class RecencyPolicy : public ReplacementPolicy
     Vpn head = kNil;    //!< least recent
     Vpn tail = kNil;    //!< most recent
     std::size_t numTracked = 0;
-    std::vector<std::unique_ptr<Chunk>> dense;
-    std::unordered_map<std::size_t, std::unique_ptr<Chunk>> sparse;
+    std::vector<Chunk> dense;
+    std::unordered_map<std::size_t, Chunk> sparse;
 };
 
 /** Frequency-ordered policy core shared by LFU and MFU. */

@@ -44,7 +44,7 @@ PhysMemory::allocFrame(ProcId owner)
     // an OS.
     if (reused)
         std::memset(bytes.data() + frameAddr(pfn), 0, kPageSize);
-    if (written(pfn)) {
+    if (isWritten(pfn)) {
         writtenBits[pfn / 64].fetch_and(~(std::uint64_t{1} << (pfn % 64)),
                                         std::memory_order_relaxed);
     }
@@ -114,7 +114,7 @@ PhysMemory::read(PhysAddr pa, std::span<std::uint8_t> out) const
         PhysAddr at = pa + done;
         std::size_t n = std::min(out.size() - done,
                                  kPageSize - (at & (kPageSize - 1)));
-        if (written(at >> kPageShift))
+        if (isWritten(at >> kPageShift))
             std::memcpy(out.data() + done, bytes.data() + at, n);
         else
             std::memset(out.data() + done, 0, n);
@@ -133,10 +133,24 @@ PhysMemory::write(PhysAddr pa, std::span<const std::uint8_t> in)
     // before stays a read-only cache line for other threads' reads.
     Pfn last = (pa + in.size() - 1) >> kPageShift;
     for (Pfn pfn = pa >> kPageShift; pfn <= last; ++pfn) {
-        if (!written(pfn)) {
+        if (!isWritten(pfn)) {
             writtenBits[pfn / 64].fetch_or(std::uint64_t{1} << (pfn % 64),
                                            std::memory_order_relaxed);
         }
+    }
+}
+
+void
+PhysMemory::zero(PhysAddr pa, std::size_t len)
+{
+    checkRange(pa, len);
+    for (std::size_t done = 0; done < len;) {
+        PhysAddr at = pa + done;
+        std::size_t n =
+            std::min(len - done, kPageSize - (at & (kPageSize - 1)));
+        if (isWritten(at >> kPageShift))
+            std::memset(bytes.data() + at, 0, n);
+        done += n;
     }
 }
 

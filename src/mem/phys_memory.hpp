@@ -46,7 +46,8 @@ inline constexpr ProcId kNoOwner = ~ProcId{0};
  * handed out. A frame that has not is all zeros, and a read() longer
  * than a cache line fills the caller's buffer with zeros without
  * touching the store: a DMA read of a never-written frame neither
- * faults its page in nor pulls it through the cache. The bitmap's
+ * faults its page in nor pulls it through the cache. Writing zeros
+ * to such a frame (zero()) leaves it untouched too. The bitmap's
  * words are atomics, so read() may test a bit while another thread's
  * write() sets one beside it.
  *
@@ -121,6 +122,26 @@ class PhysMemory
     void write(PhysAddr pa, std::span<const std::uint8_t> in);
 
     /**
+     * Write @p len zero bytes starting at @p pa. A frame not written
+     * since allocFrame already reads as zeros: it is left untouched
+     * and stays never-written. A written frame has the range cleared.
+     * @pre as for write().
+     */
+    void zero(PhysAddr pa, std::size_t len);
+
+    /**
+     * True if @p pfn has been written since allocFrame handed it out
+     * (or, for a freed frame, since it was last handed out). A frame
+     * that has not reads as zeros.
+     */
+    bool
+    isWritten(Pfn pfn) const
+    {
+        return writtenBits[pfn / 64].load(std::memory_order_relaxed)
+            >> (pfn % 64) & 1;
+    }
+
+    /**
      * Make frame @p pfn resident without changing its bytes: one
      * atomic no-op write to its first byte, so the host takes the
      * write fault now rather than on the first data access. It does
@@ -149,14 +170,6 @@ class PhysMemory
     void checkRange(PhysAddr pa, std::size_t len) const;
 
     void freeLocked(Pfn pfn) UTLB_REQUIRES(allocLock.value);
-
-    /** True if @p pfn has been written since it was handed out. */
-    bool
-    written(Pfn pfn) const
-    {
-        return writtenBits[pfn / 64].load(std::memory_order_relaxed)
-            >> (pfn % 64) & 1;
-    }
 
     /** Zero when mapped; a frame is zeroed again only when reused. */
     sim::ZeroedPages bytes;

@@ -301,8 +301,7 @@ VmmcNode::serveSendIdx(ProcState &p, const nic::Command &cmd)
     pkt.hdr.exportId = dst_export;
     pkt.hdr.offset = cmd.remoteOffset;
     pkt.hdr.totalBytes = cmd.nbytes;
-    pkt.payload.resize(cmd.nbytes);
-    physMem.read(mem::frameAddr(pfn) + cmd.localVa, pkt.payload);
+    pkt.payload = dmaRead(mem::frameAddr(pfn) + cmd.localVa, cmd.nbytes);
     ++statFragments;
     events->after(t, [this, pkt = std::move(pkt)]() mutable {
         link.sendReliable(std::move(pkt));
@@ -399,9 +398,8 @@ VmmcNode::streamOut(ProcId pid, VirtAddr va, std::size_t nbytes,
         pkt.hdr.exportId = export_id;
         pkt.hdr.offset = offset + done;
         pkt.hdr.totalBytes = total_bytes;
-        pkt.payload.resize(frag);
-        physMem.read(mem::frameAddr(nl.pfn) + offsetOf(va + done),
-                     pkt.payload);
+        pkt.payload =
+            dmaRead(mem::frameAddr(nl.pfn) + offsetOf(va + done), frag);
         ++statFragments;
         events->after(t, [this, pkt = std::move(pkt)]() mutable {
             link.sendReliable(std::move(pkt));
@@ -409,6 +407,16 @@ VmmcNode::streamOut(ProcId pid, VirtAddr va, std::size_t nbytes,
         done += frag;
     }
     return t;
+}
+
+net::Payload
+VmmcNode::dmaRead(mem::PhysAddr pa, std::size_t n) const
+{
+    if (!physMem.isWritten(pa >> mem::kPageShift))
+        return net::Payload::zeros(n);
+    return net::Payload::filled(n, [&](std::span<std::uint8_t> out) {
+        physMem.read(pa, out);
+    });
 }
 
 void
@@ -494,7 +502,8 @@ VmmcNode::depositData(const Packet &pkt)
         return;
     }
     ExportEntry &e = exports[hdr.exportId];
-    if (hdr.offset + pkt.payload.size() > e.bytes) {
+    const net::Payload &payload = pkt.payload;
+    if (hdr.offset + payload.size() > e.bytes) {
         sim::warn("deposit beyond export bounds on node %u", nodeId);
         return;
     }
@@ -504,25 +513,26 @@ VmmcNode::depositData(const Packet &pkt)
 
     Tick t = 0;
     std::size_t done = 0;
-    while (done < pkt.payload.size()) {
-        std::size_t frag = std::min(pkt.payload.size() - done,
+    while (done < payload.size()) {
+        std::size_t frag = std::min(payload.size() - done,
                                     kPageSize - offsetOf(va + done));
         NicLookup nl = xlate(e.pid, pageOf(va + done));
         t += nl.cost;
         t += nicTimings->payloadDmaCost(frag);
-        physMem.write(
-            mem::frameAddr(nl.pfn) + offsetOf(va + done),
-            std::span<const std::uint8_t>(pkt.payload).subspan(done,
-                                                               frag));
+        mem::PhysAddr pa = mem::frameAddr(nl.pfn) + offsetOf(va + done);
+        if (payload.data())
+            physMem.write(pa, {payload.data() + done, frag});
+        else
+            physMem.zero(pa, frag);
         done += frag;
     }
 
-    statBytesDeposited += pkt.payload.size();
+    statBytesDeposited += payload.size();
     std::uint64_t key = transferKey(hdr.src, hdr.transferId);
     auto [progress, fresh] = depositProgress.tryEmplace(key);
     if (fresh)
         progress->exportId = hdr.exportId;
-    progress->bytes += pkt.payload.size();
+    progress->bytes += payload.size();
 
     ExportId id = hdr.exportId;
     std::uint32_t total = hdr.totalBytes;

@@ -313,6 +313,14 @@ class VmmcNode
     void depositData(const net::Packet &pkt);
 
     /**
+     * DMA-read @p n bytes at @p pa into a fresh payload, once. A
+     * frame never written reads as zeros, so its payload gets no
+     * buffer.
+     * @pre [pa, pa + n) lies in one frame.
+     */
+    net::Payload dmaRead(mem::PhysAddr pa, std::size_t n) const;
+
+    /**
      * Stream [va, va+nbytes) of process @p pid to @p dst as Data
      * fragments addressed to (export, offset) and tagged with
      * @p transfer_id, charging translation and DMA costs; used by

@@ -45,8 +45,9 @@ class ReliableEndpoint
 
     /**
      * Send @p pkt reliably: stamps the channel sequence number,
-     * records it for retransmission (the one copy the link keeps),
-     * and transmits.
+     * records it for retransmission and transmits it. The record, the
+     * transmission and every retransmission share one payload
+     * buffer.
      */
     void sendReliable(net::Packet pkt);
 

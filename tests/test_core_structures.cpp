@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -636,6 +640,258 @@ TEST(RecencyRange, SplicedRangeAccessMatchesLoop)
             }
             EXPECT_EQ(drain(*a), drain(*b));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// RecencyPolicy node chunks vs a std::list reference
+// ---------------------------------------------------------------------
+
+/** LRU, MRU and FIFO order as a std::list: front is least recent. */
+class RecencyReference
+{
+  public:
+    explicit RecencyReference(PolicyKind k) : kind(k) {}
+
+    void insert(Vpn v) { order.push_back(v); }
+
+    void
+    access(Vpn v)
+    {
+        if (kind == PolicyKind::Fifo)
+            return;
+        auto it = std::find(order.begin(), order.end(), v);
+        if (it != order.end())
+            order.splice(order.end(), order, it);
+    }
+
+    void remove(Vpn v) { order.remove(v); }
+
+    bool
+    contains(Vpn v) const
+    {
+        return std::find(order.begin(), order.end(), v) != order.end();
+    }
+
+    std::optional<Vpn>
+    victim(const Evictable &ok) const
+    {
+        if (kind == PolicyKind::Mru) {
+            for (auto it = order.rbegin(); it != order.rend(); ++it)
+                if (!ok || ok(*it))
+                    return *it;
+        } else {
+            for (Vpn v : order)
+                if (!ok || ok(v))
+                    return v;
+        }
+        return std::nullopt;
+    }
+
+    std::vector<Vpn>
+    drain()
+    {
+        std::vector<Vpn> out;
+        while (auto v = victim({})) {
+            out.push_back(*v);
+            remove(*v);
+        }
+        return out;
+    }
+
+    std::size_t size() const { return order.size(); }
+
+  private:
+    PolicyKind kind;
+    std::list<Vpn> order;
+};
+
+/** One policy driven in step with its reference; check() compares. */
+class RecencyChecker
+{
+  public:
+    explicit RecencyChecker(PolicyKind k)
+        : policy(ReplacementPolicy::create(k)), ref(k)
+    {
+    }
+
+    void
+    insert(Vpn v)
+    {
+        if (ref.contains(v))
+            return;
+        policy->onInsert(v);
+        ref.insert(v);
+        known.insert(v);
+    }
+
+    void
+    access(Vpn v)
+    {
+        policy->onAccess(v);
+        ref.access(v);
+        known.insert(v);
+    }
+
+    void
+    accessRange(Vpn start, std::size_t n)
+    {
+        policy->onAccessRange(start, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ref.access(start + i);
+            known.insert(start + i);
+        }
+    }
+
+    void
+    remove(Vpn v)
+    {
+        policy->onRemove(v);
+        ref.remove(v);
+        known.insert(v);
+    }
+
+    /** Sizes, membership and victims (all pages, and skipping the
+     *  reference's own first choice) agree. */
+    void
+    check(const std::string &where)
+    {
+        SCOPED_TRACE(where);
+        ASSERT_EQ(policy->size(), ref.size());
+        for (Vpn v : known)
+            ASSERT_EQ(policy->contains(v), ref.contains(v)) << v;
+        ASSERT_EQ(policy->victim({}), ref.victim({}));
+        std::optional<Vpn> first = ref.victim({});
+        Evictable skipFirst = [&](Vpn v) { return !first || v != *first; };
+        ASSERT_EQ(policy->victim(skipFirst), ref.victim(skipFirst));
+    }
+
+    /** Victim order down to empty agrees. */
+    void
+    checkDrain()
+    {
+        EXPECT_EQ(drain(*policy), ref.drain());
+    }
+
+    std::unique_ptr<ReplacementPolicy> policy;
+    RecencyReference ref;
+    std::set<Vpn> known;
+};
+
+constexpr PolicyKind kRecencyKinds[] = {PolicyKind::Lru, PolicyKind::Mru,
+                                        PolicyKind::Fifo};
+/** First vpn past the dense chunk slots: 4096 chunks of 4096 pages. */
+constexpr Vpn kFirstSparseVpn = Vpn{4096} * 4096;
+
+/** Seeded inserts, removes, single and range accesses over @p vpns
+ *  (ranges start up to two pages below one and run 1-6 pages),
+ *  checked after every operation. */
+void
+randomRecencyOps(RecencyChecker &c, const std::vector<Vpn> &vpns,
+                 std::uint64_t seed, int ops)
+{
+    Rng rng(seed);
+    for (int op = 0; op < ops; ++op) {
+        Vpn v = vpns[rng.below(vpns.size())];
+        switch (rng.below(4)) {
+          case 0:
+            c.insert(v);
+            break;
+          case 1:
+            c.remove(v);
+            break;
+          case 2:
+            c.access(v);
+            break;
+          default:
+            c.accessRange(v - rng.below(3), 1 + rng.below(6));
+            break;
+        }
+        c.check("op " + std::to_string(op));
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(RecencyChunks, ChunkEdgeOrderMatchesList)
+{
+    for (PolicyKind kind : kRecencyKinds) {
+        SCOPED_TRACE(toString(kind));
+        RecencyChecker c(kind);
+        for (Vpn v : {4097, 4095, 4096, 4094, 8192, 8191})
+            c.insert(v);
+        c.check("inserted");
+        c.access(4095);
+        c.check("access 4095");
+        c.accessRange(4094, 4);  // not yet a chain
+        c.check("range 4094+4");
+        c.accessRange(4094, 4);  // now a chain across the chunk edge
+        c.check("chained range 4094+4");
+        c.accessRange(8190, 4);  // untracked 8190 and 8193 at the ends
+        c.check("range 8190+4");
+        c.remove(4096);
+        c.check("remove 4096");
+        c.accessRange(4094, 4);  // a gap where 4096 was
+        c.check("range over gap");
+        c.insert(4096);
+        c.accessRange(4095, 3);
+        c.check("reinsert 4096");
+        randomRecencyOps(c, {4094, 4095, 4096, 4097, 4098, 8191, 8192},
+                         0xc4a7 + static_cast<int>(kind), 300);
+        c.checkDrain();
+    }
+}
+
+TEST(RecencyChunks, SparseRangeOrderMatchesList)
+{
+    const Vpn s = kFirstSparseVpn;
+    for (PolicyKind kind : kRecencyKinds) {
+        SCOPED_TRACE(toString(kind));
+        RecencyChecker c(kind);
+        for (Vpn v : {s + 1, s - 1, s, Vpn{7}, s + 4096, s + 4095,
+                      Vpn{1} << 40, s + 4097})
+            c.insert(v);
+        c.check("inserted");
+        c.accessRange(s - 1, 3);  // last dense page into the sparse map
+        c.check("range s-1+3");
+        c.accessRange(s - 1, 3);
+        c.check("chained range s-1+3");
+        c.accessRange(s + 4095, 3);
+        c.check("range across sparse chunks");
+        c.remove(s);
+        c.access(Vpn{7});
+        c.check("remove s");
+        randomRecencyOps(c,
+                         {s - 2, s - 1, s, s + 1, s + 4095, s + 4096,
+                          s + 4097, Vpn{1} << 40, Vpn{7}},
+                         0x5ba7 + static_cast<int>(kind), 300);
+        c.checkDrain();
+    }
+}
+
+TEST(RecencyChunks, RemoveThenReinsertOnFreshChunk)
+{
+    for (PolicyKind kind : kRecencyKinds) {
+        SCOPED_TRACE(toString(kind));
+        RecencyChecker c(kind);
+        c.insert(5);
+        // Each of these is the first page its chunk holds: the rest of
+        // the chunk must read as untracked.
+        for (Vpn v : {Vpn{3} * 4096 + 7, 2 * kFirstSparseVpn + 11}) {
+            c.insert(v);
+            c.check("insert on fresh chunk");
+            c.access(v + 1);  // untracked neighbours: no-ops
+            c.remove(v - 1);
+            c.accessRange(v - 1, 3);
+            c.check("untracked neighbours");
+            c.remove(v);
+            c.check("removed");
+            c.insert(v);
+            c.insert(v + 1);
+            c.access(v);
+            c.check("reinserted");
+        }
+        c.checkDrain();
     }
 }
 

@@ -264,6 +264,76 @@ TEST(PhysMemory, WrittenFreedAndReallocatedFrameReadsAsZeros)
     EXPECT_EQ(out, want);
 }
 
+TEST(PhysMemory, ZeroingANeverWrittenFrameLeavesItUntouched)
+{
+    constexpr std::size_t kFrames = 512;
+    PhysMemory pm(kFrames);
+    for (std::size_t i = 0; i < kFrames; ++i)
+        ASSERT_TRUE(pm.allocFrame(1).has_value());
+    long before = pageFaults();
+    for (Pfn f = 0; f < kFrames; ++f)
+        pm.zero(frameAddr(f) + 10, kPageSize - 20);
+    [[maybe_unused]] long faults = pageFaults() - before;
+#ifndef __SANITIZE_THREAD__
+    // A memset would fault in one page per frame (NeverWrittenFrame-
+    // ReadsAsZerosWithoutFaulting says why TSan is left out).
+    EXPECT_LT(faults, static_cast<long>(kFrames / 8));
+#endif
+    std::vector<std::uint8_t> out(kPageSize, 0xAB);
+    for (Pfn f = 0; f < kFrames; ++f) {
+        ASSERT_FALSE(pm.isWritten(f)) << f;
+        pm.read(frameAddr(f), out);
+        ASSERT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0)) << f;
+    }
+    // Zeroing is not a zero fill; reusing the frame is one, as ever.
+    EXPECT_EQ(pm.totalZeroFills(), 0u);
+    pm.freeFrame(3);
+    ASSERT_EQ(*pm.allocFrame(2), 3u);
+    EXPECT_EQ(pm.totalZeroFills(), 1u);
+    EXPECT_FALSE(pm.isWritten(3));
+    pm.read(frameAddr(3), out);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kPageSize, 0));
+}
+
+TEST(PhysMemory, ZeroingAWrittenFrameClearsOnlyTheRange)
+{
+    PhysMemory pm(2);
+    Pfn f = *pm.allocFrame(1);
+    std::vector<std::uint8_t> pattern(kPageSize);
+    std::iota(pattern.begin(), pattern.end(), std::uint8_t{1});
+    std::replace(pattern.begin(), pattern.end(), std::uint8_t{0},
+                 std::uint8_t{0x5A});
+    pm.write(frameAddr(f), pattern);
+    pm.zero(frameAddr(f) + 100, 300);
+    EXPECT_TRUE(pm.isWritten(f));
+    std::vector<std::uint8_t> out(kPageSize);
+    pm.read(frameAddr(f), out);
+    std::vector<std::uint8_t> want = pattern;
+    std::fill(want.begin() + 100, want.begin() + 400, 0);
+    EXPECT_EQ(out, want);
+}
+
+TEST(PhysMemory, ZeroingAcrossWrittenAndNeverWrittenFrames)
+{
+    // Frame a is never written, b is: each frame of the range gets
+    // its own treatment, not the first frame's.
+    PhysMemory pm(3);
+    Pfn a = *pm.allocFrame(1);
+    Pfn b = *pm.allocFrame(1);
+    ASSERT_EQ(b, a + 1);
+    std::vector<std::uint8_t> ones(kPageSize, 0xC3);
+    pm.write(frameAddr(b), ones);
+    // The last 100 bytes of a and the first 200 of b.
+    pm.zero(frameAddr(b) - 100, 300);
+    EXPECT_FALSE(pm.isWritten(a));
+    EXPECT_TRUE(pm.isWritten(b));
+    std::vector<std::uint8_t> out(2 * kPageSize, 0xEE);
+    pm.read(frameAddr(a), out);
+    std::vector<std::uint8_t> want(2 * kPageSize, 0);
+    std::fill(want.begin() + kPageSize + 200, want.end(), 0xC3);
+    EXPECT_EQ(out, want);
+}
+
 TEST(PhysMemory, CleanReadsKeepZeroFillAndPopulateMeanings)
 {
     PhysMemory pm(3);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "net/network.hpp"
@@ -21,6 +23,24 @@ using utlb::sim::EventQueue;
 using utlb::sim::Tick;
 using utlb::vmmc::ReliableEndpoint;
 
+/** A payload holding a copy of @p bytes. */
+Payload
+payloadOf(const std::vector<std::uint8_t> &bytes)
+{
+    return Payload::filled(bytes.size(), [&](std::span<std::uint8_t> out) {
+        std::copy(bytes.begin(), bytes.end(), out.begin());
+    });
+}
+
+/** A payload's bytes; a bufferless payload reads as zeros. */
+std::vector<std::uint8_t>
+bytesOf(const Payload &p)
+{
+    if (!p.data())
+        return std::vector<std::uint8_t>(p.size(), 0);
+    return {p.data(), p.data() + p.size()};
+}
+
 Packet
 makeData(NodeId src, NodeId dst, std::uint32_t tag,
          std::size_t payload = 64)
@@ -30,7 +50,8 @@ makeData(NodeId src, NodeId dst, std::uint32_t tag,
     p.hdr.src = src;
     p.hdr.dst = dst;
     p.hdr.exportId = tag;
-    p.payload.assign(payload, static_cast<std::uint8_t>(tag));
+    p.payload = payloadOf(std::vector<std::uint8_t>(
+        payload, static_cast<std::uint8_t>(tag)));
     return p;
 }
 
@@ -56,9 +77,9 @@ TEST(Network, PreservesPayloadBytes)
     NicTimings t;
     Network net(eq, t, {2, 0.0, true, 1});
     std::vector<std::uint8_t> got;
-    net.attach(1, [&](const Packet &p) { got = p.payload; });
+    net.attach(1, [&](const Packet &p) { got = bytesOf(p.payload); });
     Packet p = makeData(0, 1, 0, 0);
-    p.payload = {1, 2, 3, 4, 5};
+    p.payload = payloadOf(std::vector<std::uint8_t>{1, 2, 3, 4, 5});
     net.send(std::move(p));
     eq.run();
     EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
@@ -205,12 +226,59 @@ TEST(Reliable, PayloadSurvivesRetransmission)
 {
     ReliableRig rig(0.4, 5);
     Packet p = makeData(0, 1, 0, 0);
-    p.payload = {9, 8, 7, 6};
+    p.payload = payloadOf(std::vector<std::uint8_t>{9, 8, 7, 6});
     rig.a.sendReliable(std::move(p));
     rig.eq.run();
     ASSERT_EQ(rig.bGot.size(), 1u);
-    EXPECT_EQ(rig.bGot[0].payload,
+    EXPECT_EQ(bytesOf(rig.bGot[0].payload),
               (std::vector<std::uint8_t>{9, 8, 7, 6}));
+}
+
+TEST(Reliable, RetransmissionSharesThePayloadBuffer)
+{
+    // Node 1 ignores the first arrival, as if it were lost, and hands
+    // the retransmission to its endpoint. Every arrival must carry
+    // the buffer the sender built: the in-flight record and the
+    // resend copy no bytes.
+    EventQueue eq;
+    NicTimings t;
+    Network net(eq, t, {2, 0.0, true, 1});
+    ReliableEndpoint a(0, net, eq), b(1, net, eq);
+    net.attach(0, [&](const Packet &p) { a.onPacket(p); });
+    std::vector<const std::uint8_t *> arrivals;
+    std::vector<std::uint8_t> delivered;
+    net.attach(1, [&](const Packet &p) {
+        arrivals.push_back(p.payload.data());
+        if (arrivals.size() > 1 && b.onPacket(p))
+            delivered = bytesOf(p.payload);
+    });
+    Packet p = makeData(0, 1, 3, 4096);
+    const std::uint8_t *sent = p.payload.data();
+    ASSERT_NE(sent, nullptr);
+    a.sendReliable(std::move(p));
+    eq.run();
+    EXPECT_GT(a.retransmissions(), 0u);
+    ASSERT_GE(arrivals.size(), 2u);
+    for (const std::uint8_t *at : arrivals)
+        EXPECT_EQ(at, sent);
+    EXPECT_EQ(delivered, std::vector<std::uint8_t>(4096, 3));
+    EXPECT_EQ(a.unackedPackets(), 0u);
+}
+
+TEST(Payload, ZerosHaveNoBufferAndCopiesShareOne)
+{
+    Payload z = Payload::zeros(4096);
+    EXPECT_EQ(z.size(), 4096u);
+    EXPECT_EQ(z.data(), nullptr);
+
+    Payload a = payloadOf({1, 2, 3});
+    Payload b = a;
+    EXPECT_EQ(b.data(), a.data());
+    Payload c = std::move(b);
+    EXPECT_EQ(c.data(), a.data());
+    a = Payload();
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(bytesOf(c), (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
 TEST(Reliable, TimersDoNotFireForever)

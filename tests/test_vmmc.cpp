@@ -113,6 +113,37 @@ TEST_F(VmmcRig, MultiPageUnalignedTransfer)
     EXPECT_GE(sender.fragmentsSent(), 4u);
 }
 
+TEST_F(VmmcRig, StoreOfWrittenThenNeverWrittenPageComparesByteForByte)
+{
+    // Page 10 is written, page 11 never is: the second fragment is a
+    // zero payload, and it lands across two receiver pages that hold
+    // a pattern.
+    VirtAddr send_va = addrOf(10) + 123;
+    std::size_t nbytes = kPageSize + 1000;
+    auto first = pattern(kPageSize, 5);
+    sender.space(1).writeBytes(addrOf(10), first);
+
+    VirtAddr recv_va = addrOf(20);
+    std::size_t offset = 1111;
+    auto slot = wireBuffers(recv_va, 3 * kPageSize);
+    auto before = pattern(3 * kPageSize, 200);
+    receiver.space(2).writeBytes(recv_va, before);
+    ASSERT_TRUE(sender.send(1, send_va, nbytes, slot, offset));
+    cluster.run();
+
+    std::vector<std::uint8_t> want = before;
+    for (std::size_t i = 0; i < nbytes; ++i)
+        want[offset + i] = 123 + i < kPageSize ? first[123 + i] : 0;
+    std::vector<std::uint8_t> got(want.size());
+    receiver.space(2).readBytes(recv_va, got);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(sender.fragmentsSent(), 2u);
+    // The sender read page 11 without writing it.
+    auto pfn = sender.space(1).lookup(11);
+    ASSERT_TRUE(pfn.has_value());
+    EXPECT_FALSE(sender.physMemory().isWritten(*pfn));
+}
+
 TEST_F(VmmcRig, RemoteOffsetPlacesDataWithinBuffer)
 {
     VirtAddr recv_va = addrOf(20);
@@ -326,6 +357,26 @@ TEST_F(LossyVmmcRig, TransfersSurvivePacketLoss)
     std::vector<std::uint8_t> got(nbytes);
     receiver.space(2).readBytes(recv_va, got);
     EXPECT_EQ(got, data);
+    EXPECT_GT(sender.reliable().retransmissions(), 0u);
+    EXPECT_EQ(sender.reliable().unackedPackets(), 0u);
+}
+
+TEST_F(LossyVmmcRig, NeverWrittenSourceZeroesAPatternedExport)
+{
+    // Every fragment of a never-written source page is a bufferless
+    // zero payload; through loss and go-back-N resends it must still
+    // clear the receiver's pattern.
+    VirtAddr recv_va = addrOf(20);
+    std::size_t nbytes = 8 * kPageSize;
+    auto slot = wireBuffers(recv_va, nbytes);
+    receiver.space(2).writeBytes(recv_va, pattern(nbytes, 77));
+    ASSERT_TRUE(sender.send(1, addrOf(100), nbytes, slot, 0));
+    cluster.run();
+
+    std::vector<std::uint8_t> got(nbytes, 0xEE);
+    receiver.space(2).readBytes(recv_va, got);
+    EXPECT_EQ(got, std::vector<std::uint8_t>(nbytes, 0));
+    EXPECT_EQ(receiver.bytesDeposited(), nbytes);
     EXPECT_GT(sender.reliable().retransmissions(), 0u);
     EXPECT_EQ(sender.reliable().unackedPackets(), 0u);
 }
