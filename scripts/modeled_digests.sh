@@ -13,12 +13,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A want=(
-    [sweep_cold/1]=eded8f4229918aa5
-    [replay_warm/1]=24e5d6335dfc67bc
-    [vmmc_stores/1]=e0c97f3f1c137f1a
-    [sweep_cold/7919]=5c16e7ffde6c3709
-    [replay_warm/7919]=d11c1320beef36bf
-    [vmmc_stores/7919]=eb59ef17f98463bc
+    [sweep_cold/1]=6feb1c6ee0c336a4
+    [replay_warm/1]=dcf687954ac9ebd4
+    [vmmc_stores/1]=c11bd7fe12e790da
+    [sweep_cold/7919]=bea9abbc18577a56
+    [replay_warm/7919]=55b03779d2f185e4
+    [vmmc_stores/7919]=0ae604b0b675614a
 )
 
 status=0

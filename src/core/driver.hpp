@@ -78,8 +78,8 @@ struct IoctlResult {
  * uncontended lock per session. The frames a session allocates or
  * frees go through PhysMemory's own allocator lock. Lock order: a
  * PinManager's mutex, then the registry lock, then the process'
- * session lock, then any of the frame allocator, PinBudget or one
- * cache stripe.
+ * session lock, then either the frame allocator or one cache
+ * stripe.
  *
  * Accessors that hand out references (pageTable, nicTable,
  * pinFacility, stats, audit) are not locked: use them only after

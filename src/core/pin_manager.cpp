@@ -5,7 +5,6 @@
 #include "check/audit.hpp"
 #include "check/check.hpp"
 #include "core/driver.hpp"
-#include "core/pin_budget.hpp"
 #include "sim/log.hpp"
 
 namespace utlb::core {
@@ -21,14 +20,6 @@ PinManager::PinManager(UtlbDriver &drv, mem::ProcId pid,
 {
     if (!proc)
         sim::panic("pin manager for unregistered process %u", pid);
-    if (cfg.budget)
-        cfg.budget->attach(procId, cfg.quotaCapPages, cfg.quotaWeight);
-}
-
-PinManager::~PinManager()
-{
-    if (cfg.budget)
-        cfg.budget->detach(procId);
 }
 
 void
@@ -146,30 +137,14 @@ bool
 PinManager::pinRun(Vpn start, std::size_t npages, EnsureResult &res)
 {
     // One session for the evictions and the pin. Lock order: this
-    // manager's mutex (held by the caller), the driver session, then
-    // PinBudget inside limitFor().
+    // manager's mutex (held by the caller), then the driver session.
     UtlbDriver::Session drv(*proc, drvShard);
 
-    // Make room under the effective budget first: the library's own
-    // limit, tightened by the fleet quota when one is configured.
-    // (A WeightedShare limit moves with churn, so it is re-read on
-    // every slow path, not cached.)
-    std::size_t limit = cfg.memLimitPages;
-    bool quotaBound = false;
-    if (cfg.budget) {
-        std::size_t q = cfg.budget->limitFor(procId);
-        if (q != 0 && (limit == 0 || q < limit)) {
-            limit = q;
-            quotaBound = true;
-        }
-    }
-    if (limit != 0) {
-        while (bits.count() + npages > limit) {
-            if (!evictOne(drv, res))
-                return false;
-            if (quotaBound)
-                ++statQuotaThrottles;
-        }
+    // Make room under the library's own budget first.
+    while (cfg.memLimitPages != 0
+           && bits.count() + npages > cfg.memLimitPages) {
+        if (!evictOne(drv, res))
+            return false;
     }
 
     while (true) {

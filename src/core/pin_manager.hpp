@@ -33,8 +33,6 @@
 
 namespace utlb::core {
 
-class PinBudget;
-
 /** Configuration of a process' pin manager. */
 struct PinManagerConfig {
     /**
@@ -53,23 +51,6 @@ struct PinManagerConfig {
 
     /** Seed for the RANDOM policy. */
     std::uint64_t seed = 12345;
-
-    /**
-     * Optional fleet-wide quota (src/core/pin_budget.hpp). When set,
-     * the manager attaches on construction, detaches on destruction,
-     * and treats PinBudget::limitFor() as a second pin budget next
-     * to memLimitPages — the tighter of the two wins, and evictions
-     * the quota forces count as quota_throttles. Must outlive the
-     * manager. nullptr (the default) keeps behavior bit-identical to
-     * the pre-quota library.
-     */
-    PinBudget *budget = nullptr;
-
-    /** HardCap override for this tenant (0 = the pool default). */
-    std::size_t quotaCapPages = 0;
-
-    /** WeightedShare weight for this tenant (0 is remapped to 1). */
-    std::size_t quotaWeight = 1;
 };
 
 /** Accounting of one ensurePinned() call. */
@@ -109,9 +90,6 @@ class PinManager
      *  this manager is destroyed. */
     PinManager(UtlbDriver &drv, mem::ProcId pid,
                const PinManagerConfig &cfg);
-
-    /** Detaches from the shared PinBudget, if one was configured. */
-    ~PinManager();
 
     PinManager(const PinManager &) = delete;
     PinManager &operator=(const PinManager &) = delete;
@@ -174,10 +152,6 @@ class PinManager
     std::uint64_t totalEvictions() const
     {
         return statEvictions.value();
-    }
-    std::uint64_t totalQuotaThrottles() const
-    {
-        return statQuotaThrottles.value();
     }
     /** @} */
 
@@ -261,10 +235,6 @@ class PinManager
                                  "checks that found an unpinned page"};
     sim::Counter statEvictions{&statsGrp, "evictions",
                                "pages unpinned to free budget"};
-    sim::Counter statQuotaThrottles{&statsGrp, "quota_throttles",
-                                    "evictions forced by the shared "
-                                    "tenant quota (subset of "
-                                    "evictions)"};
     sim::Counter statPagesPinned{&statsGrp, "pages_pinned",
                                  "pages pinned (incl. pre-pins)"};
     sim::Histogram statEnsureLatency{

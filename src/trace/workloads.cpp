@@ -27,6 +27,12 @@ indexPages(const Trace &trace)
     PageIds ids;
     ids.touches.reserve(touches);
     sim::FlatMap<std::uint32_t> idOf;
+    // Sized to the touches, not the (smaller) distinct count: about
+    // 2 MB for barnes. Keep it. Without it the 14 timed sweep_cold
+    // cells ran ~7% slower, with no more page faults; freeing this
+    // block raises glibc's dynamic mmap threshold, and with that
+    // threshold pinned both variants ran alike (docs/performance.md,
+    // "One hashed pass per call").
     idOf.reserve(touches);
     for (const auto &rec : trace) {
         std::size_t n = pagesSpanned(rec.va, rec.nbytes);

@@ -60,12 +60,15 @@ struct NodeStack {
     }
 
     /** Audit the cache, the driver and @p tenants' pin managers (their
-     *  shard stats flushed first); the findings, "" if none. */
+     *  shard stats flushed first; a tenant without a view is skipped);
+     *  the findings, "" if none. */
     std::string
     audit(const std::vector<Tenant> &tenants = {})
     {
         check::AuditReport report;
         for (const Tenant &t : tenants) {
+            if (!t.utlb)
+                continue;
             t.utlb->flushShardStats();
             t.utlb->pinManager().audit(report);
         }

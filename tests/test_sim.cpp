@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, RNG,
- * calibration curves, statistics, the table formatter, and the
- * open-addressed map.
+ * calibration curves, statistics, the table formatter, the
+ * open-addressed map, and the Zipf picker.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +30,7 @@
 #include "sim/table.hpp"
 #include "sim/types.hpp"
 #include "sim/zeroed_pages.hpp"
+#include "sim/zipf.hpp"
 
 namespace {
 
@@ -847,6 +848,91 @@ TEST(Mutex, WaiterParksOnceItsSpinRunsOut)
     waiter.join();
     EXPECT_EQ(mu.contended(), 1u);
     EXPECT_EQ(mu.parked(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// ZipfPicker
+// ---------------------------------------------------------------------
+
+TEST(Zipf, SameSeedReplaysIdenticalStream)
+{
+    ZipfPicker a(512, 1.2, 99);
+    ZipfPicker b(512, 1.2, 99);
+    for (int i = 0; i < 4096; ++i)
+        ASSERT_EQ(a.next(), b.next());
+}
+
+TEST(Zipf, SingleItemAlwaysDrawsIt)
+{
+    ZipfPicker z(1, 1.0, 5);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(z.next(), 0u);
+}
+
+TEST(Zipf, AlphaZeroIsUniform)
+{
+    constexpr std::size_t n = 64;
+    constexpr int draws = 128000;
+    ZipfPicker z(n, 0.0, 123);
+    std::array<int, n> freq{};
+    for (int i = 0; i < draws; ++i)
+        ++freq[z.next()];
+    // Expected 2000 per bin, sd ~45; +-400 is ~9 sigma.
+    for (std::size_t r = 0; r < n; ++r)
+        EXPECT_NEAR(freq[r], draws / static_cast<int>(n), 400)
+            << "rank " << r;
+}
+
+TEST(Zipf, Alpha1RankFrequencyRatiosMatchTheLaw)
+{
+    constexpr int draws = 200000;
+    ZipfPicker z(100, 1.0, 7);
+    std::array<int, 100> freq{};
+    for (int i = 0; i < draws; ++i)
+        ++freq[z.next()];
+    // P(rank r) ~ 1/(r+1): rank 0 draws twice as often as rank 1 and
+    // ten times as often as rank 9.
+    double r01 = static_cast<double>(freq[0]) / freq[1];
+    double r09 = static_cast<double>(freq[0]) / freq[9];
+    EXPECT_NEAR(r01, 2.0, 0.3);
+    EXPECT_NEAR(r09, 10.0, 1.5);
+    // Monotone head: the law's defining property.
+    EXPECT_GT(freq[0], freq[1]);
+    EXPECT_GT(freq[1], freq[3]);
+    EXPECT_GT(freq[3], freq[9]);
+}
+
+/**
+ * Cross-platform stream stability. Integral alphas take the exact
+ * repeated-multiplication weight path (no std::pow), so the CDF and
+ * hence the draw stream are bit-identical on every IEEE-754 platform
+ * and libm. These goldens pin the streams; a change here is a
+ * compatibility break for every recorded bench stream.
+ */
+TEST(Zipf, IntegralAlphaStreamsAreGolden)
+{
+    {
+        ZipfPicker z(1000, 1.0, 0x5eedull);
+        const std::size_t want[] = {46, 193, 510, 0, 0, 11, 1, 284,
+                                    2, 0, 1, 10, 520, 34, 13, 585};
+        for (std::size_t w : want)
+            EXPECT_EQ(z.next(), w);
+    }
+    {
+        ZipfPicker z(4096, 2.0, 42);
+        const std::size_t want[] = {0, 2, 2, 10, 2, 3, 0, 0,
+                                    0, 1, 0, 0, 4, 0, 0, 1};
+        for (std::size_t w : want)
+            EXPECT_EQ(z.next(), w);
+    }
+    {
+        ZipfPicker z(256, 0.0, 7);
+        const std::size_t want[] = {209, 237, 22, 27, 95, 104,
+                                    218, 43, 93, 202, 173, 186,
+                                    166, 230, 32, 85};
+        for (std::size_t w : want)
+            EXPECT_EQ(z.next(), w);
+    }
 }
 
 } // namespace
